@@ -16,7 +16,8 @@ import numpy as np
 from .gmsh_io import MeshBundle
 from .partition import PartitionMap
 from .permutation import Permutation
-from .plex import Label, Plex
+from .plex import (Label, Plex, _csr_rows, _offsets, _row_ids, _row_pairs,
+                   _unique_sorted)
 from .section import Field, Section, section_from_depth_dofs
 
 
@@ -107,63 +108,57 @@ def close_partition(plex: Plex, pmap: PartitionMap) -> list[RankPointSet]:
     if len(pmap.ranks) != len(cells):
         raise ValueError("partition map does not cover the cells")
     nparts = pmap.nparts
+    chart = plex.chart_size
+    offsets, closure_pts = plex.closures(cells)
+    closure_cell = _row_ids(offsets)
 
-    closures = {int(c): plex.closure(int(c)) for c in cells}
-    owner = np.full(plex.chart_size, -1, dtype=np.int64)
-    point_sets: list[set[int]] = [set() for _ in range(nparts)]
-    for i, c in enumerate(cells):
-        r = int(pmap.ranks[i])
-        point_sets[r].update(int(p) for p in closures[int(c)])
-    # Lowest-rank ownership: visit ranks ascending and claim unowned points.
-    for r in range(nparts):
-        for i in np.flatnonzero(pmap.ranks == r):
-            for p in closures[int(cells[i])]:
-                if owner[p] < 0:
-                    owner[p] = r
+    # Lowest-rank ownership over the own-cell closures.
+    owner = np.full(chart, nparts, dtype=np.int64)
+    np.minimum.at(owner, closure_pts, pmap.ranks[closure_cell])
 
-    # One layer of overlap through shared facets.
-    crank = {int(c): i for i, c in enumerate(cells)}
-    for f in plex.height_stratum(1):
-        sup = plex.support(int(f))
-        rs = {int(pmap.ranks[crank[int(c)]]) for c in sup}
-        if len(rs) > 1:
-            for c in sup:
-                cl = closures[int(c)]
-                for r in rs:
-                    if r != int(pmap.ranks[crank[int(c)]]):
-                        point_sets[r].update(int(p) for p in cl)
+    # One layer of overlap through shared facets: every cell sharing a facet
+    # with a cell of another rank goes to that rank too.
+    sup_offsets, sup = _csr_rows(plex._support_offsets, plex._support_targets,
+                                 plex.height_stratum(1))
+    a, b = _row_pairs(sup_offsets, np.searchsorted(cells, sup))
+    foreign = pmap.ranks[a] != pmap.ranks[b]
+    sent_cell = np.concatenate([np.arange(len(cells), dtype=np.int64), a[foreign]])
+    sent_rank = np.concatenate([pmap.ranks, pmap.ranks[b[foreign]]])
 
+    # Every (rank, point) pair the sent cells' closures cover, sorted by rank.
+    sizes = np.diff(offsets)[sent_cell]
+    _, pts = _csr_rows(offsets, closure_pts, sent_cell)
+    keys = _unique_sorted(np.repeat(sent_rank, sizes) * chart + pts)
+    ranks, pts = np.divmod(keys, chart)
+    bounds = np.searchsorted(ranks, np.arange(nparts + 1))
     out = []
     for r in range(nparts):
-        pts = np.array(sorted(point_sets[r]), dtype=np.int64)
-        owned = pts[owner[pts] == r]
-        out.append(RankPointSet(rank=r, points=pts, owned=owned))
+        rank_pts = pts[bounds[r]:bounds[r + 1]]
+        out.append(RankPointSet(rank=r, points=rank_pts,
+                                owned=rank_pts[owner[rank_pts] == r]))
     return out
 
 
 def _extract_rank(bundle: MeshBundle, rps: RankPointSet) -> RankLocalMesh:
     plex = bundle.plex
     l2g = rps.points
-    g2l = {int(g): l for l, g in enumerate(l2g)}
+    offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, l2g)
+    local_plex = Plex.from_csr(plex.dim, offsets, np.searchsorted(l2g, targets))
 
-    cones = [tuple(g2l[int(q)] for q in plex.cone(int(g))) for g in l2g]
-    local_plex = Plex(plex.dim, cones)
-
-    verts_global = plex.depth_stratum(0)
-    gvrank = {int(p): i for i, p in enumerate(verts_global)}
+    local_verts = l2g[plex.depths[l2g] == 0]
     coords_global = bundle.vertex_coords()
-    local_verts = [int(g) for g in l2g if plex.depths[g] == 0]
-    values = np.concatenate([coords_global[gvrank[g]] for g in local_verts]) \
-        if local_verts else np.empty(0)
+    values = coords_global[np.searchsorted(plex.depth_stratum(0), local_verts)].ravel()
     sec = section_from_depth_dofs(local_plex, [plex.dim] + [0] * plex.dim)
     coords = Field("coordinates", sec, values)
 
+    g2l = np.full(plex.chart_size, -1, dtype=np.int64)
+    g2l[l2g] = np.arange(l2g.size, dtype=np.int64)
     labels = {name: lab.relabeled(g2l) for name, lab in bundle.labels.items()}
 
-    owned_set = set(int(p) for p in rps.owned)
-    owned_cells = {g2l[int(g)] for g in l2g
-                   if plex.heights[g] == 0 and int(g) in owned_set}
-    ghosts = {g2l[int(g)] for g in l2g if int(g) not in owned_set}
+    owned = np.zeros(l2g.size, dtype=bool)
+    owned[np.searchsorted(l2g, rps.owned)] = True
+    owned_cells = set(np.flatnonzero(owned & (plex.heights[l2g] == 0)).tolist())
+    ghosts = set(np.flatnonzero(~owned).tolist())
     return RankLocalMesh(rank=rps.rank, bundle=MeshBundle(local_plex, coords, labels),
                          local_to_global=l2g, owned_cells=owned_cells,
                          ghost_points=ghosts)
@@ -187,18 +182,20 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
     rank_sets = close_partition(bundle.plex, pmap)
     locals_ = [_extract_rank(bundle, rps) for rps in rank_sets]
 
-    leaves: list[list[tuple[int, int, int]]] = []
-    owner = np.full(bundle.plex.chart_size, -1, dtype=np.int64)
+    # Owner-local ids by one search in the (rank, point) keys of all ranks.
+    chart = bundle.plex.chart_size
+    owner = np.full(chart, -1, dtype=np.int64)
     for rps in rank_sets:
         owner[rps.owned] = rps.rank
+    rank_keys = np.concatenate([rps.rank * chart + rps.points for rps in rank_sets])
+    rank_start = _offsets([rps.points.size for rps in rank_sets])
+    leaves: list[list[tuple[int, int, int]]] = []
     for rps in rank_sets:
-        mine = []
-        for l, g in enumerate(rps.points):
-            r = int(owner[g])
-            if r != rps.rank:
-                owner_local = int(np.searchsorted(rank_sets[r].points, g))
-                mine.append((l, r, owner_local))
-        leaves.append(mine)
+        local = np.flatnonzero(owner[rps.points] != rps.rank)
+        g = rps.points[local]
+        r = owner[g]
+        owner_local = np.searchsorted(rank_keys, r * chart + g) - rank_start[r]
+        leaves.append(list(zip(local.tolist(), r.tolist(), owner_local.tolist())))
     sf = StarForest(leaves)
 
     bytes_topology = 0
@@ -236,13 +233,15 @@ def build_halo(local: RankLocalMesh, sf: StarForest, section: Section,
         raise ValueError("star forest leaves do not match the ghost point set")
 
     ghost_order = sorted(entries, key=lambda e: (e[1], e[2]))
-    owned = [p for p in range(n) if p not in local.ghost_points]
-    with_dofs = [p for p in owned if section.dofs[p] > 0]
-    without = [p for p in owned if section.dofs[p] == 0]
-    new_order = with_dofs + without + [e[0] for e in ghost_order]
-    perm = Permutation.from_new_order(new_order)
+    ghosts = np.array([e[0] for e in ghost_order], dtype=np.int64)
+    owned = np.ones(n, dtype=bool)
+    owned[ghosts] = False
+    owned = np.flatnonzero(owned)
+    has_dofs = section.dofs[owned] > 0
+    perm = Permutation.from_new_order(
+        np.concatenate([owned[has_dofs], owned[~has_dofs], ghosts]))
 
-    n_owned = int(section.dofs[owned].sum()) if owned else 0
+    n_owned = int(section.dofs[owned].sum())
     receives = [(int(perm.forward[e[0]]), e[1], e[2]) for e in ghost_order]
     return Halo(n_owned=n_owned, receives=receives), perm
 
@@ -254,41 +253,41 @@ def gather_to_root(locals_: Sequence[RankLocalMesh], sf: StarForest) -> MeshBund
     and labels are taken from the owners, reproducing the pre-migration
     numbering exactly.
     """
-    chart = 1 + max(int(lm.local_to_global.max()) for lm in locals_)
     dim = locals_[0].bundle.dim
-    claimed = np.zeros(chart, dtype=np.int64)
-    cones: list[tuple[int, ...] | None] = [None] * chart
+    chart = 1 + max(int(lm.local_to_global.max(initial=-1)) for lm in locals_)
+    points, sizes, cone_points, vertex_points, vertex_coords = [], [], [], [], []
     for lm in locals_:
-        ghost = lm.ghost_points
         lp = lm.bundle.plex
         l2g = lm.local_to_global
-        for l in range(lp.chart_size):
-            if l in ghost:
-                continue
-            g = int(l2g[l])
-            claimed[g] += 1
-            cones[g] = tuple(int(l2g[q]) for q in lp.cone(l))
+        owned = np.ones(lp.chart_size, dtype=bool)
+        owned[list(lm.ghost_points)] = False
+        offsets, targets = _csr_rows(lp._cone_offsets, lp._cone_targets,
+                                     np.flatnonzero(owned))
+        points.append(l2g[owned])
+        sizes.append(np.diff(offsets))
+        cone_points.append(l2g[targets])
+        local_verts = lp.depth_stratum(0)
+        vertex_points.append(l2g[local_verts[owned[local_verts]]])
+        vertex_coords.append(lm.bundle.vertex_coords()[owned[local_verts]])
+    points = np.concatenate(points)
+    claimed = np.bincount(points, minlength=chart)
     if np.any(claimed > 1):
         raise ValueError("inconsistent ownership: a point is claimed by two ranks")
     if np.any(claimed == 0):
         raise ValueError("incomplete distribution: a point is owned by no rank")
 
-    plex = Plex(dim, cones)
-    verts = plex.depth_stratum(0)
-    gvrank = {int(p): i for i, p in enumerate(verts)}
-    coords = np.zeros((len(verts), dim), dtype=np.float64)
+    offsets, cone_points = _csr_rows(_offsets(np.concatenate(sizes)),
+                                     np.concatenate(cone_points), np.argsort(points))
+    plex = Plex.from_csr(dim, offsets, cone_points)
+    coords = np.zeros((plex.num_vertices, dim), dtype=np.float64)
+    coords[np.searchsorted(plex.depth_stratum(0), np.concatenate(vertex_points))] = \
+        np.concatenate(vertex_coords)
     label_names = sorted({name for lm in locals_ for name in lm.bundle.labels})
     labels = {name: Label(name) for name in label_names}
     for lm in locals_:
-        lp = lm.bundle.plex
-        l2g = lm.local_to_global
-        local_coords = lm.bundle.vertex_coords()
-        for i, p in enumerate(lp.depth_stratum(0)):
-            if int(p) not in lm.ghost_points:
-                coords[gvrank[int(l2g[p])]] = local_coords[i]
         for name, lab in lm.bundle.labels.items():
             for value, pts in lab.values.items():
-                labels[name].add(value, (int(l2g[p]) for p in pts))
+                labels[name].add(value, lm.local_to_global[list(pts)].tolist())
 
     sec = section_from_depth_dofs(plex, [dim] + [0] * dim)
     return MeshBundle(plex, Field("coordinates", sec, coords.ravel()), labels)

@@ -293,14 +293,19 @@ def write_gmsh_file(mesh: RawMesh, path) -> None:
 # -- raw <-> bundle -------------------------------------------------------------
 
 
-def _facet_vertex_keys(plex: Plex) -> dict[tuple[int, ...], int]:
-    """Map sorted input-vertex tuples of all height-1 points to their point id."""
-    ncells = plex.num_cells
-    keys = {}
-    for p in plex.height_stratum(1):
-        verts = [int(q) - ncells for q in plex.closure(p) if plex.depths[q] == 0]
-        keys[tuple(sorted(verts))] = int(p)
-    return keys
+def _vertex_set_keys(rows: np.ndarray) -> np.ndarray:
+    """One sortable key per row of vertex ids, equal exactly for equal vertex sets."""
+    rows = np.ascontiguousarray(np.sort(rows, axis=1), dtype=np.int64)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
+
+
+def _vertex_table(plex: Plex, points: np.ndarray) -> np.ndarray:
+    """(len(points), k) vertex numbers of each point's closure, closure order."""
+    offsets, verts = plex.vertex_closures(points)
+    sizes = np.diff(offsets)
+    if sizes.size and np.any(sizes != sizes[0]):
+        raise ValueError("points with differing vertex counts")
+    return verts.reshape(len(points), sizes[0] if sizes.size else 0)
 
 
 def raw_to_bundle(mesh: RawMesh) -> MeshBundle:
@@ -313,20 +318,25 @@ def raw_to_bundle(mesh: RawMesh) -> MeshBundle:
     sec = section_from_depth_dofs(plex, [mesh.dim] + [0] * mesh.dim)
     coords = Field("coordinates", sec, mesh.vertices.ravel().copy())
 
-    region = Label("region")
-    for c, rid in enumerate(mesh.cell_region_ids):
-        region.add(int(rid), (c,))
+    region = Label.from_arrays("region", np.arange(mesh.num_cells), mesh.cell_region_ids)
 
     boundary = Label("boundary")
     if len(mesh.boundary_facets):
-        facet_points = _facet_vertex_keys(plex)
-        for facet, marker in zip(mesh.boundary_facets, mesh.boundary_markers):
-            key = tuple(sorted(int(v) for v in facet))
-            p = facet_points.get(key)
-            if p is None:
-                raise ValueError(
-                    f"boundary facet {key} not found in the interpolated mesh")
-            boundary.add(int(marker), (p,))
+        # Vertex v is point num_cells + v in a built plex, so closure vertex
+        # numbers are input vertex ids.
+        candidates = plex.height_stratum(1)
+        keys = _vertex_set_keys(_vertex_table(plex, candidates))
+        order = np.argsort(keys)
+        wanted = _vertex_set_keys(mesh.boundary_facets)
+        at = np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)
+        missing = keys[order[at]] != wanted
+        if missing.any():
+            key = tuple(sorted(mesh.boundary_facets[np.argmax(missing)].tolist()))
+            raise ValueError(
+                f"boundary facet {key} not found in the interpolated mesh")
+        found = order[at]
+        boundary = Label.from_arrays("boundary", candidates[found],
+                                     mesh.boundary_markers)
 
     return MeshBundle(plex, coords, {"region": region, "boundary": boundary})
 
@@ -339,37 +349,28 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
     boundary facet tuples are written sorted.
     """
     plex = bundle.plex
-    verts = plex.depth_stratum(0)
-    vrank = {int(p): i for i, p in enumerate(verts)}
     coords = bundle.vertex_coords()
 
     cell_points = plex.height_stratum(0)
-    cells = []
-    for c in cell_points:
-        cells.append([vrank[int(q)] for q in plex.closure(c) if plex.depths[q] == 0])
+    cells = _vertex_table(plex, cell_points)
 
-    crank = {int(p): i for i, p in enumerate(cell_points)}
     regions = np.zeros(len(cell_points), dtype=np.int64)
     region_label = bundle.labels.get("region", Label("region"))
     for value in region_label.value_ids():
-        for p in region_label.points_with(value):
-            regions[crank[int(p)]] = value
+        regions[np.searchsorted(cell_points, region_label.points_with(value))] = value
 
-    bfacets, markers = [], []
     boundary = bundle.labels.get("boundary", Label("boundary"))
-    for value in boundary.value_ids():
-        for p in boundary.points_with(value):
-            tup = sorted(vrank[int(q)] for q in plex.closure(int(p))
-                         if plex.depths[q] == 0)
-            bfacets.append(tup)
-            markers.append(value)
+    values = boundary.value_ids()
+    points = [boundary.points_with(value) for value in values]
+    markers = np.repeat(np.array(values, dtype=np.int64), [len(p) for p in points])
+    bfacets = np.sort(_vertex_table(plex, np.concatenate(points)), axis=1) \
+        if values else np.empty((0, max(plex.dim, 1)), dtype=np.int64)
 
     return RawMesh(
         dim=plex.dim,
         vertices=coords,
-        cells=np.array(cells, dtype=np.int64),
+        cells=cells,
         cell_region_ids=regions,
-        boundary_facets=(np.array(bfacets, dtype=np.int64)
-                         if bfacets else np.empty((0, max(plex.dim, 1)), dtype=np.int64)),
-        boundary_markers=np.array(markers, dtype=np.int64),
+        boundary_facets=bfacets,
+        boundary_markers=markers,
     )

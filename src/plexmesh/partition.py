@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmsh_io import MeshBundle
-from .plex import Plex
+from .plex import Plex, _adjacency_lists, _csr_rows
 
 
 @dataclass(eq=False)
@@ -59,16 +59,10 @@ def build_dual_graph(plex: Plex) -> DualGraph:
     if not plex.is_interpolated:
         raise ValueError("dual graph needs an interpolated plex")
     cells = plex.height_stratum(0)
-    crank = {int(p): i for i, p in enumerate(cells)}
-    adj: list[set[int]] = [set() for _ in cells]
-    for f in plex.height_stratum(1):
-        sup = plex.support(f)
-        for i in range(len(sup)):
-            for j in range(i + 1, len(sup)):
-                a, b = crank[int(sup[i])], crank[int(sup[j])]
-                adj[a].add(b)
-                adj[b].add(a)
-    return DualGraph(len(cells), [tuple(sorted(s)) for s in adj])
+    offsets, support = _csr_rows(plex._support_offsets, plex._support_targets,
+                                 plex.height_stratum(1))
+    neighbors = _adjacency_lists(len(cells), offsets, np.searchsorted(cells, support))
+    return DualGraph(len(cells), [tuple(n) for n in neighbors])
 
 
 def partition_cells(graph: DualGraph, nparts: int, method: str = "greedy-bfs",
@@ -155,10 +149,13 @@ def cell_centroids(bundle: MeshBundle) -> np.ndarray:
     """Mean vertex position per cell, (ncells, dim), cells in ascending order."""
     plex = bundle.plex
     coords = bundle.vertex_coords()
-    verts = plex.depth_stratum(0)
-    vrank = {int(p): i for i, p in enumerate(verts)}
-    out = np.empty((plex.num_cells, plex.dim), dtype=np.float64)
-    for i, c in enumerate(plex.height_stratum(0)):
-        vs = [vrank[int(q)] for q in plex.closure(int(c)) if plex.depths[q] == 0]
-        out[i] = coords[vs].mean(axis=0)
+    offsets, verts = plex.vertex_closures(plex.height_stratum(0))
+    sizes = np.diff(offsets)
+    # Sum each cell's vertices one closure position at a time, in closure
+    # order, as the mean of its (k, dim) coordinate rows would.
+    out = coords[verts[offsets[:-1]]]
+    for j in range(1, int(sizes.max(initial=0))):
+        rows = np.flatnonzero(sizes > j)
+        out[rows] += coords[verts[offsets[rows] + j]]
+    out /= sizes[:, None]
     return out

@@ -8,6 +8,9 @@ one level down its boundary (its *cone*); the transpose relation is the
 itself as sets of points with equal depth/height, so all traversal code is
 dimension independent.
 
+Both relations are stored in CSR form (an offset array and a target array),
+and every bulk query works on whole arrays of points at once.
+
 Point numbering for built meshes: cells occupy [0, ncells), then vertices,
 then facets (3D only), then edges.
 """
@@ -29,66 +32,159 @@ _TRI_EDGES = ((1, 2), (0, 2), (0, 1))
 _CELL_ARITY = {1: 2, 2: 3, 3: 4}
 
 
+# -- CSR helpers shared by the array kernels ----------------------------------
+#
+# np.unique (and isin, union1d, ... built on it) imports numpy.ma on first
+# use, which costs about 1.2 MB of resident memory; sorting plus an
+# adjacent-difference mask does the same job without it.
+
+
+def _unique_sorted(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values of a 1-D integer array."""
+    values = np.sort(values)
+    if values.size < 2:
+        return values
+    keep = np.empty(values.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """CSR offsets (exclusive prefix sum with the total appended) of row sizes."""
+    out = np.zeros(len(sizes) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _csr_rows(offsets: np.ndarray, targets: np.ndarray,
+              rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The given rows of a CSR relation, in the given order, as a new CSR."""
+    starts = offsets[rows]
+    sizes = offsets[rows + 1] - starts
+    out = _offsets(sizes)
+    idx = np.arange(out[-1], dtype=np.int64) + np.repeat(starts - out[:-1], sizes)
+    return out, targets[idx]
+
+
+def _row_ids(offsets: np.ndarray) -> np.ndarray:
+    """Row index of every entry of a CSR relation."""
+    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+
+
+def _row_pairs(offsets: np.ndarray, targets: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Every ordered pair (a, b) of entries sharing a row, (a, a) included."""
+    sizes = np.diff(offsets)
+    entry_row = _row_ids(offsets)
+    reps = sizes[entry_row]
+    first = np.repeat(targets, reps)
+    pair_start = _offsets(reps)
+    within = np.arange(pair_start[-1], dtype=np.int64) - np.repeat(pair_start[:-1], reps)
+    second = targets[np.repeat(offsets[entry_row], reps) + within]
+    return first, second
+
+
+def _pairs_to_csr(n: int, rows: np.ndarray, cols: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR over n rows of the distinct (row, col) pairs, columns ascending."""
+    keys = _unique_sorted(rows * max(n, 1) + cols)
+    rows, cols = np.divmod(keys, max(n, 1))
+    return _offsets(np.bincount(rows, minlength=n)), cols
+
+
+def _adjacency_lists(n: int, offsets: np.ndarray, targets: np.ndarray
+                     ) -> list[list[int]]:
+    """For each of n items, the other items sharing a CSR row with it, ascending."""
+    a, b = _row_pairs(offsets, targets)
+    offsets, nbrs = _pairs_to_csr(n, a[a != b], b[a != b])
+    flat = nbrs.tolist()
+    bounds = offsets.tolist()
+    return [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
+
+
 class Plex:
     """Immutable layered DAG over mesh points.
 
     Construction computes the support (transpose) adjacency and the per-point
     depth/height strata; it rejects cyclic cover relations.  All queries are
     read-only, so instances are safe for concurrent use.
+
+    Build from per-point cone sequences, ``Plex(dim, cones)``, or from CSR
+    arrays, ``Plex.from_csr(dim, offsets, targets)``.
     """
 
-    def __init__(self, dim: int, cones: Sequence[Sequence[int]]):
+    def __init__(self, dim: int, cones: Sequence[Sequence[int]] | None = None, *,
+                 csr: tuple[np.ndarray, np.ndarray] | None = None):
         if dim not in (1, 2, 3):
             raise ValueError(f"unsupported mesh dimension {dim}")
         self.dim = dim
-        self.chart_size = len(cones)
-
-        sizes = np.fromiter((len(c) for c in cones), dtype=np.int64,
-                            count=self.chart_size)
-        self._cone_offsets = np.zeros(self.chart_size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=self._cone_offsets[1:])
-        self._cone_targets = np.fromiter(
-            (q for c in cones for q in c), dtype=np.int64,
-            count=int(self._cone_offsets[-1]))
-        if self._cone_targets.size and (
-                self._cone_targets.min() < 0
-                or self._cone_targets.max() >= self.chart_size):
+        if csr is None:
+            sizes = np.fromiter((len(c) for c in cones), dtype=np.int64,
+                                count=len(cones))
+            offsets = _offsets(sizes)
+            targets = np.fromiter((q for c in cones for q in c), dtype=np.int64,
+                                  count=int(offsets[-1]))
+        else:
+            offsets, targets = (np.asarray(a, dtype=np.int64) for a in csr)
+            if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                    or np.any(np.diff(offsets) < 0)
+                    or targets.shape != (int(offsets[-1]),)):
+                raise ValueError("malformed CSR cone arrays")
+        self.chart_size = offsets.size - 1
+        self._cone_offsets = offsets
+        self._cone_targets = targets
+        if targets.size and (targets.min() < 0 or targets.max() >= self.chart_size):
             raise ValueError("cone target outside chart")
 
-        self._support_offsets, self._support_targets = self._transpose()
-        self.depths, self.heights = self._stratify()
+        sources = _row_ids(offsets)
+        self._support_offsets, self._support_targets = self._transpose(sources)
+        self.depths = self._longest_paths(self._cone_offsets,
+                                          self._support_offsets, self._support_targets)
+        self.heights = self._longest_paths(self._support_offsets,
+                                           self._cone_offsets, self._cone_targets)
+        # Graded: every cone arc drops exactly one depth.  Then a point is
+        # reached at one BFS level only, and closures need no cross-level
+        # de-duplication.
+        self._graded = bool(np.all(self.depths[targets] == self.depths[sources] - 1))
+
+    @classmethod
+    def from_csr(cls, dim: int, offsets, targets) -> "Plex":
+        """Build from CSR cones: the cone of p is targets[offsets[p]:offsets[p + 1]]."""
+        return cls(dim, csr=(offsets, targets))
 
     # -- construction helpers -------------------------------------------------
 
-    def _transpose(self) -> tuple[np.ndarray, np.ndarray]:
+    def _transpose(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # Stable sort of cone arcs by target keeps sources ascending, so every
         # support list comes out sorted.
-        counts = np.bincount(self._cone_targets, minlength=self.chart_size)
-        offsets = np.zeros(self.chart_size + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        sources = np.repeat(np.arange(self.chart_size, dtype=np.int64),
-                            np.diff(self._cone_offsets))
+        offsets = _offsets(np.bincount(self._cone_targets, minlength=self.chart_size))
         order = np.argsort(self._cone_targets, kind="stable")
         return offsets, sources[order]
 
-    def _stratify(self) -> tuple[np.ndarray, np.ndarray]:
-        depths = self._longest_paths(self._cone_offsets, self._cone_targets)
-        heights = self._longest_paths(self._support_offsets, self._support_targets)
-        return depths, heights
+    def _longest_paths(self, out_off, in_off, in_tgt) -> np.ndarray:
+        """Longest out-arc path length from each point to an out-degree-0 point.
 
-    def _longest_paths(self, out_off, out_tgt) -> np.ndarray:
-        """Longest out-edge path length from each point to an out-degree-0 point."""
-        n = self.chart_size
-        dist = np.zeros(n, dtype=np.int64)
-        sources = np.repeat(np.arange(n, dtype=np.int64), np.diff(out_off))
-        # Relaxation sweeps converge within the longest path length on a DAG;
-        # a cycle never reaches a fixpoint, so n sweeps without one is fatal.
-        for _ in range(n + 1):
-            prev = dist.copy()
-            np.maximum.at(dist, sources, dist[out_tgt] + 1)
-            if np.array_equal(dist, prev):
-                return dist
-        raise ValueError("cover relation contains a cycle")
+        Kahn-style peeling: level 0 is every point without out-arcs; level k
+        is every point whose out-arcs all lead to levels below k, which is its
+        longest path.  Each arc is visited once.  Points left over when a
+        level comes out empty lie on or above a cycle.
+        """
+        remaining = np.diff(out_off)
+        level = np.empty(self.chart_size, dtype=np.int64)
+        frontier = np.flatnonzero(remaining == 0)
+        left = self.chart_size
+        k = 0
+        while left:
+            if frontier.size == 0:
+                raise ValueError("cover relation contains a cycle")
+            level[frontier] = k
+            left -= frontier.size
+            _, preds = _csr_rows(in_off, in_tgt, frontier)
+            np.subtract.at(remaining, preds, 1)
+            frontier = _unique_sorted(preds[remaining[preds] == 0])
+            k += 1
+        return level
 
     # -- incidence queries -----------------------------------------------------
 
@@ -114,28 +210,72 @@ class Plex:
         Each BFS level is appended in ascending point order, so the result is
         deterministic and each point appears exactly once.
         """
-        return self._traverse(p, self.cone)
+        return self.closures([self._check(p)])[1]
 
     def star(self, p: PointId) -> np.ndarray:
         """p plus everything reachable through supports, breadth first."""
-        return self._traverse(p, self.support)
+        return self._traverse([self._check(p)], self._support_offsets,
+                              self._support_targets)[1]
 
-    def _traverse(self, p, step) -> np.ndarray:
-        p = self._check(p)
-        seen = {p}
-        out = [p]
-        frontier = [p]
-        while frontier:
-            new = set()
-            for q in frontier:
-                for r in step(q):
-                    r = int(r)
-                    if r not in seen:
-                        seen.add(r)
-                        new.add(r)
-            frontier = sorted(new)
-            out.extend(frontier)
-        return np.array(out, dtype=np.int64)
+    def closures(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """Closures of many points at once, as CSR (offsets, targets).
+
+        Row i, ``targets[offsets[i]:offsets[i + 1]]``, equals
+        ``closure(points[i])`` exactly.
+        """
+        return self._traverse(points, self._cone_offsets, self._cone_targets)
+
+    def vertex_closures(self, points) -> tuple[np.ndarray, np.ndarray]:
+        """The vertices in each point's closure, as CSR of vertex numbers.
+
+        Vertex numbers count depth-0 points in ascending point order; each
+        row keeps closure order.
+        """
+        offsets, targets = self.closures(points)
+        is_vertex = self.depths[targets] == 0
+        vertices = np.searchsorted(self.depth_stratum(0), targets[is_vertex])
+        return _offsets(is_vertex)[offsets], vertices
+
+    def _traverse(self, points, step_off, step_tgt) -> tuple[np.ndarray, np.ndarray]:
+        """Level-synchronous BFS from every point at once over a CSR relation.
+
+        Each level's (row, point) pairs are sorted and de-duplicated as one
+        key array, so every row lists its levels in order, each ascending.
+        """
+        n = self.chart_size
+        pts = np.asarray(points, dtype=np.int64).reshape(-1)
+        if pts.size and (pts.min() < 0 or pts.max() >= n):
+            bad = pts[(pts < 0) | (pts >= n)][0]
+            raise IndexError(f"point {bad} outside chart [0, {n})")
+        m = pts.size
+        rows = np.arange(m, dtype=np.int64)
+        levels = [(rows, pts)]
+        seen = None if self._graded else np.sort(rows * n + pts)
+        while True:
+            offsets, reached = _csr_rows(step_off, step_tgt, pts)
+            if reached.size == 0:
+                break
+            keys = _unique_sorted(np.repeat(rows, np.diff(offsets)) * n + reached)
+            if seen is not None:
+                found = np.searchsorted(seen, keys)
+                found[found == seen.size] = 0
+                keys = keys[seen[found] != keys]
+                if keys.size == 0:
+                    break
+                seen = np.sort(np.concatenate([seen, keys]))
+            rows, pts = np.divmod(keys, n)
+            levels.append((rows, pts))
+
+        # Scatter each level behind the earlier levels of the same row.
+        counts = [np.bincount(r, minlength=m) for r, _ in levels]
+        offsets = _offsets(sum(counts))
+        out = np.empty(offsets[-1], dtype=np.int64)
+        cursor = offsets[:-1].copy()
+        for (r, p), c in zip(levels, counts):
+            group_start = np.cumsum(c) - c
+            out[cursor[r] + np.arange(r.size) - group_start[r]] = p
+            cursor += c
+        return offsets, out
 
     # -- strata ----------------------------------------------------------------
 
@@ -167,10 +307,7 @@ class Plex:
         cells = self.height_stratum(0)
         if cells.size and not np.all(self.depths[cells] == self.dim):
             return False
-        sources = np.repeat(np.arange(self.chart_size, dtype=np.int64),
-                            np.diff(self._cone_offsets))
-        return bool(np.all(self.depths[self._cone_targets]
-                           == self.depths[sources] - 1))
+        return self._graded
 
     def cones(self) -> list[tuple[int, ...]]:
         """All cones as tuples, indexed by point."""
@@ -194,6 +331,18 @@ class Label:
     name: str
     values: dict[int, set[int]] = field(default_factory=dict)
 
+    @classmethod
+    def from_arrays(cls, name: str, points, values) -> "Label":
+        """Label marking points[i] with values[i]."""
+        points = np.asarray(points, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        order = np.argsort(values, kind="stable")
+        points, values = points[order], values[order]
+        starts = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
+        ends = np.append(starts[1:], values.size)
+        return cls(name, {int(values[s]): set(points[s:e].tolist())
+                          for s, e in zip(starts.tolist(), ends.tolist())})
+
     def add(self, value: int, points: Iterable[int]) -> None:
         self.values.setdefault(int(value), set()).update(int(p) for p in points)
 
@@ -203,14 +352,15 @@ class Label:
     def value_ids(self) -> list[int]:
         return sorted(self.values)
 
-    def relabeled(self, point_map: dict[int, int]) -> "Label":
-        """New label with every point mapped through point_map; points absent
-        from the map are dropped (used for restriction to a submesh)."""
+    def relabeled(self, point_map: np.ndarray) -> "Label":
+        """New label with every point p mapped to point_map[p]; points mapped
+        to -1 are dropped (used for restriction to a submesh)."""
         out = Label(self.name)
         for value, pts in self.values.items():
-            mapped = {point_map[p] for p in pts if p in point_map}
-            if mapped:
-                out.values[value] = mapped
+            mapped = point_map[np.fromiter(pts, dtype=np.int64, count=len(pts))]
+            mapped = mapped[mapped >= 0]
+            if mapped.size:
+                out.values[value] = set(mapped.tolist())
         return out
 
     def __eq__(self, other) -> bool:
@@ -219,14 +369,61 @@ class Label:
         return self.name == other.name and self.values == other.values
 
 
+def _cell_array(cell_vertex_lists, num_vertices: int, dim: int) -> np.ndarray:
+    """Validated (ncells, dim + 1) vertex-id array of a simplex cell list."""
+    if dim not in _CELL_ARITY:
+        raise ValueError(f"unsupported mesh dimension {dim}")
+    arity = _CELL_ARITY[dim]
+    cells = cell_vertex_lists
+    if not len(cells):
+        raise ValueError("cell list is empty")
+    lengths = ({cells.shape[1]} if isinstance(cells, np.ndarray)
+               else {len(c) for c in cells})
+    if len(lengths) > 1:
+        raise ValueError("mixed cell arities")
+    if lengths != {arity}:
+        raise ValueError(f"cell arity {lengths.pop()} inconsistent with dimension {dim}")
+    cells = np.asarray(cells, dtype=np.int64).reshape(-1, arity)
+    bad = (cells < 0) | (cells >= num_vertices)
+    if bad.any():
+        raise ValueError(f"vertex id {cells[bad][0]} out of range [0, {num_vertices})")
+    ordered = np.sort(cells, axis=1)
+    repeated = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    if repeated.size:
+        i = int(repeated[0])
+        raise ValueError(f"degenerate cell {i} {tuple(cells[i].tolist())}: "
+                         "repeated vertex id")
+    return cells
+
+
+def _first_encounter_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Number the distinct rows of `rows` (as vertex sets) in first-encounter order.
+
+    Returns the number of every row and, per number, the index of the row
+    that first showed it.
+    """
+    keys = np.sort(rows, axis=1)
+    order = np.lexsort(keys.T[::-1])  # stable: equal rows keep input order
+    keys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    first = order[new]               # first row of each group, by sort position
+    rank = np.empty(first.size, dtype=np.int64)
+    by_encounter = np.argsort(first)
+    rank[by_encounter] = np.arange(first.size, dtype=np.int64)
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, first[by_encounter]
+
+
 def build_from_cells(cell_vertex_lists: Sequence[Sequence[int]],
                      num_vertices: int, dim: int) -> Plex:
     """Interpolate a cell-vertex mesh into a full plex.
 
     Cells must all be simplices of the given dimension (2 vertex ids = line,
-    3 = triangle, 4 = tetrahedron).  Intermediate entities are created in a
-    fixed traversal order and deduplicated by sorted vertex tuple, so the
-    result is a pure function of the input.
+    3 = triangle, 4 = tetrahedron) with distinct vertex ids.  Intermediate
+    entities are created in a fixed traversal order and deduplicated by sorted
+    vertex tuple, so the result is a pure function of the input.
 
     Args:
         cell_vertex_lists: one vertex-id tuple per cell.
@@ -236,90 +433,37 @@ def build_from_cells(cell_vertex_lists: Sequence[Sequence[int]],
     Returns:
         An interpolated Plex numbered cells, vertices, facets, edges.
     """
-    if dim not in _CELL_ARITY:
-        raise ValueError(f"unsupported mesh dimension {dim}")
-    cells = [tuple(int(v) for v in c) for c in cell_vertex_lists]
-    if not cells:
-        raise ValueError("cell list is empty")
-    arity = _CELL_ARITY[dim]
-    for c in cells:
-        if len(c) != arity:
-            if len({len(x) for x in cells}) > 1:
-                raise ValueError("mixed cell arities")
-            raise ValueError(
-                f"cell arity {len(c)} inconsistent with dimension {dim}")
-        for v in c:
-            if not 0 <= v < num_vertices:
-                raise ValueError(f"vertex id {v} out of range [0, {num_vertices})")
-
+    cells = _cell_array(cell_vertex_lists, num_vertices, dim)
     ncells = len(cells)
-    vert_pt = lambda v: ncells + v
+    verts_first = ncells  # vertex v is point ncells + v
 
     if dim == 1:
-        cones: list[tuple[int, ...]] = [()] * (ncells + num_vertices)
-        for i, (a, b) in enumerate(cells):
-            cones[i] = (vert_pt(a), vert_pt(b))
-        return Plex(dim, cones)
+        sizes = np.repeat([2, 0], [ncells, num_vertices])
+        return Plex.from_csr(dim, _offsets(sizes), verts_first + cells.reshape(-1))
 
     # Facet pass (3D): deduplicate triangles shared between cells, keeping
     # the vertex tuple in first-encounter order for the edge pass below.
     if dim == 3:
-        facet_of: dict[tuple[int, ...], int] = {}
-        facet_verts: list[tuple[int, int, int]] = []
-        cell_facets: list[list[int]] = []
-        for c in cells:
-            row = []
-            for tmpl in _TET_FACETS:
-                tri = tuple(c[k] for k in tmpl)
-                key = tuple(sorted(tri))
-                idx = facet_of.get(key)
-                if idx is None:
-                    idx = len(facet_verts)
-                    facet_of[key] = idx
-                    facet_verts.append(tri)
-                row.append(idx)
-            cell_facets.append(row)
-        triangles = facet_verts
+        tris = cells[:, _TET_FACETS].reshape(-1, 3)
+        cell_facets, first = _first_encounter_ids(tris)
+        triangles = tris[first]
     else:
         triangles = cells
-        cell_facets = []
 
     # Edge pass: every triangle (a cell in 2D, a facet in 3D) contributes its
     # three edges, deduplicated by sorted vertex pair.
-    edge_of: dict[tuple[int, int], int] = {}
-    edge_verts: list[tuple[int, int]] = []
-    tri_edges: list[list[int]] = []
-    for tri in triangles:
-        row = []
-        for tmpl in _TRI_EDGES:
-            pair = (tri[tmpl[0]], tri[tmpl[1]])
-            key = (pair[0], pair[1]) if pair[0] < pair[1] else (pair[1], pair[0])
-            idx = edge_of.get(key)
-            if idx is None:
-                idx = len(edge_verts)
-                edge_of[key] = idx
-                edge_verts.append(pair)
-            row.append(idx)
-        tri_edges.append(row)
+    pairs = triangles[:, _TRI_EDGES].reshape(-1, 2)
+    tri_edges, first = _first_encounter_ids(pairs)
+    edge_verts = pairs[first]
 
+    edge_pt0 = ncells + num_vertices + (len(triangles) if dim == 3 else 0)
     if dim == 3:
         facet_pt0 = ncells + num_vertices
-        edge_pt0 = facet_pt0 + len(triangles)
+        sizes = np.repeat([4, 0, 3, 2], [ncells, num_vertices, len(triangles),
+                                         len(edge_verts)])
+        targets = [facet_pt0 + cell_facets, edge_pt0 + tri_edges]
     else:
-        facet_pt0 = 0  # unused
-        edge_pt0 = ncells + num_vertices
-
-    chart = edge_pt0 + len(edge_verts)
-    cones = [()] * chart
-    if dim == 3:
-        for i, row in enumerate(cell_facets):
-            cones[i] = tuple(facet_pt0 + f for f in row)
-        for f, row in enumerate(tri_edges):
-            cones[facet_pt0 + f] = tuple(edge_pt0 + e for e in row)
-    else:
-        for i, row in enumerate(tri_edges):
-            cones[i] = tuple(edge_pt0 + e for e in row)
-    for e, (a, b) in enumerate(edge_verts):
-        cones[edge_pt0 + e] = (vert_pt(a), vert_pt(b))
-
-    return Plex(dim, cones)
+        sizes = np.repeat([3, 0, 2], [ncells, num_vertices, len(edge_verts)])
+        targets = [edge_pt0 + tri_edges]
+    targets.append(verts_first + edge_verts.reshape(-1))
+    return Plex.from_csr(dim, _offsets(sizes), np.concatenate(targets))

@@ -8,22 +8,16 @@ import numpy as np
 
 from .gmsh_io import MeshBundle
 from .permutation import Permutation
-from .plex import Plex
+from .plex import Plex, _adjacency_lists, _csr_rows
 from .section import permute_field
 
 
 def _vertex_adjacency(plex: Plex) -> tuple[np.ndarray, list[list[int]]]:
     """Vertex graph: two vertices are adjacent when a depth-1 point joins them."""
     verts = plex.depth_stratum(0)
-    vrank = {int(p): i for i, p in enumerate(verts)}
-    adj: list[set[int]] = [set() for _ in verts]
-    for e in plex.depth_stratum(1):
-        vs = [vrank[int(q)] for q in plex.cone(int(e))]
-        for i in range(len(vs)):
-            for j in range(i + 1, len(vs)):
-                adj[vs[i]].add(vs[j])
-                adj[vs[j]].add(vs[i])
-    return verts, [sorted(s) for s in adj]
+    offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets,
+                                 plex.depth_stratum(1))
+    return verts, _adjacency_lists(len(verts), offsets, np.searchsorted(verts, targets))
 
 
 def _bfs_levels(adj: list[list[int]], start: int) -> tuple[list[int], list[list[int]]]:
@@ -95,17 +89,19 @@ def rcm_ordering(plex: Plex) -> Permutation:
     vrank_new = np.empty(nv, dtype=np.int64)
     vrank_new[vertex_order] = np.arange(nv)
 
-    vindex = {int(p): i for i, p in enumerate(verts)}
+    # A point's key is the minimum new vertex number in its closure, which is
+    # the minimum over its cone of their keys; strata go by ascending depth,
+    # so every cone point has its key already.
+    key = np.empty(plex.chart_size, dtype=np.int64)
+    key[verts] = vrank_new
     forward = np.empty(plex.chart_size, dtype=np.int64)
     for d in range(int(plex.depths.max()) + 1):
         stratum = plex.depth_stratum(d)
-        if d == 0:
-            key = np.array([vrank_new[vindex[int(p)]] for p in stratum])
-        else:
-            key = np.array([min(vrank_new[vindex[int(q)]]
-                                for q in plex.closure(int(p)) if plex.depths[q] == 0)
-                            for p in stratum])
-        order = np.lexsort((stratum, key))
+        if d > 0:
+            offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets,
+                                         stratum)
+            key[stratum] = np.minimum.reduceat(key[targets], offsets[:-1])
+        order = np.lexsort((stratum, key[stratum]))
         # stratum[order[k]] becomes the k-th point of this stratum's id range
         forward[stratum[order]] = stratum
     return Permutation(forward)
@@ -116,13 +112,10 @@ def apply_permutation(bundle: MeshBundle, perm: Permutation) -> MeshBundle:
     plex = bundle.plex
     if len(perm) != plex.chart_size:
         raise ValueError("permutation size does not match the chart")
-    new_cones: list[tuple[int, ...]] = [()] * plex.chart_size
-    for p in range(plex.chart_size):
-        new_cones[int(perm.forward[p])] = tuple(
-            int(perm.forward[q]) for q in plex.cone(p))
-    new_plex = Plex(plex.dim, new_cones)
+    # New point n takes the cone of old point perm.inverse[n], relabeled.
+    offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, perm.inverse)
+    new_plex = Plex.from_csr(plex.dim, offsets, perm.forward[targets])
 
     coords = permute_field(bundle.coordinates, perm)
-    full_map = {p: int(perm.forward[p]) for p in range(plex.chart_size)}
-    labels = {name: lab.relabeled(full_map) for name, lab in bundle.labels.items()}
+    labels = {name: lab.relabeled(perm.forward) for name, lab in bundle.labels.items()}
     return MeshBundle(new_plex, coords, labels)

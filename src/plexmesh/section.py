@@ -109,7 +109,11 @@ def permute_section(section: Section, perm: Permutation) -> Section:
 def permute_field(fld: Field, perm: Permutation) -> Field:
     """Move per-point value blocks to their permuted positions."""
     new_section = permute_section(fld.section, perm)
+    # Dof k of old point p moves to new offset(forward[p]) + k.
+    sec = fld.section
+    point = np.repeat(np.arange(sec.num_points, dtype=np.int64), sec.dofs)
+    dest = (np.arange(sec.total_size, dtype=np.int64) - sec.offsets[point]
+            + new_section.offsets[perm.forward[point]])
     new_values = np.empty_like(fld.values)
-    for p in range(fld.section.num_points):
-        new_values[new_section.point_slice(int(perm.forward[p]))] = fld.at(p)
+    new_values[dest] = fld.values
     return Field(fld.name, new_section, new_values)

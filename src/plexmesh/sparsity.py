@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gmsh_io import MeshBundle
+from .plex import _pairs_to_csr, _row_pairs
 
 
 class CsrPattern:
@@ -15,17 +16,24 @@ class CsrPattern:
 
     def __init__(self, n: int, rows_cols):
         """rows_cols: iterable of per-row column index iterables."""
+        cols = [np.fromiter((int(c) for c in row), dtype=np.int64) for row in rows_cols]
+        rows = np.repeat(np.arange(len(cols), dtype=np.int64), [c.size for c in cols])
+        self._assemble(n, rows, np.concatenate([rows[:0], *cols]))
+
+    @classmethod
+    def from_pairs(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "CsrPattern":
+        """Pattern holding every (rows[k], cols[k]) entry plus the diagonal."""
+        pattern = cls.__new__(cls)
+        pattern._assemble(n, rows, cols)
+        return pattern
+
+    def _assemble(self, n: int, rows: np.ndarray, cols: np.ndarray) -> None:
+        if cols.size and (cols.min() < 0 or cols.max() >= n):
+            raise ValueError("column index out of range")
+        diag = np.arange(n, dtype=np.int64)
         self.n = n
-        cols = []
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        for i, row in enumerate(rows_cols):
-            row = sorted(set(int(c) for c in row) | {i})
-            if row and (row[0] < 0 or row[-1] >= n):
-                raise ValueError("column index out of range")
-            cols.extend(row)
-            offsets[i + 1] = len(cols)
-        self.indptr = offsets
-        self.indices = np.array(cols, dtype=np.int64)
+        self.indptr, self.indices = _pairs_to_csr(
+            n, np.concatenate([rows, diag]), np.concatenate([cols, diag]))
 
     @property
     def nnz(self) -> int:
@@ -50,26 +58,25 @@ def p1_pattern(bundle: MeshBundle) -> CsrPattern:
     plex = bundle.plex
     if not plex.is_interpolated:
         raise ValueError("pattern construction needs an interpolated plex")
-    verts = plex.depth_stratum(0)
-    vrank = {int(p): i for i, p in enumerate(verts)}
-    rows: list[set[int]] = [set() for _ in verts]
-    for c in plex.height_stratum(0):
-        vs = [vrank[int(q)] for q in plex.closure(int(c)) if plex.depths[q] == 0]
-        for i in vs:
-            rows[i].update(vs)
-    return CsrPattern(len(verts), rows)
+    rows, cols = _row_pairs(*plex.vertex_closures(plex.height_stratum(0)))
+    return CsrPattern.from_pairs(plex.num_vertices, rows, cols)
+
+
+def _row_reach(pattern: CsrPattern) -> np.ndarray:
+    """Distance from the diagonal to the leftmost entry of every row."""
+    return np.arange(pattern.n, dtype=np.int64) - pattern.indices[pattern.indptr[:-1]]
 
 
 def bandwidth(pattern: CsrPattern) -> int:
     """Max distance from the diagonal to the leftmost entry of any row."""
     if pattern.n == 0:
         return 0
-    return max(i - int(pattern.row(i)[0]) for i in range(pattern.n))
+    return int(_row_reach(pattern).max())
 
 
 def profile(pattern: CsrPattern) -> int:
     """Sum over rows of the distance from diagonal to leftmost entry."""
-    return sum(i - int(pattern.row(i)[0]) for i in range(pattern.n))
+    return int(_row_reach(pattern).sum())
 
 
 def spy_export(pattern: CsrPattern) -> str:

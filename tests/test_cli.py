@@ -193,6 +193,15 @@ class TestExitCodes:
         assert main(["partition", str(corpus_dir / "tet_single.msh"),
                      "--nparts", "5"]) == 3
 
+    def test_degenerate_cell_is_a_validation_error(self, tmp_path, capsys):
+        mesh = tmp_path / "degenerate.msh"
+        mesh.write_text("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+                        "$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"
+                        "$Elements\n2\n1 2 2 0 0 1 2 3\n2 2 2 0 0 1 1 2\n"
+                        "$EndElements\n")
+        assert main(["info", str(mesh)]) == 3
+        assert "degenerate cell 1 (0, 0, 1)" in capsys.readouterr().err
+
 
 def test_console_entry_point(corpus_dir):
     proc = subprocess.run(

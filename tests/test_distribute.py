@@ -225,6 +225,13 @@ class TestGather:
         assert back.plex.num_cells == 32
         assert canonical(back) == canonical(bundle)
 
+    def test_empty_rank_skipped(self):
+        bundle = pm.raw_to_bundle(pm.triangle_grid(2, 2))
+        pmap = PartitionMap(np.zeros(8, dtype=np.int64), 2)
+        locals_, sf, report = migrate(bundle, pmap, 2)
+        assert report.points_per_rank == [33, 0]
+        assert gather_to_root(locals_, sf) == bundle
+
     def test_double_claim_rejected(self, two_triangle):
         locals_, sf, _ = split_two_triangle(two_triangle)
         locals_[1].ghost_points.discard(0)  # rank 1 now also claims point 0

@@ -1,0 +1,199 @@
+"""Array kernels against the per-point oracles in _oracles.py.
+
+Every kernel must reproduce its oracle exactly, on randomly relabeled
+generator meshes (vertex ids, cell order and boundary-facet order shuffled)
+and under random whole-chart permutations, which scramble the stratum
+layout `build_from_cells` produces.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import _oracles as oracle
+import plexmesh as pm
+
+# Seeded: the same examples run every time.
+PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
+
+MESHES = {
+    "interval": lambda size: pm.interval_mesh(2 + 2 * size),
+    "triangles": lambda size: pm.triangle_grid(1 + size, 2),
+    "tets": lambda size: pm.tet_box(1 + size % 2, 1, 2),
+}
+
+
+def relabel(mesh: pm.RawMesh, seed: int) -> pm.RawMesh:
+    """The same mesh with vertex ids, cells and boundary facets shuffled."""
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(mesh.num_vertices)
+    cell_order = rng.permutation(mesh.num_cells)
+    facet_order = rng.permutation(len(mesh.boundary_facets))
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    return pm.RawMesh(dim=mesh.dim, vertices=vertices,
+                      cells=new_id[mesh.cells][cell_order],
+                      cell_region_ids=np.arange(mesh.num_cells)[cell_order] % 3,
+                      boundary_facets=new_id[mesh.boundary_facets][facet_order],
+                      boundary_markers=mesh.boundary_markers[facet_order])
+
+
+meshes = st.builds(lambda kind, size, seed: relabel(MESHES[kind](size), seed),
+                   st.sampled_from(sorted(MESHES)), st.integers(0, 2),
+                   st.integers(0, 2**32 - 1))
+seeds = st.integers(0, 2**32 - 1)
+
+
+def scrambled(bundle: pm.MeshBundle, seed: int) -> pm.MeshBundle:
+    perm = pm.Permutation(np.random.default_rng(seed).permutation(bundle.plex.chart_size))
+    return oracle.apply_permutation(bundle, perm)
+
+
+def assert_traversals_match(plex: pm.Plex, points) -> None:
+    for kernel, reference in ((plex.closures, oracle.closure),
+                              (lambda pts: plex._traverse(pts, plex._support_offsets,
+                                                          plex._support_targets),
+                               oracle.star)):
+        offsets, targets = kernel(points)
+        assert offsets.tolist() == np.cumsum([0] + [
+            len(reference(plex, p)) for p in points]).tolist()
+        for i, p in enumerate(points):
+            assert targets[offsets[i]:offsets[i + 1]].tolist() == \
+                reference(plex, p).tolist()
+    for p in points:
+        assert plex.closure(p).tolist() == oracle.closure(plex, p).tolist()
+        assert plex.star(p).tolist() == oracle.star(plex, p).tolist()
+
+
+def assert_strata_match(plex: pm.Plex) -> None:
+    assert plex.depths.tolist() == oracle.longest_paths(
+        plex, plex._cone_offsets, plex._cone_targets).tolist()
+    assert plex.heights.tolist() == oracle.longest_paths(
+        plex, plex._support_offsets, plex._support_targets).tolist()
+
+
+@PROPERTY
+@given(raw=meshes)
+def test_build_from_cells_matches_oracle(raw):
+    plex = pm.build_from_cells(raw.cells, raw.num_vertices, raw.dim)
+    assert plex == oracle.build_from_cells(raw.cells, raw.num_vertices, raw.dim)
+    assert plex.is_interpolated
+    assert_strata_match(plex)
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds)
+def test_closures_and_stars_match_oracle(raw, seed):
+    bundle = scrambled(pm.raw_to_bundle(raw), seed)
+    plex = bundle.plex
+    assert_strata_match(plex)
+    # Any order, repeats included: rows follow the request.
+    points = np.random.default_rng(seed).integers(0, plex.chart_size, 12)
+    assert_traversals_match(plex, points)
+    assert_traversals_match(plex, np.arange(plex.chart_size))
+
+
+@pytest.mark.parametrize("dim,cones", [
+    (2, [(2, 3, 4), (3, 5, 4), (), (), (), ()]),   # cells covering vertices directly
+    # not graded: cells reach vertices both directly and through edges, so a
+    # vertex is met on two BFS levels
+    (2, [(2, 5, 6), (5, 3), (4, 5), (), (), (3, 4), (4, 7), ()]),
+    (3, [(1, 4), (2, 3), (3, 4), (4,), ()]),
+])
+def test_traversals_on_hand_built_dags(dim, cones):
+    plex = pm.Plex(dim, cones)
+    assert_strata_match(plex)
+    points = np.arange(plex.chart_size)
+    assert_traversals_match(plex, np.concatenate([points, points[::-1]]))
+    rebuilt = pm.Plex.from_csr(dim, plex._cone_offsets, plex._cone_targets)
+    assert rebuilt == plex and rebuilt.cones() == [tuple(c) for c in cones]
+
+
+def test_closures_of_nothing():
+    plex = pm.build_from_cells([(0, 1, 2)], 3, 2)
+    offsets, targets = plex.closures([])
+    assert offsets.tolist() == [0] and targets.size == 0
+    with pytest.raises(IndexError, match="outside chart"):
+        plex.closures([0, 7])
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds)
+def test_permutation_kernels_match_oracles(raw, seed):
+    bundle = pm.raw_to_bundle(raw)
+    rng = np.random.default_rng(seed)
+    perm = pm.Permutation(rng.permutation(bundle.plex.chart_size))
+    assert pm.apply_permutation(bundle, perm) == oracle.apply_permutation(bundle, perm)
+
+    dofs = rng.integers(0, 3, bundle.plex.chart_size)
+    fld = pm.Field("u", pm.Section(dofs), rng.standard_normal(int(dofs.sum())))
+    assert pm.permute_field(fld, perm) == oracle.permute_field(fld, perm)
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds)
+def test_bundle_kernels_match_oracles(raw, seed):
+    for bundle in (pm.raw_to_bundle(raw), scrambled(pm.raw_to_bundle(raw), seed)):
+        plex = bundle.plex
+        pattern = pm.p1_pattern(bundle)
+        assert pattern == oracle.p1_pattern(bundle)
+        assert pm.bandwidth(pattern) == oracle.bandwidth(pattern)
+        assert pm.profile(pattern) == oracle.profile(pattern)
+        assert pm.rcm_ordering(plex) == oracle.rcm_ordering(plex)
+        assert pm.bundle_to_raw(bundle) == oracle.bundle_to_raw(bundle)
+        assert pm.cell_centroids(bundle).tobytes() == oracle.cell_centroids(bundle).tobytes()
+        assert pm.build_dual_graph(plex).neighbors == \
+            oracle.build_dual_graph(plex).neighbors
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds, nparts=st.integers(1, 4))
+def test_close_partition_matches_oracle(raw, seed, nparts):
+    bundle = pm.raw_to_bundle(raw)
+    # Random ranks, some possibly empty.
+    ranks = np.random.default_rng(seed).integers(0, nparts, raw.num_cells)
+    pmap = pm.PartitionMap(ranks, nparts)
+    got = pm.close_partition(bundle.plex, pmap)
+    want = oracle.close_partition(bundle.plex, pmap)
+    for a, b in zip(got, want, strict=True):
+        assert a.points.tolist() == b.points.tolist()
+        assert a.owned.tolist() == b.owned.tolist()
+    locals_, sf, _ = pm.migrate(bundle, pmap, nparts)
+    assert pm.gather_to_root(locals_, sf) == bundle
+
+
+def test_pipeline_never_imports_numpy_ma():
+    # np.unique and everything built on it (isin, union1d, ...) import
+    # numpy.ma on first use, which adds about 1.24 MB of peak resident
+    # memory to every process that runs the pipeline.
+    script = """
+import sys
+import plexmesh as pm
+bundle = pm.raw_to_bundle(pm.triangle_grid(4, 4))
+pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), 2)
+pm.cell_centroids(bundle)
+locals_, sf, _ = pm.migrate(bundle, pmap, 2)
+for lm in locals_:
+    pm.build_halo(lm, sf, lm.bundle.coordinates.section)
+    reordered = pm.apply_permutation(lm.bundle, pm.rcm_ordering(lm.bundle.plex))
+    pm.bandwidth(pm.p1_pattern(reordered))
+    pm.bundle_to_raw(reordered)
+pm.gather_to_root(locals_, sf)
+print("numpy.ma" in sys.modules)
+"""
+    src = str(Path(pm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().lower()) is False

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from itertools import combinations
 from math import comb
+import time
 
 import numpy as np
 import pytest
@@ -85,6 +86,16 @@ class TestBuildFromCells:
     def test_empty_cells(self):
         with pytest.raises(ValueError, match="empty"):
             build_from_cells([], 4, 2)
+
+    @pytest.mark.parametrize("dim,cells", [
+        (1, [(0, 1), (2, 2)]),
+        (2, [(0, 1, 2), (0, 0, 1)]),
+        (3, [(0, 1, 2, 3), (0, 1, 3, 1)]),
+    ])
+    def test_degenerate_cell_rejected(self, dim, cells):
+        with pytest.raises(ValueError, match=r"degenerate cell 1 \(" + ", ".join(
+                str(v) for v in cells[1]) + r"\)"):
+            build_from_cells(cells, 4, dim)
 
 
 @pytest.fixture(scope="module")
@@ -166,6 +177,18 @@ class TestStrata:
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
             Plex(1, [(1,), (2,), (0,)])
+
+    def test_long_cycle_rejected_fast(self):
+        # Peeling stops at the first empty level, so a ring costs O(arcs).
+        n = 100_000
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="cover relation contains a cycle"):
+            Plex.from_csr(1, np.arange(n + 1), (np.arange(n) + 1) % n)
+        assert time.perf_counter() - started < 0.5
+
+    def test_cycle_above_acyclic_part_rejected(self):
+        with pytest.raises(ValueError, match="cycle"):
+            Plex(2, [(1, 3), (2,), (1,), ()])
 
 
 class TestDuality:
