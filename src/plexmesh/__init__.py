@@ -13,7 +13,7 @@ from .permutation import Permutation
 from .plex import Label, Plex, PointId, build_from_cells
 from .renumber import apply_permutation, rcm_ordering
 from .section import (Field, Section, permute_field, permute_section,
-                      section_from_depth_dofs, section_from_point_dofs)
+                      section_from_depth_dofs)
 from .sparsity import CsrPattern, bandwidth, p1_pattern, profile, spy_export
 
 __version__ = "0.1.0"
@@ -31,7 +31,7 @@ __all__ = [
     "Label", "Plex", "PointId", "build_from_cells",
     "apply_permutation", "rcm_ordering",
     "Field", "Section", "permute_field", "permute_section",
-    "section_from_depth_dofs", "section_from_point_dofs",
+    "section_from_depth_dofs",
     "CsrPattern", "bandwidth", "p1_pattern", "profile", "spy_export",
     "__version__",
 ]

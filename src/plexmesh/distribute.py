@@ -8,7 +8,7 @@ run concurrently as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -18,21 +18,85 @@ from .partition import PartitionMap
 from .permutation import Permutation
 from .plex import (Label, Plex, _csr_rows, _offsets, _row_ids, _row_pairs,
                    _unique_sorted)
-from .section import Field, Section, section_from_depth_dofs
+from .section import Field, Section
 
 
-@dataclass
 class StarForest:
-    """Ghost-point sharing: per rank, (local point, owner rank, owner-local point)."""
+    """Star forest: every leaf (leaf_rank, leaf_point) copies one root
+    (root_rank, root_point).
 
-    leaves: list[list[tuple[int, int, int]]]
+    Flat int64 arrays sorted by (leaf_rank, leaf_point), the PetscSF
+    ilocal/iremote layout.  bcast and reduce address roots by root_point, so
+    they move data of one root chart: the migration SF's, whose roots are the
+    points of the undistributed mesh.
+    """
 
-    @property
-    def nranks(self) -> int:
-        return len(self.leaves)
+    def __init__(self, nranks: int, leaf_rank, leaf_point, root_rank, root_point):
+        arrays = [np.asarray(a, dtype=np.int64)
+                  for a in (leaf_rank, leaf_point, root_rank, root_point)]
+        key = arrays[0] * (1 + int(arrays[1].max(initial=0))) + arrays[1]
+        if np.any(key[1:] < key[:-1]):
+            arrays = [a[np.argsort(key, kind="stable")] for a in arrays]
+        self.nranks = nranks
+        self.leaf_rank, self.leaf_point, self.root_rank, self.root_point = arrays
+
+    def _rank_slice(self, rank: int) -> slice:
+        return slice(*np.searchsorted(self.leaf_rank, [rank, rank + 1]).tolist())
 
     def rank_leaves(self, rank: int) -> list[tuple[int, int, int]]:
-        return self.leaves[rank]
+        """(leaf point, root rank, root point) of each leaf on a rank."""
+        s = self._rank_slice(rank)
+        return list(zip(self.leaf_point[s].tolist(), self.root_rank[s].tolist(),
+                        self.root_point[s].tolist()))
+
+    def select(self, mask: np.ndarray) -> "StarForest":
+        """The star forest of the leaves where mask is true."""
+        return StarForest(self.nranks, self.leaf_rank[mask], self.leaf_point[mask],
+                          self.root_rank[mask], self.root_point[mask])
+
+    def bcast(self, section: Section, values: np.ndarray
+              ) -> tuple[np.ndarray, np.ndarray]:
+        """Each leaf's root block of a Section-laid root array, as CSR in leaf order."""
+        return _csr_rows(section.offsets, values, self.root_point)
+
+    def reduce(self, section: Section, values: np.ndarray, nroots: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Inverse of bcast: each leaf's block of a Section-laid leaf array at
+        its root, as CSR over roots [0, nroots), which must have one leaf each."""
+        claimed = np.bincount(self.root_point, minlength=nroots)
+        if np.any(claimed > 1):
+            raise ValueError("inconsistent ownership: a point is claimed by two ranks")
+        if np.any(claimed == 0):
+            raise ValueError("incomplete distribution: a point is owned by no rank")
+        return _csr_rows(section.offsets, values, np.argsort(self.root_point))
+
+
+def _migration_sf(ranks: Sequence[int], points: Sequence[np.ndarray]) -> StarForest:
+    """Leaf i of rank ranks[k] copies global point points[k][i], a root on rank 0."""
+    leaf_rank = np.repeat(np.asarray(ranks, dtype=np.int64), [p.size for p in points])
+    return StarForest(1 + max(ranks), leaf_rank,
+                      np.concatenate([np.arange(p.size) for p in points]),
+                      np.zeros_like(leaf_rank), np.concatenate(points))
+
+
+def _layouts(bundle: MeshBundle, names) -> list[tuple[Section, np.ndarray]]:
+    """A bundle's data as Section-laid arrays over its chart: cones,
+    coordinates, then the values of each named label."""
+    plex, coords = bundle.plex, bundle.coordinates
+    labels = [bundle.labels.get(name, Label(name)) for name in names]
+    return [(Section(np.diff(plex._cone_offsets)), plex._cone_targets),
+            (coords.section, coords.values),
+            *((Section(np.bincount(lab.points, minlength=plex.chart_size)), lab.values)
+              for lab in labels)]
+
+
+def _bundle(dim: int, names, moved) -> MeshBundle:
+    """The bundle of CSR (offsets, values) arrays in _layouts order."""
+    (offsets, cones), (coord_offsets, coords), *labels = moved
+    return MeshBundle(Plex.from_csr(dim, offsets, cones),
+                      Field("coordinates", Section(np.diff(coord_offsets)), coords),
+                      {name: Label(name, _row_ids(label_offsets), values)
+                       for name, (label_offsets, values) in zip(names, labels)})
 
 
 @dataclass(eq=False)
@@ -74,8 +138,9 @@ class Halo:
 class MigrationReport:
     """Byte accounting of what migration ships to the ranks.
 
-    Topology counts one 8-byte word per cone entry plus one per point of
-    metadata; coordinates and fields count 8 bytes per dof.
+    Each count is 8 bytes per word the migration SF's bcasts moved: topology
+    one per cone entry plus one per point of metadata, coordinates and fields
+    one per dof.
     """
 
     bytes_topology: int
@@ -88,13 +153,7 @@ class MigrationReport:
         return self.bytes_topology + self.bytes_coordinates + self.bytes_fields
 
     def as_dict(self) -> dict:
-        return {
-            "bytes_topology": self.bytes_topology,
-            "bytes_coordinates": self.bytes_coordinates,
-            "bytes_fields": self.bytes_fields,
-            "bytes_total": self.bytes_total,
-            "points_per_rank": list(self.points_per_rank),
-        }
+        return {**asdict(self), "bytes_total": self.bytes_total}
 
 
 def close_partition(plex: Plex, pmap: PartitionMap) -> list[RankPointSet]:
@@ -140,26 +199,18 @@ def close_partition(plex: Plex, pmap: PartitionMap) -> list[RankPointSet]:
 
 
 def _extract_rank(bundle: MeshBundle, rps: RankPointSet) -> RankLocalMesh:
+    """One rank's local mesh, moved by its share of the migration SF."""
     plex = bundle.plex
     l2g = rps.points
-    offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, l2g)
-    local_plex = Plex.from_csr(plex.dim, offsets, np.searchsorted(l2g, targets))
-
-    local_verts = l2g[plex.depths[l2g] == 0]
-    coords_global = bundle.vertex_coords()
-    values = coords_global[np.searchsorted(plex.depth_stratum(0), local_verts)].ravel()
-    sec = section_from_depth_dofs(local_plex, [plex.dim] + [0] * plex.dim)
-    coords = Field("coordinates", sec, values)
-
-    g2l = np.full(plex.chart_size, -1, dtype=np.int64)
-    g2l[l2g] = np.arange(l2g.size, dtype=np.int64)
-    labels = {name: lab.relabeled(g2l) for name, lab in bundle.labels.items()}
+    sf = _migration_sf([rps.rank], [l2g])
+    moved = [sf.bcast(*layout) for layout in _layouts(bundle, bundle.labels)]
+    moved[0] = (moved[0][0], np.searchsorted(l2g, moved[0][1]))  # cones in local ids
 
     owned = np.zeros(l2g.size, dtype=bool)
     owned[np.searchsorted(l2g, rps.owned)] = True
     owned_cells = set(np.flatnonzero(owned & (plex.heights[l2g] == 0)).tolist())
     ghosts = set(np.flatnonzero(~owned).tolist())
-    return RankLocalMesh(rank=rps.rank, bundle=MeshBundle(local_plex, coords, labels),
+    return RankLocalMesh(rank=rps.rank, bundle=_bundle(plex.dim, bundle.labels, moved),
                          local_to_global=l2g, owned_cells=owned_cells,
                          ghost_points=ghosts)
 
@@ -169,48 +220,41 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
             ) -> tuple[list[RankLocalMesh], StarForest, MigrationReport]:
     """Split a bundle into rank-local meshes plus the star forest linking them.
 
-    Only topology, coordinates and labels are materialized per rank.  Fields,
-    when supplied, are accounted in the migration byte counts (the fully
-    allocated state a preprocessor-style start-up would ship) but not
-    expanded; omitting them models the topology-only start-up.
+    Each rank's share of the migration SF (rank-local point -> global point)
+    moves its topology, coordinates and labels.  Fields, when supplied, are
+    moved through the same SF only to be counted in the migration bytes (the
+    fully allocated state a preprocessor-style start-up would ship), not kept;
+    omitting them models the topology-only start-up.  The returned point SF
+    links every ghost point to its owner's copy.
     """
     if nranks != pmap.nparts:
         raise ValueError(f"nranks={nranks} does not match map nparts={pmap.nparts}")
+    chart = bundle.plex.chart_size
     for f in fields or ():
-        if f.section.num_points != bundle.plex.chart_size:
+        if f.section.num_points != chart:
             raise ValueError(f"field '{f.name}' is not laid out over this chart")
     rank_sets = close_partition(bundle.plex, pmap)
     locals_ = [_extract_rank(bundle, rps) for rps in rank_sets]
 
-    # Owner-local ids by one search in the (rank, point) keys of all ranks.
-    chart = bundle.plex.chart_size
-    owner = np.full(chart, -1, dtype=np.int64)
-    for rps in rank_sets:
-        owner[rps.owned] = rps.rank
-    rank_keys = np.concatenate([rps.rank * chart + rps.points for rps in rank_sets])
-    rank_start = _offsets([rps.points.size for rps in rank_sets])
-    leaves: list[list[tuple[int, int, int]]] = []
-    for rps in rank_sets:
-        local = np.flatnonzero(owner[rps.points] != rps.rank)
-        g = rps.points[local]
-        r = owner[g]
-        owner_local = np.searchsorted(rank_keys, r * chart + g) - rank_start[r]
-        leaves.append(list(zip(local.tolist(), r.tolist(), owner_local.tolist())))
-    sf = StarForest(leaves)
+    # Point SF by composition: reduce the owners' local ids onto the global
+    # points, then bcast them back to every copy.
+    msf = _migration_sf([rps.rank for rps in rank_sets], [rps.points for rps in rank_sets])
+    owner = np.empty(chart, dtype=np.int64)
+    owner[np.concatenate([rps.owned for rps in rank_sets])] = np.repeat(
+        [rps.rank for rps in rank_sets], [rps.owned.size for rps in rank_sets])
+    owned = owner[msf.root_point] == msf.leaf_rank
+    _, owner_point = msf.select(owned).reduce(
+        Section(np.ones(np.count_nonzero(owned))), msf.leaf_point[owned], chart)
+    _, owner_point = msf.bcast(Section(np.ones(chart)), owner_point)
+    ghost = ~owned
+    sf = StarForest(nranks, msf.leaf_rank[ghost], msf.leaf_point[ghost],
+                    owner[msf.root_point[ghost]], owner_point[ghost])
 
-    bytes_topology = 0
-    bytes_coordinates = 0
-    bytes_fields = 0
-    for lm in locals_:
-        lp = lm.bundle.plex
-        bytes_topology += 8 * (lp._cone_offsets[-1] + lp.chart_size)
-        bytes_coordinates += 8 * lm.bundle.coordinates.section.total_size
-        for f in fields or ():
-            bytes_fields += 8 * int(f.section.dofs[lm.local_to_global].sum())
     report = MigrationReport(
-        bytes_topology=int(bytes_topology),
-        bytes_coordinates=int(bytes_coordinates),
-        bytes_fields=int(bytes_fields),
+        bytes_topology=8 * sum(lm.bundle.plex._cone_targets.size + lm.local_to_global.size
+                               for lm in locals_),
+        bytes_coordinates=8 * sum(lm.bundle.coordinates.values.size for lm in locals_),
+        bytes_fields=8 * sum(msf.bcast(f.section, f.values)[1].size for f in fields or ()),
         points_per_rank=[lm.bundle.plex.chart_size for lm in locals_],
     )
     return locals_, sf, report
@@ -228,12 +272,12 @@ def build_halo(local: RankLocalMesh, sf: StarForest, section: Section,
     n = local.bundle.plex.chart_size
     if section.num_points != n:
         raise ValueError("section does not match the local chart")
-    entries = sf.rank_leaves(local.rank)
-    if {e[0] for e in entries} != local.ghost_points:
+    s = sf._rank_slice(local.rank)
+    if set(sf.leaf_point[s].tolist()) != local.ghost_points:
         raise ValueError("star forest leaves do not match the ghost point set")
 
-    ghost_order = sorted(entries, key=lambda e: (e[1], e[2]))
-    ghosts = np.array([e[0] for e in ghost_order], dtype=np.int64)
+    order = np.lexsort((sf.root_point[s], sf.root_rank[s]))
+    ghosts = sf.leaf_point[s][order]
     owned = np.ones(n, dtype=bool)
     owned[ghosts] = False
     owned = np.flatnonzero(owned)
@@ -242,52 +286,33 @@ def build_halo(local: RankLocalMesh, sf: StarForest, section: Section,
         np.concatenate([owned[has_dofs], owned[~has_dofs], ghosts]))
 
     n_owned = int(section.dofs[owned].sum())
-    receives = [(int(perm.forward[e[0]]), e[1], e[2]) for e in ghost_order]
+    receives = list(zip(perm.forward[ghosts].tolist(), sf.root_rank[s][order].tolist(),
+                        sf.root_point[s][order].tolist()))
     return Halo(n_owned=n_owned, receives=receives), perm
 
 
 def gather_to_root(locals_: Sequence[RankLocalMesh], sf: StarForest) -> MeshBundle:
     """Reassemble the original bundle from a complete distribution.
 
-    Every global point must be owned by exactly one rank; cones, coordinates
-    and labels are taken from the owners, reproducing the pre-migration
-    numbering exactly.
+    Every global point must be owned by exactly one rank: the migration SF's
+    owned leaves are reduced onto the global chart, so cones, coordinates and
+    labels come from the owners in the pre-migration numbering exactly.
     """
-    dim = locals_[0].bundle.dim
+    locals_ = sorted(locals_, key=lambda lm: lm.rank)
+    names = sorted({name for lm in locals_ for name in lm.bundle.labels})
     chart = 1 + max(int(lm.local_to_global.max(initial=-1)) for lm in locals_)
-    points, sizes, cone_points, vertex_points, vertex_coords = [], [], [], [], []
-    for lm in locals_:
-        lp = lm.bundle.plex
-        l2g = lm.local_to_global
-        owned = np.ones(lp.chart_size, dtype=bool)
-        owned[list(lm.ghost_points)] = False
-        offsets, targets = _csr_rows(lp._cone_offsets, lp._cone_targets,
-                                     np.flatnonzero(owned))
-        points.append(l2g[owned])
-        sizes.append(np.diff(offsets))
-        cone_points.append(l2g[targets])
-        local_verts = lp.depth_stratum(0)
-        vertex_points.append(l2g[local_verts[owned[local_verts]]])
-        vertex_coords.append(lm.bundle.vertex_coords()[owned[local_verts]])
-    points = np.concatenate(points)
-    claimed = np.bincount(points, minlength=chart)
-    if np.any(claimed > 1):
-        raise ValueError("inconsistent ownership: a point is claimed by two ranks")
-    if np.any(claimed == 0):
-        raise ValueError("incomplete distribution: a point is owned by no rank")
+    msf = _migration_sf([lm.rank for lm in locals_], [lm.local_to_global for lm in locals_])
+    owned = np.ones(msf.leaf_point.size, dtype=bool)
+    for lm, start in zip(locals_, _offsets([lm.local_to_global.size for lm in locals_])):
+        owned[start + np.fromiter(lm.ghost_points, dtype=np.int64)] = False
+    owned_sf = msf.select(owned)
 
-    offsets, cone_points = _csr_rows(_offsets(np.concatenate(sizes)),
-                                     np.concatenate(cone_points), np.argsort(points))
-    plex = Plex.from_csr(dim, offsets, cone_points)
-    coords = np.zeros((plex.num_vertices, dim), dtype=np.float64)
-    coords[np.searchsorted(plex.depth_stratum(0), np.concatenate(vertex_points))] = \
-        np.concatenate(vertex_coords)
-    label_names = sorted({name for lm in locals_ for name in lm.bundle.labels})
-    labels = {name: Label(name) for name in label_names}
-    for lm in locals_:
-        for name, lab in lm.bundle.labels.items():
-            for value, pts in lab.values.items():
-                labels[name].add(value, lm.local_to_global[list(pts)].tolist())
-
-    sec = section_from_depth_dofs(plex, [dim] + [0] * dim)
-    return MeshBundle(plex, Field("coordinates", sec, coords.ravel()), labels)
+    moved = []
+    for k, parts in enumerate(zip(*(_layouts(lm.bundle, names) for lm in locals_))):
+        offsets = _offsets(np.concatenate([sec.dofs for sec, _ in parts]))
+        # Cones (k == 0) in global ids.
+        values = np.concatenate([lm.local_to_global[v] if k == 0 else v
+                                 for lm, (_, v) in zip(locals_, parts)])
+        offsets, values = _csr_rows(offsets, values, np.flatnonzero(owned))
+        moved.append(owned_sf.reduce(Section(np.diff(offsets)), values, chart))
+    return _bundle(locals_[0].bundle.dim, names, moved)

@@ -122,6 +122,14 @@ def _next_line(stream: IO[str], context: str) -> str:
     raise GmshParseError(f"unexpected end of file while reading {context}")
 
 
+def _ints(fields: list[str], context: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise GmshParseError(
+            f"non-integer field in {context} '{' '.join(fields)}'") from None
+
+
 def read_gmsh(stream: IO[str]) -> RawMesh:
     """Parse an MSH 2.2 ASCII stream into a RawMesh.
 
@@ -150,7 +158,8 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
             parts = _next_line(stream, "$MeshFormat").split()
             if len(parts) != 3:
                 raise GmshParseError("malformed $MeshFormat line")
-            version, file_type, data_size = parts[0], int(parts[1]), int(parts[2])
+            version = parts[0]
+            file_type, data_size = _ints(parts[1:], "$MeshFormat line")
             if version != "2.2":
                 raise GmshParseError(
                     f"unsupported MSH version {version}; only 2.2 ASCII is handled")
@@ -163,21 +172,23 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
             saw_format = True
 
         elif section == "Nodes":
-            count = int(_next_line(stream, "$Nodes"))
-            for _ in range(count):
-                parts = _next_line(stream, "$Nodes").split()
-                if len(parts) != 4:
-                    raise GmshParseError(f"malformed node line '{' '.join(parts)}'")
-                node_tags.append(int(parts[0]))
-                coords.append((float(parts[1]), float(parts[2]), float(parts[3])))
+            for _ in range(_ints([_next_line(stream, "$Nodes")], "$Nodes count")[0]):
+                line = _next_line(stream, "$Nodes")
+                parts = line.split()
+                try:
+                    if len(parts) != 4:
+                        raise ValueError
+                    node_tags.append(int(parts[0]))
+                    coords.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                except ValueError:
+                    raise GmshParseError(f"malformed node line '{line}'") from None
             if _next_line(stream, "$Nodes") != "$EndNodes":
                 raise GmshParseError("missing $EndNodes")
             saw_nodes = True
 
         elif section == "Elements":
-            count = int(_next_line(stream, "$Elements"))
-            for _ in range(count):
-                parts = [int(x) for x in _next_line(stream, "$Elements").split()]
+            for _ in range(_ints([_next_line(stream, "$Elements")], "$Elements count")[0]):
+                parts = _ints(_next_line(stream, "$Elements").split(), "element line")
                 if len(parts) < 3:
                     raise GmshParseError("malformed element line")
                 etype, ntags = parts[1], parts[2]
@@ -214,6 +225,14 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
         raise GmshParseError("no cells of maximal dimension")
 
     tag_to_index = {t: i for i, t in enumerate(node_tags)}
+    if len(tag_to_index) != len(node_tags):
+        dup = next(t for i, t in enumerate(node_tags) if tag_to_index[t] != i)
+        raise GmshParseError(f"duplicate node tag {dup}")
+    xyz = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(xyz).all(axis=1)
+    if not finite.all():
+        raise GmshParseError(
+            f"node {node_tags[int(np.argmin(finite))]} has a non-finite coordinate")
     dim = max(e[0] for e in elements)
     cells, regions, bfacets, markers = [], [], [], []
     for edim, tag, nodes in elements:
@@ -229,7 +248,6 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
             markers.append(tag)
         # lower-dimensional elements carry no meaning here; skip
 
-    xyz = np.array(coords, dtype=np.float64).reshape(-1, 3)
     return RawMesh(
         dim=dim,
         vertices=xyz[:, :dim],
@@ -354,23 +372,20 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
     cell_points = plex.height_stratum(0)
     cells = _vertex_table(plex, cell_points)
 
+    # A cell with several region values gets its largest, the last of its run.
+    region = bundle.labels.get("region", Label("region"))
+    last = np.ones(region.points.size, dtype=bool)
+    last[:-1] = region.points[1:] != region.points[:-1]
     regions = np.zeros(len(cell_points), dtype=np.int64)
-    region_label = bundle.labels.get("region", Label("region"))
-    for value in region_label.value_ids():
-        regions[np.searchsorted(cell_points, region_label.points_with(value))] = value
+    regions[np.searchsorted(cell_points, region.points[last])] = region.values[last]
 
     boundary = bundle.labels.get("boundary", Label("boundary"))
-    values = boundary.value_ids()
-    points = [boundary.points_with(value) for value in values]
-    markers = np.repeat(np.array(values, dtype=np.int64), [len(p) for p in points])
-    bfacets = np.sort(_vertex_table(plex, np.concatenate(points)), axis=1) \
-        if values else np.empty((0, max(plex.dim, 1)), dtype=np.int64)
-
+    by_value = np.lexsort((boundary.points, boundary.values))
     return RawMesh(
         dim=plex.dim,
         vertices=coords,
         cells=cells,
         cell_region_ids=regions,
-        boundary_facets=bfacets,
-        boundary_markers=markers,
+        boundary_facets=np.sort(_vertex_table(plex, boundary.points[by_value]), axis=1),
+        boundary_markers=boundary.values[by_value],
     )

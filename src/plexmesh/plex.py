@@ -18,7 +18,7 @@ then facets (3D only), then edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -324,49 +324,49 @@ class Plex:
         return f"Plex(dim={self.dim}, chart_size={self.chart_size})"
 
 
-@dataclass
+@dataclass(eq=False)
 class Label:
-    """Named integer markers over sets of plex points."""
+    """Named integer markers on plex points, as (points, values) arrays.
+
+    Pairs are sorted by (point, value) without repeats, so a label is a
+    Section-laid array over the chart: point p carries the values
+    ``values[k]`` for ``points[k] == p``.  ``from_arrays`` establishes the
+    order; direct construction takes arrays already in it.
+    """
 
     name: str
-    values: dict[int, set[int]] = field(default_factory=dict)
+    points: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
+    values: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
     @classmethod
     def from_arrays(cls, name: str, points, values) -> "Label":
         """Label marking points[i] with values[i]."""
         points = np.asarray(points, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
-        order = np.argsort(values, kind="stable")
+        order = np.lexsort((values, points))
         points, values = points[order], values[order]
-        starts = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
-        ends = np.append(starts[1:], values.size)
-        return cls(name, {int(values[s]): set(points[s:e].tolist())
-                          for s, e in zip(starts.tolist(), ends.tolist())})
-
-    def add(self, value: int, points: Iterable[int]) -> None:
-        self.values.setdefault(int(value), set()).update(int(p) for p in points)
+        keep = np.ones(points.size, dtype=bool)
+        keep[1:] = (points[1:] != points[:-1]) | (values[1:] != values[:-1])
+        return cls(name, points[keep], values[keep])
 
     def points_with(self, value: int) -> np.ndarray:
-        return np.array(sorted(self.values.get(int(value), ())), dtype=np.int64)
+        return self.points[self.values == int(value)]
 
     def value_ids(self) -> list[int]:
-        return sorted(self.values)
+        return _unique_sorted(self.values).tolist()
 
     def relabeled(self, point_map: np.ndarray) -> "Label":
         """New label with every point p mapped to point_map[p]; points mapped
         to -1 are dropped (used for restriction to a submesh)."""
-        out = Label(self.name)
-        for value, pts in self.values.items():
-            mapped = point_map[np.fromiter(pts, dtype=np.int64, count=len(pts))]
-            mapped = mapped[mapped >= 0]
-            if mapped.size:
-                out.values[value] = set(mapped.tolist())
-        return out
+        mapped = point_map[self.points]
+        keep = mapped >= 0
+        return Label.from_arrays(self.name, mapped[keep], self.values[keep])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Label):
             return NotImplemented
-        return self.name == other.name and self.values == other.values
+        return (self.name == other.name and np.array_equal(self.points, other.points)
+                and np.array_equal(self.values, other.values))
 
 
 def _cell_array(cell_vertex_lists, num_vertices: int, dim: int) -> np.ndarray:
@@ -393,6 +393,9 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int) -> np.ndarray:
         i = int(repeated[0])
         raise ValueError(f"degenerate cell {i} {tuple(cells[i].tolist())}: "
                          "repeated vertex id")
+    unused = np.bincount(cells.ravel(), minlength=num_vertices) == 0
+    if unused.any():
+        raise ValueError(f"vertex {int(np.argmax(unused))} is used by no cell")
     return cells
 
 

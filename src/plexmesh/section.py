@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permutation import Permutation
-from .plex import Plex
+from .plex import Plex, _csr_rows
 
 
 class Section:
@@ -92,11 +92,6 @@ def section_from_depth_dofs(plex: Plex, dofs_per_depth) -> Section:
     return Section(per_depth[plex.depths])
 
 
-def section_from_point_dofs(dofs) -> Section:
-    """Arbitrary per-point layout (mainly for tests and internal use)."""
-    return Section(dofs)
-
-
 def permute_section(section: Section, perm: Permutation) -> Section:
     """Relocate dof counts to the permuted point ids; offsets recomputed."""
     if len(perm) != section.num_points:
@@ -108,12 +103,6 @@ def permute_section(section: Section, perm: Permutation) -> Section:
 
 def permute_field(fld: Field, perm: Permutation) -> Field:
     """Move per-point value blocks to their permuted positions."""
-    new_section = permute_section(fld.section, perm)
-    # Dof k of old point p moves to new offset(forward[p]) + k.
-    sec = fld.section
-    point = np.repeat(np.arange(sec.num_points, dtype=np.int64), sec.dofs)
-    dest = (np.arange(sec.total_size, dtype=np.int64) - sec.offsets[point]
-            + new_section.offsets[perm.forward[point]])
-    new_values = np.empty_like(fld.values)
-    new_values[dest] = fld.values
-    return Field(fld.name, new_section, new_values)
+    # New point n takes the block of old point perm.inverse[n].
+    _, values = _csr_rows(fld.section.offsets, fld.values, perm.inverse)
+    return Field(fld.name, permute_section(fld.section, perm), values)

@@ -1,19 +1,25 @@
 """Per-point reference implementations of the array kernels.
 
-These are the original loop-and-dict versions of the topology kernels, kept
+These are the original loop-and-dict versions of the topology kernels and
+of the distribution code (tuple-list star forest, dict-of-sets labels), kept
 verbatim (bar being free functions over the public API) as test oracles:
 every array kernel must give exactly their results.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+from typing import Iterable, Sequence
+
 import numpy as np
 
-from plexmesh import (CsrPattern, Field, Label, MeshBundle, PartitionMap,
-                      Permutation, Plex, RawMesh, permute_section)
+from plexmesh import (CsrPattern, Field, Halo, Label, MeshBundle,
+                      MigrationReport, PartitionMap, Permutation, Plex,
+                      RankLocalMesh, RawMesh, Section, permute_section,
+                      section_from_depth_dofs)
 from plexmesh.distribute import RankPointSet
 from plexmesh.partition import DualGraph
-from plexmesh.plex import _CELL_ARITY, _TET_FACETS, _TRI_EDGES
+from plexmesh.plex import _CELL_ARITY, _TET_FACETS, _TRI_EDGES, _csr_rows, _offsets
 from plexmesh.renumber import _cuthill_mckee, _pseudo_peripheral
 
 
@@ -58,12 +64,13 @@ def longest_paths(plex: Plex, out_off, out_tgt) -> np.ndarray:
 
 
 def relabeled(label: Label, point_map: dict[int, int]) -> Label:
-    out = Label(label.name)
-    for value, pts in label.values.items():
-        mapped = {point_map[p] for p in pts if p in point_map}
+    points, values = [], []
+    for value in label.value_ids():
+        mapped = {point_map[p] for p in label.points_with(value).tolist() if p in point_map}
         if mapped:
-            out.values[value] = mapped
-    return out
+            points.extend(mapped)
+            values.extend([value] * len(mapped))
+    return Label.from_arrays(label.name, points, values)
 
 
 def build_from_cells(cell_vertex_lists, num_vertices: int, dim: int) -> Plex:
@@ -347,3 +354,235 @@ def close_partition(plex: Plex, pmap: PartitionMap) -> list[RankPointSet]:
         owned = pts[owner[pts] == r]
         out.append(RankPointSet(rank=r, points=pts, owned=owned))
     return out
+
+
+# -- distribution: tuple-list star forest and dict-of-sets labels ---------------
+#
+# The migration, halo and gather code as it stood before the array StarForest
+# and Label.  The oracle pipeline runs on bundles whose labels are DictLabels
+# (see dict_labels).
+
+
+@dataclass
+class DictLabel:
+    """Named integer markers over sets of plex points."""
+
+    name: str
+    values: dict[int, set[int]] = field(default_factory=dict)
+
+    @classmethod
+    def from_arrays(cls, name: str, points, values) -> "DictLabel":
+        """Label marking points[i] with values[i]."""
+        points = np.asarray(points, dtype=np.int64)
+        values = np.asarray(values, dtype=np.int64)
+        order = np.argsort(values, kind="stable")
+        points, values = points[order], values[order]
+        starts = np.flatnonzero(np.diff(values, prepend=values[:1] - 1))
+        ends = np.append(starts[1:], values.size)
+        return cls(name, {int(values[s]): set(points[s:e].tolist())
+                          for s, e in zip(starts.tolist(), ends.tolist())})
+
+    def add(self, value: int, points: Iterable[int]) -> None:
+        self.values.setdefault(int(value), set()).update(int(p) for p in points)
+
+    def points_with(self, value: int) -> np.ndarray:
+        return np.array(sorted(self.values.get(int(value), ())), dtype=np.int64)
+
+    def value_ids(self) -> list[int]:
+        return sorted(self.values)
+
+    def relabeled(self, point_map: np.ndarray) -> "DictLabel":
+        """New label with every point p mapped to point_map[p]; points mapped
+        to -1 are dropped (used for restriction to a submesh)."""
+        out = DictLabel(self.name)
+        for value, pts in self.values.items():
+            mapped = point_map[np.fromiter(pts, dtype=np.int64, count=len(pts))]
+            mapped = mapped[mapped >= 0]
+            if mapped.size:
+                out.values[value] = set(mapped.tolist())
+        return out
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DictLabel):
+            return NotImplemented
+        return self.name == other.name and self.values == other.values
+
+
+@dataclass
+class TupleStarForest:
+    """Ghost-point sharing: per rank, (local point, owner rank, owner-local point)."""
+
+    leaves: list[list[tuple[int, int, int]]]
+
+    @property
+    def nranks(self) -> int:
+        return len(self.leaves)
+
+    def rank_leaves(self, rank: int) -> list[tuple[int, int, int]]:
+        return self.leaves[rank]
+
+
+def _extract_rank(bundle: MeshBundle, rps: RankPointSet) -> RankLocalMesh:
+    plex = bundle.plex
+    l2g = rps.points
+    offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, l2g)
+    local_plex = Plex.from_csr(plex.dim, offsets, np.searchsorted(l2g, targets))
+
+    local_verts = l2g[plex.depths[l2g] == 0]
+    coords_global = bundle.vertex_coords()
+    values = coords_global[np.searchsorted(plex.depth_stratum(0), local_verts)].ravel()
+    sec = section_from_depth_dofs(local_plex, [plex.dim] + [0] * plex.dim)
+    coords = Field("coordinates", sec, values)
+
+    g2l = np.full(plex.chart_size, -1, dtype=np.int64)
+    g2l[l2g] = np.arange(l2g.size, dtype=np.int64)
+    labels = {name: lab.relabeled(g2l) for name, lab in bundle.labels.items()}
+
+    owned = np.zeros(l2g.size, dtype=bool)
+    owned[np.searchsorted(l2g, rps.owned)] = True
+    owned_cells = set(np.flatnonzero(owned & (plex.heights[l2g] == 0)).tolist())
+    ghosts = set(np.flatnonzero(~owned).tolist())
+    return RankLocalMesh(rank=rps.rank, bundle=MeshBundle(local_plex, coords, labels),
+                         local_to_global=l2g, owned_cells=owned_cells,
+                         ghost_points=ghosts)
+
+
+def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
+            fields: Sequence[Field] | None = None,
+            ) -> tuple[list[RankLocalMesh], TupleStarForest, MigrationReport]:
+    """Split a bundle into rank-local meshes plus the star forest linking them.
+
+    Only topology, coordinates and labels are materialized per rank.  Fields,
+    when supplied, are accounted in the migration byte counts (the fully
+    allocated state a preprocessor-style start-up would ship) but not
+    expanded; omitting them models the topology-only start-up.
+    """
+    if nranks != pmap.nparts:
+        raise ValueError(f"nranks={nranks} does not match map nparts={pmap.nparts}")
+    for f in fields or ():
+        if f.section.num_points != bundle.plex.chart_size:
+            raise ValueError(f"field '{f.name}' is not laid out over this chart")
+    rank_sets = close_partition(bundle.plex, pmap)
+    locals_ = [_extract_rank(bundle, rps) for rps in rank_sets]
+
+    # Owner-local ids by one search in the (rank, point) keys of all ranks.
+    chart = bundle.plex.chart_size
+    owner = np.full(chart, -1, dtype=np.int64)
+    for rps in rank_sets:
+        owner[rps.owned] = rps.rank
+    rank_keys = np.concatenate([rps.rank * chart + rps.points for rps in rank_sets])
+    rank_start = _offsets([rps.points.size for rps in rank_sets])
+    leaves: list[list[tuple[int, int, int]]] = []
+    for rps in rank_sets:
+        local = np.flatnonzero(owner[rps.points] != rps.rank)
+        g = rps.points[local]
+        r = owner[g]
+        owner_local = np.searchsorted(rank_keys, r * chart + g) - rank_start[r]
+        leaves.append(list(zip(local.tolist(), r.tolist(), owner_local.tolist())))
+    sf = TupleStarForest(leaves)
+
+    bytes_topology = 0
+    bytes_coordinates = 0
+    bytes_fields = 0
+    for lm in locals_:
+        lp = lm.bundle.plex
+        bytes_topology += 8 * (lp._cone_offsets[-1] + lp.chart_size)
+        bytes_coordinates += 8 * lm.bundle.coordinates.section.total_size
+        for f in fields or ():
+            bytes_fields += 8 * int(f.section.dofs[lm.local_to_global].sum())
+    report = MigrationReport(
+        bytes_topology=int(bytes_topology),
+        bytes_coordinates=int(bytes_coordinates),
+        bytes_fields=int(bytes_fields),
+        points_per_rank=[lm.bundle.plex.chart_size for lm in locals_],
+    )
+    return locals_, sf, report
+
+
+def build_halo(local: RankLocalMesh, sf: TupleStarForest, section: Section,
+               ) -> tuple[Halo, Permutation]:
+    """Compute the trailing-receives point permutation for one rank.
+
+    Points carrying owned dofs come first (ascending), then owned points
+    without dofs, then all ghost points ordered by (owner rank, owner-local
+    point).  Applying the permutation to the section therefore puts the owned
+    dofs at [0, n_owned) and every ghost dof after them.
+    """
+    n = local.bundle.plex.chart_size
+    if section.num_points != n:
+        raise ValueError("section does not match the local chart")
+    entries = sf.rank_leaves(local.rank)
+    if {e[0] for e in entries} != local.ghost_points:
+        raise ValueError("star forest leaves do not match the ghost point set")
+
+    ghost_order = sorted(entries, key=lambda e: (e[1], e[2]))
+    ghosts = np.array([e[0] for e in ghost_order], dtype=np.int64)
+    owned = np.ones(n, dtype=bool)
+    owned[ghosts] = False
+    owned = np.flatnonzero(owned)
+    has_dofs = section.dofs[owned] > 0
+    perm = Permutation.from_new_order(
+        np.concatenate([owned[has_dofs], owned[~has_dofs], ghosts]))
+
+    n_owned = int(section.dofs[owned].sum())
+    receives = [(int(perm.forward[e[0]]), e[1], e[2]) for e in ghost_order]
+    return Halo(n_owned=n_owned, receives=receives), perm
+
+
+def gather_to_root(locals_: Sequence[RankLocalMesh], sf: TupleStarForest) -> MeshBundle:
+    """Reassemble the original bundle from a complete distribution.
+
+    Every global point must be owned by exactly one rank; cones, coordinates
+    and labels are taken from the owners, reproducing the pre-migration
+    numbering exactly.
+    """
+    dim = locals_[0].bundle.dim
+    chart = 1 + max(int(lm.local_to_global.max(initial=-1)) for lm in locals_)
+    points, sizes, cone_points, vertex_points, vertex_coords = [], [], [], [], []
+    for lm in locals_:
+        lp = lm.bundle.plex
+        l2g = lm.local_to_global
+        owned = np.ones(lp.chart_size, dtype=bool)
+        owned[list(lm.ghost_points)] = False
+        offsets, targets = _csr_rows(lp._cone_offsets, lp._cone_targets,
+                                     np.flatnonzero(owned))
+        points.append(l2g[owned])
+        sizes.append(np.diff(offsets))
+        cone_points.append(l2g[targets])
+        local_verts = lp.depth_stratum(0)
+        vertex_points.append(l2g[local_verts[owned[local_verts]]])
+        vertex_coords.append(lm.bundle.vertex_coords()[owned[local_verts]])
+    points = np.concatenate(points)
+    claimed = np.bincount(points, minlength=chart)
+    if np.any(claimed > 1):
+        raise ValueError("inconsistent ownership: a point is claimed by two ranks")
+    if np.any(claimed == 0):
+        raise ValueError("incomplete distribution: a point is owned by no rank")
+
+    offsets, cone_points = _csr_rows(_offsets(np.concatenate(sizes)),
+                                     np.concatenate(cone_points), np.argsort(points))
+    plex = Plex.from_csr(dim, offsets, cone_points)
+    coords = np.zeros((plex.num_vertices, dim), dtype=np.float64)
+    coords[np.searchsorted(plex.depth_stratum(0), np.concatenate(vertex_points))] = \
+        np.concatenate(vertex_coords)
+    label_names = sorted({name for lm in locals_ for name in lm.bundle.labels})
+    labels = {name: DictLabel(name) for name in label_names}
+    for lm in locals_:
+        for name, lab in lm.bundle.labels.items():
+            for value, pts in lab.values.items():
+                labels[name].add(value, lm.local_to_global[list(pts)].tolist())
+
+    sec = section_from_depth_dofs(plex, [dim] + [0] * dim)
+    return MeshBundle(plex, Field("coordinates", sec, coords.ravel()), labels)
+
+
+def dict_labels(bundle: MeshBundle) -> MeshBundle:
+    """The same bundle with its labels as DictLabels."""
+    return MeshBundle(bundle.plex, bundle.coordinates, {
+        name: DictLabel.from_arrays(name, lab.points, lab.values)
+        for name, lab in bundle.labels.items()})
+
+
+def label_sets(label) -> dict[int, set[int]]:
+    """{value: set of points} of a Label or a DictLabel."""
+    return {v: set(label.points_with(v).tolist()) for v in label.value_ids()}

@@ -7,10 +7,16 @@ import subprocess
 import sys
 
 import jsonschema
+import pytest
 
 import plexmesh as pm
 from plexmesh.cli import main
 from plexmesh.schemas import SCHEMAS
+
+
+ONE_TRIANGLE = ("$MeshFormat\n2.2 0 8\n$EndMeshFormat\n"
+                "$Nodes\n3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n$EndNodes\n"
+                "$Elements\n1\n1 2 2 0 0 1 2 3\n$EndElements\n")
 
 
 def run(capsys, *argv) -> tuple[int, str]:
@@ -201,6 +207,27 @@ class TestExitCodes:
                         "$EndElements\n")
         assert main(["info", str(mesh)]) == 3
         assert "degenerate cell 1 (0, 0, 1)" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("nodes,message", [
+        ("4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n3 1 1 0\n", "duplicate node tag 3"),
+        ("four\n", "count 'four'"),
+        ("3\n1 0 0 0\n2 nan 0 0\n3 0 1 0\n", "node 2 has a non-finite"),
+    ], ids=["duplicate-tag", "non-integer-count", "nan-coordinate"])
+    def test_malformed_nodes_are_parse_errors(self, tmp_path, capsys, nodes, message):
+        mesh = tmp_path / "bad.msh"
+        mesh.write_text(ONE_TRIANGLE.replace(
+            "3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n", nodes))
+        assert main(["info", str(mesh)]) == 2
+        assert message in capsys.readouterr().err
+
+    def test_unused_vertex_is_a_validation_error(self, tmp_path, capsys):
+        mesh = tmp_path / "unused.msh"
+        mesh.write_text(ONE_TRIANGLE.replace(
+            "3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n",
+            "4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 1 1 0\n"))
+        assert main(["info", str(mesh)]) == 3
+        assert "vertex 3 is used by no cell" in capsys.readouterr().err
 
 
 def test_console_entry_point(corpus_dir):

@@ -173,10 +173,11 @@ class TestBuildHalo:
             owned_cells={int(perm.forward[c]) for c in lm.owned_cells},
             ghost_points={int(perm.forward[g]) for g in lm.ghost_points},
         )
-        leaves2 = list(sf.leaves)
-        leaves2[1] = [(int(perm.forward[l]), o, p) for l, o, p in sf.rank_leaves(1)]
-        halo2, perm2 = build_halo(permuted, StarForest(leaves2),
-                                  permute_section(sec, perm))
+        leaf_point = sf.leaf_point.copy()
+        on_rank1 = sf.leaf_rank == 1
+        leaf_point[on_rank1] = perm.forward[leaf_point[on_rank1]]
+        sf2 = StarForest(sf.nranks, sf.leaf_rank, leaf_point, sf.root_rank, sf.root_point)
+        halo2, perm2 = build_halo(permuted, sf2, permute_section(sec, perm))
         assert perm2.is_identity
         assert halo2.n_owned == halo.n_owned
         assert [r[0] for r in halo2.receives] == [r[0] for r in halo.receives]
@@ -184,7 +185,7 @@ class TestBuildHalo:
     def test_section_size_checked(self, two_triangle):
         locals_, sf, _ = split_two_triangle(two_triangle)
         with pytest.raises(ValueError, match="local chart"):
-            build_halo(locals_[0], sf, pm.section_from_point_dofs([1, 1]))
+            build_halo(locals_[0], sf, pm.Section([1, 1]))
 
     def test_trailing_on_all_grid4_ranks(self, bundles):
         bundle = bundles["grid4"]

@@ -95,6 +95,25 @@ class TestRead:
         with pytest.raises(pm.GmshParseError, match="MeshFormat"):
             parse(body)
 
+    def test_duplicate_node_tag(self):
+        with pytest.raises(pm.GmshParseError, match="duplicate node tag 3"):
+            parse(MINIMAL_TET.replace("4 0 0 1", "3 0 0 1"))
+
+    @pytest.mark.parametrize("old,new,match", [
+        ("$Nodes\n4\n", "$Nodes\nfour\n", "count 'four'"),
+        ("$Elements\n1\n", "$Elements\n1.0\n", "count '1.0'"),
+        ("1 2 3 4\n$End", "1 2 3 x\n$End", "non-integer field in element line"),
+        ("2 1 0 0", "2 1 0 zero", "malformed node line '2 1 0 zero'"),
+    ], ids=["nodes-count", "elements-count", "element-field", "node-field"])
+    def test_non_numeric_field(self, old, new, match):
+        with pytest.raises(pm.GmshParseError, match=match):
+            parse(MINIMAL_TET.replace(old, new))
+
+    @pytest.mark.parametrize("coords", ["nan 0 0", "1 inf 0", "1 0 -inf"])
+    def test_non_finite_coordinate(self, coords):
+        with pytest.raises(pm.GmshParseError, match="node 2 has a non-finite"):
+            parse(MINIMAL_TET.replace("2 1 0 0", f"2 {coords}"))
+
     def test_unknown_section_skipped(self):
         text = MINIMAL_TET.replace(
             "$Nodes", "$PhysicalNames\n1\n2 1 \"wall\"\n$EndPhysicalNames\n$Nodes")
@@ -154,6 +173,13 @@ class TestRawToBundle:
     def test_region_label_covers_cells(self):
         bundle = pm.raw_to_bundle(pm.read_gmsh_file(DATA / "square_2tri.msh"))
         assert set(bundle.labels["region"].points_with(0).tolist()) == {0, 1}
+
+    def test_cell_with_two_regions_exports_the_largest(self):
+        bundle = pm.raw_to_bundle(pm.read_gmsh_file(DATA / "square_2tri.msh"))
+        bundle.labels["region"] = pm.Label.from_arrays("region", [1, 0, 0], [4, 9, 2])
+        assert pm.bundle_to_raw(bundle).cell_region_ids.tolist() == [9, 4]
+        bundle.labels["region"] = pm.Label("region")
+        assert pm.bundle_to_raw(bundle).cell_region_ids.tolist() == [0, 0]
 
     def test_missing_facet_rejected(self):
         mesh = parse(MINIMAL_TET)

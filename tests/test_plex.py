@@ -83,6 +83,10 @@ class TestBuildFromCells:
         with pytest.raises(ValueError, match="inconsistent with dimension"):
             build_from_cells([(0, 1, 2)], 4, 3)
 
+    def test_unused_vertex_rejected(self):
+        with pytest.raises(ValueError, match="vertex 3 is used by no cell"):
+            build_from_cells([(0, 1, 2)], 4, 2)
+
     def test_empty_cells(self):
         with pytest.raises(ValueError, match="empty"):
             build_from_cells([], 4, 2)

@@ -5,9 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from plexmesh import (Permutation, build_from_cells, permute_field,
-                      permute_section, section_from_depth_dofs,
-                      section_from_point_dofs, Field)
+from plexmesh import (Permutation, Section, build_from_cells, permute_field,
+                      permute_section, section_from_depth_dofs, Field)
 
 TET = build_from_cells([(0, 1, 2, 3)], 4, 3)
 TWO_TRI = build_from_cells([(0, 1, 2), (1, 3, 2)], 4, 2)
@@ -46,7 +45,7 @@ class TestFromDepthDofs:
             section_from_depth_dofs(TET, [1, 0])
 
     def test_offsets_are_prefix_sums(self):
-        sec = section_from_point_dofs([2, 0, 3, 1])
+        sec = Section([2, 0, 3, 1])
         assert sec.offsets.tolist() == [0, 2, 2, 5, 6]
         assert sec.total_size == 6
 
@@ -58,7 +57,7 @@ class TestFromDepthDofs:
 
     def test_negative_dofs_rejected(self):
         with pytest.raises(ValueError):
-            section_from_point_dofs([1, -1])
+            Section([1, -1])
 
 
 class TestPermute:
@@ -67,7 +66,7 @@ class TestPermute:
         assert permute_section(sec, Permutation.identity(TET.chart_size)) == sec
 
     def test_swap_two_points(self):
-        sec = section_from_point_dofs([1, 2, 0])
+        sec = Section([1, 2, 0])
         fwd = [1, 0, 2]
         out = permute_section(sec, Permutation(fwd))
         assert out.dofs.tolist() == [2, 1, 0]
@@ -81,7 +80,7 @@ class TestPermute:
             assert permute_section(sec, perm).total_size == 4
 
     def test_dofs_follow_points(self):
-        sec = section_from_point_dofs([3, 1, 4, 1, 5])
+        sec = Section([3, 1, 4, 1, 5])
         rng = np.random.default_rng(3)
         for _ in range(20):
             perm = Permutation(rng.permutation(5))
@@ -90,12 +89,12 @@ class TestPermute:
                 assert out.dof(int(perm.forward[p])) == sec.dof(p)
 
     def test_size_mismatch(self):
-        sec = section_from_point_dofs([1, 1])
+        sec = Section([1, 1])
         with pytest.raises(ValueError):
             permute_section(sec, Permutation.identity(3))
 
     def test_permute_field_moves_blocks(self):
-        sec = section_from_point_dofs([2, 0, 1])
+        sec = Section([2, 0, 1])
         fld = Field("f", sec, [10.0, 11.0, 20.0])
         perm = Permutation([2, 1, 0])  # point 0 -> 2, point 2 -> 0
         out = permute_field(fld, perm)
@@ -105,12 +104,12 @@ class TestPermute:
 
 class TestField:
     def test_length_checked(self):
-        sec = section_from_point_dofs([1, 1])
+        sec = Section([1, 1])
         with pytest.raises(ValueError, match="total size"):
             Field("f", sec, [1.0])
 
     def test_point_access(self):
-        sec = section_from_point_dofs([1, 2])
+        sec = Section([1, 2])
         fld = Field("f", sec, [1.0, 2.0, 3.0])
         assert fld.at(1).tolist() == [2.0, 3.0]
 
