@@ -1,9 +1,11 @@
 """Topology migration onto simulated ranks, star forests and halo layout.
 
-Ranks are simulated in-process: each rank receives an independent
-RankLocalMesh value and all cross-rank relationships are expressed through
-the immutable StarForest, never shared state, so per-rank extraction could
-run concurrently as-is.
+Ranks are simulated in-process.  migrate moves every datum to all ranks
+with one broadcast over the migration star forest and cuts each rank's
+RankLocalMesh from that rank's leaf range of the results, so no array of one
+rank's local mesh shares memory with another rank's or with the input
+bundle.  All cross-rank relationships are expressed through the immutable
+StarForest, never shared state.
 """
 
 from __future__ import annotations
@@ -100,15 +102,6 @@ def _bundle(dim: int, names, moved) -> MeshBundle:
 
 
 @dataclass(eq=False)
-class RankPointSet:
-    """One rank's share of the global chart: owned points plus one cell overlap."""
-
-    rank: int
-    points: np.ndarray  # sorted global ids, owned + overlap
-    owned: np.ndarray   # sorted global ids owned by this rank
-
-
-@dataclass(eq=False)
 class RankLocalMesh:
     """Self-contained local mesh with its mapping back to the global chart."""
 
@@ -156,12 +149,13 @@ class MigrationReport:
         return {**asdict(self), "bytes_total": self.bytes_total}
 
 
-def close_partition(plex: Plex, pmap: PartitionMap) -> list[RankPointSet]:
-    """Expand a cell assignment to per-rank point sets with one layer of overlap.
+def close_partition(plex: Plex, pmap: PartitionMap) -> tuple[StarForest, np.ndarray]:
+    """Expand a cell assignment to the migration SF and the point owners.
 
     A rank receives the closure of every cell assigned to it plus the closure
-    of every foreign cell sharing a facet with one of its cells.  A point is
-    owned by the lowest rank whose own-cell closures contain it.
+    of every foreign cell sharing a facet with one of its cells: leaf i of
+    rank r copies root (0, g), where g is the i-th lowest global point rank r
+    receives.  owner[g] is the lowest rank whose own-cell closures contain g.
     """
     cells = plex.height_stratum(0)
     if len(pmap.ranks) != len(cells):
@@ -189,30 +183,8 @@ def close_partition(plex: Plex, pmap: PartitionMap) -> list[RankPointSet]:
     _, pts = _csr_rows(offsets, closure_pts, sent_cell)
     keys = _unique_sorted(np.repeat(sent_rank, sizes) * chart + pts)
     ranks, pts = np.divmod(keys, chart)
-    bounds = np.searchsorted(ranks, np.arange(nparts + 1))
-    out = []
-    for r in range(nparts):
-        rank_pts = pts[bounds[r]:bounds[r + 1]]
-        out.append(RankPointSet(rank=r, points=rank_pts,
-                                owned=rank_pts[owner[rank_pts] == r]))
-    return out
-
-
-def _extract_rank(bundle: MeshBundle, rps: RankPointSet) -> RankLocalMesh:
-    """One rank's local mesh, moved by its share of the migration SF."""
-    plex = bundle.plex
-    l2g = rps.points
-    sf = _migration_sf([rps.rank], [l2g])
-    moved = [sf.bcast(*layout) for layout in _layouts(bundle, bundle.labels)]
-    moved[0] = (moved[0][0], np.searchsorted(l2g, moved[0][1]))  # cones in local ids
-
-    owned = np.zeros(l2g.size, dtype=bool)
-    owned[np.searchsorted(l2g, rps.owned)] = True
-    owned_cells = set(np.flatnonzero(owned & (plex.heights[l2g] == 0)).tolist())
-    ghosts = set(np.flatnonzero(~owned).tolist())
-    return RankLocalMesh(rank=rps.rank, bundle=_bundle(plex.dim, bundle.labels, moved),
-                         local_to_global=l2g, owned_cells=owned_cells,
-                         ghost_points=ghosts)
+    leaf_point = np.arange(keys.size) - np.searchsorted(ranks, ranks)
+    return StarForest(nparts, ranks, leaf_point, np.zeros_like(ranks), pts), owner
 
 
 def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
@@ -220,28 +192,32 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
             ) -> tuple[list[RankLocalMesh], StarForest, MigrationReport]:
     """Split a bundle into rank-local meshes plus the star forest linking them.
 
-    Each rank's share of the migration SF (rank-local point -> global point)
-    moves its topology, coordinates and labels.  Fields, when supplied, are
-    moved through the same SF only to be counted in the migration bytes (the
-    fully allocated state a preprocessor-style start-up would ship), not kept;
-    omitting them models the topology-only start-up.  The returned point SF
-    links every ghost point to its owner's copy.
+    One bcast over the migration SF (rank-local point -> global point) moves
+    the topology, the coordinates and each label to every rank.  Fields,
+    when supplied, are moved through the same SF only to be counted in the
+    migration bytes (the fully allocated state a preprocessor-style start-up
+    would ship), not kept; omitting them models the topology-only start-up.
+    The returned point SF links every ghost point to its owner's copy.
     """
     if nranks != pmap.nparts:
         raise ValueError(f"nranks={nranks} does not match map nparts={pmap.nparts}")
-    chart = bundle.plex.chart_size
+    plex = bundle.plex
+    chart = plex.chart_size
     for f in fields or ():
         if f.section.num_points != chart:
             raise ValueError(f"field '{f.name}' is not laid out over this chart")
-    rank_sets = close_partition(bundle.plex, pmap)
-    locals_ = [_extract_rank(bundle, rps) for rps in rank_sets]
+    msf, owner = close_partition(plex, pmap)
+    bounds = np.searchsorted(msf.leaf_rank, np.arange(nranks + 1)).tolist()
+    names = list(bundle.labels)
+    moved = [msf.bcast(*layout) for layout in _layouts(bundle, names)]
+    # Cones in rank-local ids: the leaf point of each (leaf rank, cone point).
+    offsets = moved[0][0]
+    rank_key = msf.leaf_rank * chart
+    moved[0] = (offsets, msf.leaf_point[np.searchsorted(
+        rank_key + msf.root_point, np.repeat(rank_key, np.diff(offsets)) + moved[0][1])])
 
     # Point SF by composition: reduce the owners' local ids onto the global
     # points, then bcast them back to every copy.
-    msf = _migration_sf([rps.rank for rps in rank_sets], [rps.points for rps in rank_sets])
-    owner = np.empty(chart, dtype=np.int64)
-    owner[np.concatenate([rps.owned for rps in rank_sets])] = np.repeat(
-        [rps.rank for rps in rank_sets], [rps.owned.size for rps in rank_sets])
     owned = owner[msf.root_point] == msf.leaf_rank
     _, owner_point = msf.select(owned).reduce(
         Section(np.ones(np.count_nonzero(owned))), msf.leaf_point[owned], chart)
@@ -250,12 +226,21 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
     sf = StarForest(nranks, msf.leaf_rank[ghost], msf.leaf_point[ghost],
                     owner[msf.root_point[ghost]], owner_point[ghost])
 
+    owned_cell = owned & (plex.heights[msf.root_point] == 0)
+    locals_ = []
+    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rank_moved = [(o[lo:hi + 1] - o[lo], v[o[lo]:o[hi]]) for o, v in moved]
+        locals_.append(RankLocalMesh(
+            rank=r, bundle=_bundle(plex.dim, names, rank_moved),
+            local_to_global=msf.root_point[lo:hi],
+            owned_cells=set(np.flatnonzero(owned_cell[lo:hi]).tolist()),
+            ghost_points=set(np.flatnonzero(ghost[lo:hi]).tolist())))
+
     report = MigrationReport(
-        bytes_topology=8 * sum(lm.bundle.plex._cone_targets.size + lm.local_to_global.size
-                               for lm in locals_),
-        bytes_coordinates=8 * sum(lm.bundle.coordinates.values.size for lm in locals_),
+        bytes_topology=8 * (moved[0][1].size + msf.leaf_point.size),
+        bytes_coordinates=8 * moved[1][1].size,
         bytes_fields=8 * sum(msf.bcast(f.section, f.values)[1].size for f in fields or ()),
-        points_per_rank=[lm.bundle.plex.chart_size for lm in locals_],
+        points_per_rank=np.diff(bounds).tolist(),
     )
     return locals_, sf, report
 

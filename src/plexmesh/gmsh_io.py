@@ -130,6 +130,13 @@ def _ints(fields: list[str], context: str) -> list[int]:
             f"non-integer field in {context} '{' '.join(fields)}'") from None
 
 
+def _count(stream: IO[str], section: str) -> int:
+    n = _ints([_next_line(stream, section)], f"{section} count")[0]
+    if n < 0:
+        raise GmshParseError(f"negative {section} count {n}")
+    return n
+
+
 def read_gmsh(stream: IO[str]) -> RawMesh:
     """Parse an MSH 2.2 ASCII stream into a RawMesh.
 
@@ -172,7 +179,7 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
             saw_format = True
 
         elif section == "Nodes":
-            for _ in range(_ints([_next_line(stream, "$Nodes")], "$Nodes count")[0]):
+            for _ in range(_count(stream, "$Nodes")):
                 line = _next_line(stream, "$Nodes")
                 parts = line.split()
                 try:
@@ -187,9 +194,9 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
             saw_nodes = True
 
         elif section == "Elements":
-            for _ in range(_ints([_next_line(stream, "$Elements")], "$Elements count")[0]):
+            for _ in range(_count(stream, "$Elements")):
                 parts = _ints(_next_line(stream, "$Elements").split(), "element line")
-                if len(parts) < 3:
+                if len(parts) < 3 or parts[2] < 0:
                     raise GmshParseError("malformed element line")
                 etype, ntags = parts[1], parts[2]
                 tags = parts[3:3 + ntags]

@@ -393,6 +393,12 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int) -> np.ndarray:
         i = int(repeated[0])
         raise ValueError(f"degenerate cell {i} {tuple(cells[i].tolist())}: "
                          "repeated vertex id")
+    order = np.lexsort(ordered.T[::-1])
+    same = np.flatnonzero(np.all(ordered[order[1:]] == ordered[order[:-1]], axis=1))
+    if same.size:
+        i, j = order[[same[0], same[0] + 1]].tolist()  # stable: i < j
+        raise ValueError(f"duplicate cell {j} {tuple(cells[j].tolist())}: "
+                         f"same vertices as cell {i}")
     unused = np.bincount(cells.ravel(), minlength=num_vertices) == 0
     if unused.any():
         raise ValueError(f"vertex {int(np.argmax(unused))} is used by no cell")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gmsh_io import MeshBundle
-from .plex import _pairs_to_csr, _row_pairs
+from .plex import _pairs_to_csr, _row_ids, _row_pairs
 
 
 class CsrPattern:
@@ -81,7 +81,5 @@ def profile(pattern: CsrPattern) -> int:
 
 def spy_export(pattern: CsrPattern) -> str:
     """CSV of stored entries, row-major: header 'row,col' then one line each."""
-    lines = ["row,col"]
-    for i in range(pattern.n):
-        lines.extend(f"{i},{j}" for j in pattern.row(i))
-    return "\n".join(lines) + "\n"
+    pairs = zip(_row_ids(pattern.indptr).tolist(), pattern.indices.tolist())
+    return "".join(["row,col\n", *(f"{i},{j}\n" for i, j in pairs)])

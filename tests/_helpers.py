@@ -20,6 +20,13 @@ def canonical(bundle: pm.MeshBundle):
     )
 
 
+def rank_points(msf, owner, rank: int):
+    """Points a rank receives and the ones it owns, from close_partition's
+    (migration SF, owner) pair, as sorted lists of global ids."""
+    points = msf.root_point[msf.leaf_rank == rank]
+    return points.tolist(), points[owner[points] == rank].tolist()
+
+
 def dof_indices(psec, perm, ghost_points):
     """Dof index lists (owned, ghost) of a permuted section."""
     owned, ghost = [], []

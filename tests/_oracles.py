@@ -17,7 +17,6 @@ from plexmesh import (CsrPattern, Field, Halo, Label, MeshBundle,
                       MigrationReport, PartitionMap, Permutation, Plex,
                       RankLocalMesh, RawMesh, Section, permute_section,
                       section_from_depth_dofs)
-from plexmesh.distribute import RankPointSet
 from plexmesh.partition import DualGraph
 from plexmesh.plex import _CELL_ARITY, _TET_FACETS, _TRI_EDGES, _csr_rows, _offsets
 from plexmesh.renumber import _cuthill_mckee, _pseudo_peripheral
@@ -317,6 +316,15 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
                          if bfacets else np.empty((0, max(plex.dim, 1)), dtype=np.int64)),
         boundary_markers=np.array(markers, dtype=np.int64),
     )
+
+
+@dataclass(eq=False)
+class RankPointSet:
+    """One rank's share of the global chart: owned points plus one cell overlap."""
+
+    rank: int
+    points: np.ndarray  # sorted global ids, owned + overlap
+    owned: np.ndarray   # sorted global ids owned by this rank
 
 
 def close_partition(plex: Plex, pmap: PartitionMap) -> list[RankPointSet]:

@@ -213,12 +213,24 @@ class TestExitCodes:
         ("4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n3 1 1 0\n", "duplicate node tag 3"),
         ("four\n", "count 'four'"),
         ("3\n1 0 0 0\n2 nan 0 0\n3 0 1 0\n", "node 2 has a non-finite"),
-    ], ids=["duplicate-tag", "non-integer-count", "nan-coordinate"])
+        ("-1\n", "negative $Nodes count -1"),
+    ], ids=["duplicate-tag", "non-integer-count", "nan-coordinate", "negative-count"])
     def test_malformed_nodes_are_parse_errors(self, tmp_path, capsys, nodes, message):
         mesh = tmp_path / "bad.msh"
         mesh.write_text(ONE_TRIANGLE.replace(
             "3\n1 0 0 0\n2 1 0 0\n3 0 1 0\n", nodes))
         assert main(["info", str(mesh)]) == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("elements,code,message", [
+        ("1\n1 2 -1 1 1 2 3\n", 2, "malformed element line"),
+        ("2\n1 2 2 0 0 1 2 3\n2 2 2 0 0 1 2 3\n", 3,
+         "duplicate cell 1 (0, 1, 2): same vertices as cell 0"),
+    ], ids=["negative-ntags", "duplicate-cell"])
+    def test_malformed_elements(self, tmp_path, capsys, elements, code, message):
+        mesh = tmp_path / "bad.msh"
+        mesh.write_text(ONE_TRIANGLE.replace("1\n1 2 2 0 0 1 2 3\n", elements))
+        assert main(["info", str(mesh)]) == code
         assert message in capsys.readouterr().err
 
     def test_unused_vertex_is_a_validation_error(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ from plexmesh import (PartitionMap, StarForest, build_halo, close_partition,
                       gather_to_root, migrate, permute_section,
                       section_from_depth_dofs)
 
-from _helpers import canonical, dof_indices
+from _helpers import canonical, dof_indices, rank_points
 
 
 def split_two_triangle(bundle):
@@ -26,27 +26,30 @@ def split_two_triangle(bundle):
 class TestClosePartition:
     def test_single_part_gets_everything(self, two_triangle):
         plex = two_triangle.plex
-        [rps] = close_partition(plex, PartitionMap(np.array([0, 0]), 1))
-        assert rps.points.tolist() == list(range(11))
-        assert rps.owned.tolist() == list(range(11))
+        msf, owner = close_partition(plex, PartitionMap(np.array([0, 0]), 1))
+        points, owned = rank_points(msf, owner, 0)
+        assert points == list(range(11))
+        assert owned == list(range(11))
 
     def test_two_triangle_hand_enumeration(self, two_triangle):
-        sets = close_partition(two_triangle.plex, PartitionMap(np.array([0, 1]), 2))
+        msf, owner = close_partition(two_triangle.plex, PartitionMap(np.array([0, 1]), 2))
+        (points0, owned0), (points1, owned1) = (rank_points(msf, owner, r) for r in (0, 1))
         # one layer of overlap pulls the whole mesh onto both ranks
-        assert sets[0].points.tolist() == list(range(11))
-        assert sets[1].points.tolist() == list(range(11))
+        assert points0 == list(range(11))
+        assert points1 == list(range(11))
         # closure(cell 0) = {0, edges 6,7,8, vertices 2,3,4}: rank 0 owns it,
         # including the shared edge 6 and its vertices 3,4 (lowest rank wins)
-        assert sets[0].owned.tolist() == [0, 2, 3, 4, 6, 7, 8]
-        assert sets[1].owned.tolist() == [1, 5, 9, 10]
+        assert owned0 == [0, 2, 3, 4, 6, 7, 8]
+        assert owned1 == [1, 5, 9, 10]
 
     def test_grid4_owned_cells_partition(self, bundles):
         bundle = bundles["grid4"]
         graph = pm.build_dual_graph(bundle.plex)
         pmap = pm.partition_cells(graph, 4)
-        sets = close_partition(bundle.plex, pmap)
+        msf, owner = close_partition(bundle.plex, pmap)
         cells = bundle.plex.height_stratum(0)
-        owned_cells = [set(rps.owned.tolist()) & set(cells.tolist()) for rps in sets]
+        owned_cells = [set(rank_points(msf, owner, r)[1]) & set(cells.tolist())
+                       for r in range(4)]
         assert set().union(*owned_cells) == set(cells.tolist())
         for a in range(4):
             for b in range(a + 1, 4):
@@ -247,25 +250,27 @@ class TestGather:
 
 
 class TestConcurrencyContract:
-    def test_concurrent_extraction_matches_serial(self, bundles):
-        # per-rank extraction shares no mutable state, so a thread pool must
-        # reproduce the serial result exactly
-        from concurrent.futures import ThreadPoolExecutor
+    @pytest.mark.parametrize("name,nparts", [("grid4", 4), ("cube", 4)])
+    def test_rank_meshes_share_no_memory(self, bundles, name, nparts):
+        # no array of a rank's local mesh overlaps another rank's or the
+        # input bundle's, so ranks can be handed out and worked on
+        # independently
+        def arrays(bundle):
+            plex, coords = bundle.plex, bundle.coordinates
+            yield from (plex._cone_offsets, plex._cone_targets,
+                        coords.section.dofs, coords.section.offsets, coords.values)
+            for label in bundle.labels.values():
+                yield from (label.points, label.values)
 
-        from plexmesh.distribute import _extract_rank, close_partition
-
-        bundle = bundles["grid4"]
-        pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), 4)
-        serial, _, _ = migrate(bundle, pmap, 4)
-        rank_sets = close_partition(bundle.plex, pmap)
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            threaded = list(pool.map(lambda rps: _extract_rank(bundle, rps),
-                                     rank_sets))
-        for a, b in zip(serial, threaded):
-            assert a.bundle == b.bundle
-            assert a.local_to_global.tolist() == b.local_to_global.tolist()
-            assert a.owned_cells == b.owned_cells
-            assert a.ghost_points == b.ghost_points
+        bundle = bundles[name]
+        pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), nparts)
+        locals_, _, _ = migrate(bundle, pmap, nparts)
+        assert all(lm.bundle.labels for lm in locals_)
+        per_rank = [[*arrays(lm.bundle), lm.local_to_global] for lm in locals_]
+        for r, mine in enumerate(per_rank):
+            others = [a for q in per_rank[r + 1:] for a in q] + [*arrays(bundle)]
+            for a in mine:
+                assert not any(np.shares_memory(a, b) for b in others)
 
     def test_concurrent_plex_reads(self, bundles):
         from concurrent.futures import ThreadPoolExecutor

@@ -104,7 +104,11 @@ class TestRead:
         ("$Elements\n1\n", "$Elements\n1.0\n", "count '1.0'"),
         ("1 2 3 4\n$End", "1 2 3 x\n$End", "non-integer field in element line"),
         ("2 1 0 0", "2 1 0 zero", "malformed node line '2 1 0 zero'"),
-    ], ids=["nodes-count", "elements-count", "element-field", "node-field"])
+        ("$Nodes\n4\n", "$Nodes\n-1\n", r"negative \$Nodes count -1"),
+        ("$Elements\n1\n", "$Elements\n-1\n", r"negative \$Elements count -1"),
+        ("1 4 2 0 0 1 2 3 4", "1 4 -1 0 1 2 3 4", "malformed element line"),
+    ], ids=["nodes-count", "elements-count", "element-field", "node-field",
+            "negative-nodes-count", "negative-elements-count", "negative-ntags"])
     def test_non_numeric_field(self, old, new, match):
         with pytest.raises(pm.GmshParseError, match=match):
             parse(MINIMAL_TET.replace(old, new))

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
+from _helpers import rank_points
 import plexmesh as pm
 
 # Seeded: the same examples run every time.
@@ -162,11 +163,15 @@ def test_close_partition_matches_oracle(raw, seed, nparts):
     # Random ranks, some possibly empty.
     ranks = np.random.default_rng(seed).integers(0, nparts, raw.num_cells)
     pmap = pm.PartitionMap(ranks, nparts)
-    got = pm.close_partition(bundle.plex, pmap)
+    msf, owner = pm.close_partition(bundle.plex, pmap)
     want = oracle.close_partition(bundle.plex, pmap)
-    for a, b in zip(got, want, strict=True):
-        assert a.points.tolist() == b.points.tolist()
-        assert a.owned.tolist() == b.owned.tolist()
+    assert msf.leaf_rank.size == sum(b.points.size for b in want)
+    for b in want:
+        points, owned = rank_points(msf, owner, b.rank)
+        assert points == b.points.tolist()
+        assert owned == b.owned.tolist()
+        assert msf.leaf_point[msf.leaf_rank == b.rank].tolist() == list(range(len(points)))
+    assert not msf.root_rank.any()
     locals_, sf, _ = pm.migrate(bundle, pmap, nparts)
     assert pm.gather_to_root(locals_, sf) == bundle
 

@@ -101,6 +101,18 @@ class TestBuildFromCells:
                 str(v) for v in cells[1]) + r"\)"):
             build_from_cells(cells, 4, dim)
 
+    @pytest.mark.parametrize("dim,cells,match", [
+        (1, [(0, 1), (1, 2), (1, 0)], r"duplicate cell 2 \(1, 0\): same vertices as cell 0"),
+        (2, [(0, 1, 2), (0, 1, 2)], r"duplicate cell 1 \(0, 1, 2\): same vertices as cell 0"),
+        (3, [(0, 1, 2, 3), (1, 2, 3, 4), (3, 2, 1, 0)],
+         r"duplicate cell 2 \(3, 2, 1, 0\): same vertices as cell 0"),
+    ], ids=["interval", "triangles", "tets"])
+    def test_duplicate_cell_rejected(self, dim, cells, match):
+        # without the check, two copies of a triangle interpolate to two
+        # cells sharing all three edges
+        with pytest.raises(ValueError, match=match):
+            build_from_cells(cells, 1 + max(max(c) for c in cells), dim)
+
 
 @pytest.fixture(scope="module")
 def tet():
