@@ -3,22 +3,34 @@
 Only the legacy 2.2 ASCII flavour is handled; anything else (4.x headers,
 binary flag) is rejected with a clear error.  Node ids are 1-based in the
 file and 0-based everywhere else.
+
+$Nodes and $Elements blocks are parsed and formatted as arrays with numpy:
+the reader reads lines from the stream as it needs them, turns up to 512
+lines of a block into arrays in one step and checks them together, going
+line by line only to name the first bad line of a slice that fails; the
+writer fills one %-template repeated per row, so its text is byte-identical
+to formatting each line on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO
+from itertools import chain, islice
+from typing import IO, Iterator
 
 import numpy as np
 
-from .plex import Label, Plex, build_from_cells
+from .plex import Label, Plex, _offsets, build_from_cells
 from .section import Field, section_from_depth_dofs
 
 # Gmsh element type -> (topological dimension, node count)
-_ELEMENT_TYPES = {1: (1, 2), 2: (2, 3), 4: (3, 4)}
-_TYPE_FOR_DIM = {1: 1, 2: 2, 3: 4}
 _GMSH_POINT = 15
+_ELEMENT_TYPES = {1: (1, 2), 2: (2, 3), 4: (3, 4), _GMSH_POINT: (0, 1)}
+_TYPE_FOR_DIM = {d: t for t, (d, _) in _ELEMENT_TYPES.items()}
+# The same table indexed by type number, -1 for unsupported types.
+_TYPE_DIM, _TYPE_NODES = np.full((2, _GMSH_POINT + 1), -1, dtype=np.int64)
+_TYPE_DIM[list(_ELEMENT_TYPES)], _TYPE_NODES[list(_ELEMENT_TYPES)] = zip(
+    *_ELEMENT_TYPES.values())
 
 
 class GmshParseError(ValueError):
@@ -114,27 +126,96 @@ class MeshBundle:
 # -- reading -------------------------------------------------------------------
 
 
-def _next_line(stream: IO[str], context: str) -> str:
-    for line in stream:
-        line = line.strip()
-        if line:
-            return line
-    raise GmshParseError(f"unexpected end of file while reading {context}")
+def _line(lines: Iterator[str], context: str) -> str:
+    line = next(lines, None)
+    if line is None:
+        raise GmshParseError(f"unexpected end of file while reading {context}")
+    return line
 
 
 def _ints(fields: list[str], context: str) -> list[int]:
     try:
-        return [int(x) for x in fields]
-    except ValueError:
+        return np.array(fields, dtype=np.int64).tolist()
+    except (ValueError, OverflowError):
         raise GmshParseError(
             f"non-integer field in {context} '{' '.join(fields)}'") from None
 
 
-def _count(stream: IO[str], section: str) -> int:
-    n = _ints([_next_line(stream, section)], f"{section} count")[0]
+def _count(line: str, section: str) -> int:
+    n = _ints([line], f"{section} count")[0]
     if n < 0:
         raise GmshParseError(f"negative {section} count {n}")
     return n
+
+
+def _parse_nodes(block: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tags and (n, 3) coordinates of n lines of a $Nodes block."""
+    rows = list(map(str.split, block))
+    if len(rows) == n and set(map(len, rows)) <= {4}:
+        fields = list(chain.from_iterable(rows))
+        try:
+            tags = np.array(fields[::4], dtype=np.int64)
+            del fields[::4]
+            return tags, np.array(fields, dtype=np.float64).reshape(n, 3)
+        except (ValueError, OverflowError):
+            pass
+    # Error path only: name the first bad line.
+    for line, r in zip(block, rows):
+        try:
+            if len(r) != 4:
+                raise ValueError
+            np.array(r[:1], dtype=np.int64), np.array(r[1:], dtype=np.float64)
+        except (ValueError, OverflowError):
+            raise GmshParseError(f"malformed node line '{line}'") from None
+    raise GmshParseError("unexpected end of file while reading $Nodes")
+
+
+def _parse_elements(block: list[str], n: int) -> tuple[np.ndarray, ...]:
+    """Type, first tag (0 if none) and node count of each of n lines of an
+    $Elements block, plus all their node tags end to end.
+
+    Point lines are not checked: they only matter in a 1D mesh, which is
+    known once every block is read.
+    """
+    rows = list(map(str.split, block))
+    sizes = np.array(list(map(len, rows)), dtype=np.int64)
+    try:
+        fields = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
+    except (ValueError, OverflowError):
+        fields = None
+    if fields is not None and len(rows) == n and (sizes >= 3).all():
+        start = _offsets(sizes)[:-1]
+        etype, ntags = fields[start + 1], fields[start + 2]
+        in_table = (etype >= 0) & (etype < len(_TYPE_NODES))
+        want = np.where(in_table, _TYPE_NODES[np.where(in_table, etype, 0)], -1)
+        nnodes = np.maximum(sizes - 3 - ntags, 0)
+        if ((ntags >= 0) & ((etype == _GMSH_POINT) | (nnodes == want))).all():
+            tagged = (ntags > 0) & (sizes > 3)
+            first = np.where(tagged, fields[np.where(tagged, start + 3, 0)], 0)
+            node_off = _offsets(nnodes)
+            at = (np.arange(node_off[-1], dtype=np.int64)
+                  + np.repeat(start + 3 + ntags - node_off[:-1], nnodes))
+            return etype, first, nnodes, fields[at]
+    # Error path only: name the first bad line.
+    for parts in rows:
+        parts = _ints(parts, "element line")
+        if len(parts) < 3 or parts[2] < 0:
+            raise GmshParseError("malformed element line")
+        etype, ntags = parts[1], parts[2]
+        if etype == _GMSH_POINT:
+            continue
+        if etype not in _ELEMENT_TYPES:
+            raise GmshParseError(f"unsupported element type {etype}")
+        nnodes = _ELEMENT_TYPES[etype][1]
+        if len(parts[3 + ntags:]) != nnodes:
+            raise GmshParseError(
+                f"type-{etype} element needs {nnodes} nodes, got {len(parts[3 + ntags:])}")
+    raise GmshParseError("unexpected end of file while reading $Elements")
+
+
+_BLOCKS = {"Nodes": _parse_nodes, "Elements": _parse_elements}
+# Lines of a block parsed in one step; bounds the reader's transient memory.
+_SLICE_LINES = 512
 
 
 def read_gmsh(stream: IO[str]) -> RawMesh:
@@ -142,27 +223,21 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
 
     The mesh dimension is the highest element dimension present; elements of
     that dimension become cells, those one lower become boundary facets with
-    their first tag as marker.  Point elements (type 15) and anything of even
-    lower dimension are skipped.
+    their first tag as marker.  Point elements (type 15) are therefore the
+    boundary facets of a 1D mesh; in 2D and 3D they are skipped, as is
+    anything else of lower dimension.  A file of points alone has no cells.
     """
-    node_tags: list[int] = []
-    coords: list[tuple[float, float, float]] = []
-    elements: list[tuple[int, int, list[int]]] = []  # (dim, first tag, node tags)
-    saw_format = saw_nodes = saw_elements = False
-
-    while True:
-        line = stream.readline()
-        if not line:
-            break
-        line = line.strip()
-        if not line:
-            continue
+    # Stripped non-blank lines, read from the stream as they are needed.
+    lines = filter(None, map(str.strip, stream))
+    blocks: dict[str, list] = {"Nodes": [], "Elements": []}
+    saw_format = False
+    for line in lines:
         if not line.startswith("$"):
             raise GmshParseError(f"expected a section header, got '{line}'")
         section = line[1:]
 
         if section == "MeshFormat":
-            parts = _next_line(stream, "$MeshFormat").split()
+            parts = _line(lines, line).split()
             if len(parts) != 3:
                 raise GmshParseError("malformed $MeshFormat line")
             version = parts[0]
@@ -174,95 +249,70 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
                 raise GmshParseError("binary MSH files are not supported")
             if data_size != 8:
                 raise GmshParseError(f"unsupported data size {data_size}")
-            if _next_line(stream, "$MeshFormat") != "$EndMeshFormat":
+            if _line(lines, line) != "$EndMeshFormat":
                 raise GmshParseError("missing $EndMeshFormat")
             saw_format = True
 
-        elif section == "Nodes":
-            for _ in range(_count(stream, "$Nodes")):
-                line = _next_line(stream, "$Nodes")
-                parts = line.split()
-                try:
-                    if len(parts) != 4:
-                        raise ValueError
-                    node_tags.append(int(parts[0]))
-                    coords.append((float(parts[1]), float(parts[2]), float(parts[3])))
-                except ValueError:
-                    raise GmshParseError(f"malformed node line '{line}'") from None
-            if _next_line(stream, "$Nodes") != "$EndNodes":
-                raise GmshParseError("missing $EndNodes")
-            saw_nodes = True
+        elif section in _BLOCKS:
+            n = _count(_line(lines, line), line)
+            # Slice by slice, so that only one slice's strings are held at
+            # once; a block of 0 lines is one empty slice.
+            for k in range(0, max(n, 1), _SLICE_LINES):
+                m = min(_SLICE_LINES, n - k)
+                blocks[section].append(_BLOCKS[section](list(islice(lines, m)), m))
+            if _line(lines, line) != f"$End{section}":
+                raise GmshParseError(f"missing $End{section}")
 
-        elif section == "Elements":
-            for _ in range(_count(stream, "$Elements")):
-                parts = _ints(_next_line(stream, "$Elements").split(), "element line")
-                if len(parts) < 3 or parts[2] < 0:
-                    raise GmshParseError("malformed element line")
-                etype, ntags = parts[1], parts[2]
-                tags = parts[3:3 + ntags]
-                nodes = parts[3 + ntags:]
-                if etype == _GMSH_POINT:
-                    continue
-                if etype not in _ELEMENT_TYPES:
-                    raise GmshParseError(f"unsupported element type {etype}")
-                edim, nnodes = _ELEMENT_TYPES[etype]
-                if len(nodes) != nnodes:
-                    raise GmshParseError(
-                        f"type-{etype} element needs {nnodes} nodes, got {len(nodes)}")
-                elements.append((edim, tags[0] if tags else 0, nodes))
-            if _next_line(stream, "$Elements") != "$EndElements":
-                raise GmshParseError("missing $EndElements")
-            saw_elements = True
-
-        else:
-            # Unknown section ($PhysicalNames, ...): skip to its terminator.
-            end = f"$End{section}"
-            while True:
-                inner = stream.readline()
-                if not inner:
-                    raise GmshParseError(f"missing {end}")
-                if inner.strip() == end:
-                    break
+        # Unknown section ($PhysicalNames, ...): skip to its terminator.
+        elif f"$End{section}" not in lines:
+            raise GmshParseError(f"missing $End{section}")
 
     if not saw_format:
         raise GmshParseError("missing $MeshFormat section")
-    if not saw_nodes:
+    if not blocks["Nodes"]:
         raise GmshParseError("missing $Nodes section")
-    if not saw_elements or not elements:
+    elements = [np.concatenate(col) for col in zip(*blocks["Elements"])]
+    if not elements or (elements[0] == _GMSH_POINT).all():
         raise GmshParseError("no cells of maximal dimension")
+    etype, first, nnodes, refs = elements
+    tags, xyz = (np.concatenate(col) for col in zip(*blocks["Nodes"]))
 
-    tag_to_index = {t: i for i, t in enumerate(node_tags)}
-    if len(tag_to_index) != len(node_tags):
-        dup = next(t for i, t in enumerate(node_tags) if tag_to_index[t] != i)
-        raise GmshParseError(f"duplicate node tag {dup}")
-    xyz = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    order = np.argsort(tags, kind="stable")
+    sorted_tags = tags[order]
+    repeated = sorted_tags[1:] == sorted_tags[:-1]
+    if repeated.any():
+        # The first node whose tag a later node repeats.
+        raise GmshParseError(f"duplicate node tag {tags[order[:-1][repeated].min()]}")
     finite = np.isfinite(xyz).all(axis=1)
     if not finite.all():
         raise GmshParseError(
-            f"node {node_tags[int(np.argmin(finite))]} has a non-finite coordinate")
-    dim = max(e[0] for e in elements)
-    cells, regions, bfacets, markers = [], [], [], []
-    for edim, tag, nodes in elements:
-        try:
-            verts = [tag_to_index[n] for n in nodes]
-        except KeyError as exc:
-            raise GmshParseError(f"element references unknown node {exc.args[0]}")
-        if edim == dim:
-            cells.append(verts)
-            regions.append(tag)
-        elif edim == dim - 1:
-            bfacets.append(verts)
-            markers.append(tag)
-        # lower-dimensional elements carry no meaning here; skip
+            f"node {tags[np.argmin(finite)]} has a non-finite coordinate")
 
+    point = etype == _GMSH_POINT
+    edim = _TYPE_DIM[etype]
+    dim = int(edim[~point].max())
+    if dim == 1 and (nnodes[point] != 1).any():
+        bad = nnodes[point][nnodes[point] != 1][0]
+        raise GmshParseError(f"type-{_GMSH_POINT} element needs 1 nodes, got {bad}")
+    used = ~point | (dim == 1)
+    refs = refs[np.repeat(used, nnodes)]
+    at = np.searchsorted(sorted_tags, refs)
+    found = at < len(tags)
+    found[found] = sorted_tags[at[found]] == refs[found]
+    if not found.all():
+        raise GmshParseError(f"element references unknown node {refs[np.argmin(found)]}")
+    verts = order[at]
+
+    edim, first = edim[used], first[used]
+    start = _offsets(nnodes[used])[:-1]
+    cells, facets = edim == dim, edim == dim - 1
     return RawMesh(
         dim=dim,
         vertices=xyz[:, :dim],
-        cells=np.array(cells, dtype=np.int64),
-        cell_region_ids=np.array(regions, dtype=np.int64),
-        boundary_facets=(np.array(bfacets, dtype=np.int64)
-                         if bfacets else np.empty((0, max(dim, 1)), dtype=np.int64)),
-        boundary_markers=np.array(markers, dtype=np.int64),
+        cells=verts[start[cells][:, None] + np.arange(dim + 1)],
+        cell_region_ids=first[cells],
+        boundary_facets=verts[start[facets][:, None] + np.arange(dim)],
+        boundary_markers=first[facets],
     )
 
 
@@ -274,40 +324,42 @@ def read_gmsh_file(path) -> RawMesh:
 # -- writing -------------------------------------------------------------------
 
 
+def _format_rows(row: str, table: np.ndarray) -> str:
+    """The %-template `row` filled in for every row of a 2D table, in one step."""
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def _element_lines(first_id: int, etype: int, tags: np.ndarray, nodes: np.ndarray) -> str:
+    """Element lines numbered from first_id, each tag in both tag slots."""
+    n = len(nodes)
+    table = np.column_stack([np.arange(first_id, first_id + n), np.full(n, etype),
+                             np.full(n, 2), tags, tags, nodes + 1])
+    return _format_rows(" ".join(["%d"] * table.shape[1]) + "\n", table)
+
+
 def write_gmsh(mesh: RawMesh) -> str:
     """Serialize a RawMesh as MSH 2.2 ASCII; read_gmsh inverts it exactly.
 
-    Boundary facets are emitted before cells, each with its marker (or region
-    id) duplicated into the two conventional tag slots.  Coordinates are
-    written with 16 significant digits and zero-padded to three components.
+    Boundary facets are emitted before cells (points, type 15, in 1D), each
+    with its marker (or region id) duplicated into the two conventional tag
+    slots.  Coordinates are written with 16 significant digits and
+    zero-padded to three components.
     """
     if mesh.num_vertices == 0:
         raise ValueError("refusing to write a mesh with no vertices")
-    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
-
-    out.append("$Nodes")
-    out.append(str(mesh.num_vertices))
-    xyz = np.zeros((mesh.num_vertices, 3), dtype=np.float64)
-    xyz[:, :mesh.dim] = mesh.vertices
-    for i, (x, y, z) in enumerate(xyz):
-        out.append(f"{i + 1} {x:.16g} {y:.16g} {z:.16g}")
-    out.append("$EndNodes")
-
-    out.append("$Elements")
-    out.append(str(len(mesh.boundary_facets) + mesh.num_cells))
-    eid = 1
-    ftype = _TYPE_FOR_DIM.get(mesh.dim - 1)
-    for facet, marker in zip(mesh.boundary_facets, mesh.boundary_markers):
-        nodes = " ".join(str(v + 1) for v in facet)
-        out.append(f"{eid} {ftype} 2 {marker} {marker} {nodes}")
-        eid += 1
-    ctype = _TYPE_FOR_DIM[mesh.dim]
-    for cell, region in zip(mesh.cells, mesh.cell_region_ids):
-        nodes = " ".join(str(v + 1) for v in cell)
-        out.append(f"{eid} {ctype} 2 {region} {region} {nodes}")
-        eid += 1
-    out.append("$EndElements")
-    return "\n".join(out) + "\n"
+    nv, nf = mesh.num_vertices, len(mesh.boundary_facets)
+    nodes = np.zeros((nv, 4), dtype=np.float64)
+    nodes[:, 0] = np.arange(1, nv + 1)  # exact in float64, written with %d
+    nodes[:, 1:1 + mesh.dim] = mesh.vertices
+    return "".join([
+        f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{nv}\n",
+        _format_rows("%d %.16g %.16g %.16g\n", nodes),
+        f"$EndNodes\n$Elements\n{nf + mesh.num_cells}\n",
+        _element_lines(1, _TYPE_FOR_DIM[mesh.dim - 1], mesh.boundary_markers,
+                       mesh.boundary_facets),
+        _element_lines(nf + 1, _TYPE_FOR_DIM[mesh.dim], mesh.cell_region_ids, mesh.cells),
+        "$EndElements\n",
+    ])
 
 
 def write_gmsh_file(mesh: RawMesh, path) -> None:

@@ -1,21 +1,22 @@
 """Per-point reference implementations of the array kernels.
 
-These are the original loop-and-dict versions of the topology kernels and
-of the distribution code (tuple-list star forest, dict-of-sets labels), kept
-verbatim (bar being free functions over the public API) as test oracles:
-every array kernel must give exactly their results.
+These are the original loop-and-dict versions of the topology kernels, of
+the distribution code (tuple-list star forest, dict-of-sets labels) and of
+the line-at-a-time MSH 2.2 reader and writer, kept verbatim (bar being free
+functions over the public API) as test oracles: every array kernel must give
+exactly their results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Sequence
 
 import numpy as np
 
-from plexmesh import (CsrPattern, Field, Halo, Label, MeshBundle,
-                      MigrationReport, PartitionMap, Permutation, Plex,
-                      RankLocalMesh, RawMesh, Section, permute_section,
+from plexmesh import (CsrPattern, Field, GmshParseError, Halo, Label,
+                      MeshBundle, MigrationReport, PartitionMap, Permutation,
+                      Plex, RankLocalMesh, RawMesh, Section, permute_section,
                       section_from_depth_dofs)
 from plexmesh.partition import DualGraph
 from plexmesh.plex import _CELL_ARITY, _TET_FACETS, _TRI_EDGES, _csr_rows, _offsets
@@ -594,3 +595,199 @@ def dict_labels(bundle: MeshBundle) -> MeshBundle:
 def label_sets(label) -> dict[int, set[int]]:
     """{value: set of points} of a Label or a DictLabel."""
     return {v: set(label.points_with(v).tolist()) for v in label.value_ids()}
+
+
+# -- MSH 2.2 text I/O: one line at a time ----------------------------------------
+
+# The element tables as the line-at-a-time reader and writer knew them.
+_ELEMENT_TYPES = {1: (1, 2), 2: (2, 3), 4: (3, 4)}
+_TYPE_FOR_DIM = {1: 1, 2: 2, 3: 4}
+_GMSH_POINT = 15
+
+
+def _next_line(stream: IO[str], context: str) -> str:
+    for line in stream:
+        line = line.strip()
+        if line:
+            return line
+    raise GmshParseError(f"unexpected end of file while reading {context}")
+
+
+def _ints(fields: list[str], context: str) -> list[int]:
+    try:
+        return [int(x) for x in fields]
+    except ValueError:
+        raise GmshParseError(
+            f"non-integer field in {context} '{' '.join(fields)}'") from None
+
+
+def _count(stream: IO[str], section: str) -> int:
+    n = _ints([_next_line(stream, section)], f"{section} count")[0]
+    if n < 0:
+        raise GmshParseError(f"negative {section} count {n}")
+    return n
+
+
+def read_gmsh(stream: IO[str]) -> RawMesh:
+    """Parse an MSH 2.2 ASCII stream into a RawMesh.
+
+    The mesh dimension is the highest element dimension present; elements of
+    that dimension become cells, those one lower become boundary facets with
+    their first tag as marker.  Point elements (type 15) and anything of even
+    lower dimension are skipped.
+    """
+    node_tags: list[int] = []
+    coords: list[tuple[float, float, float]] = []
+    elements: list[tuple[int, int, list[int]]] = []  # (dim, first tag, node tags)
+    saw_format = saw_nodes = saw_elements = False
+
+    while True:
+        line = stream.readline()
+        if not line:
+            break
+        line = line.strip()
+        if not line:
+            continue
+        if not line.startswith("$"):
+            raise GmshParseError(f"expected a section header, got '{line}'")
+        section = line[1:]
+
+        if section == "MeshFormat":
+            parts = _next_line(stream, "$MeshFormat").split()
+            if len(parts) != 3:
+                raise GmshParseError("malformed $MeshFormat line")
+            version = parts[0]
+            file_type, data_size = _ints(parts[1:], "$MeshFormat line")
+            if version != "2.2":
+                raise GmshParseError(
+                    f"unsupported MSH version {version}; only 2.2 ASCII is handled")
+            if file_type != 0:
+                raise GmshParseError("binary MSH files are not supported")
+            if data_size != 8:
+                raise GmshParseError(f"unsupported data size {data_size}")
+            if _next_line(stream, "$MeshFormat") != "$EndMeshFormat":
+                raise GmshParseError("missing $EndMeshFormat")
+            saw_format = True
+
+        elif section == "Nodes":
+            for _ in range(_count(stream, "$Nodes")):
+                line = _next_line(stream, "$Nodes")
+                parts = line.split()
+                try:
+                    if len(parts) != 4:
+                        raise ValueError
+                    node_tags.append(int(parts[0]))
+                    coords.append((float(parts[1]), float(parts[2]), float(parts[3])))
+                except ValueError:
+                    raise GmshParseError(f"malformed node line '{line}'") from None
+            if _next_line(stream, "$Nodes") != "$EndNodes":
+                raise GmshParseError("missing $EndNodes")
+            saw_nodes = True
+
+        elif section == "Elements":
+            for _ in range(_count(stream, "$Elements")):
+                parts = _ints(_next_line(stream, "$Elements").split(), "element line")
+                if len(parts) < 3 or parts[2] < 0:
+                    raise GmshParseError("malformed element line")
+                etype, ntags = parts[1], parts[2]
+                tags = parts[3:3 + ntags]
+                nodes = parts[3 + ntags:]
+                if etype == _GMSH_POINT:
+                    continue
+                if etype not in _ELEMENT_TYPES:
+                    raise GmshParseError(f"unsupported element type {etype}")
+                edim, nnodes = _ELEMENT_TYPES[etype]
+                if len(nodes) != nnodes:
+                    raise GmshParseError(
+                        f"type-{etype} element needs {nnodes} nodes, got {len(nodes)}")
+                elements.append((edim, tags[0] if tags else 0, nodes))
+            if _next_line(stream, "$Elements") != "$EndElements":
+                raise GmshParseError("missing $EndElements")
+            saw_elements = True
+
+        else:
+            # Unknown section ($PhysicalNames, ...): skip to its terminator.
+            end = f"$End{section}"
+            while True:
+                inner = stream.readline()
+                if not inner:
+                    raise GmshParseError(f"missing {end}")
+                if inner.strip() == end:
+                    break
+
+    if not saw_format:
+        raise GmshParseError("missing $MeshFormat section")
+    if not saw_nodes:
+        raise GmshParseError("missing $Nodes section")
+    if not saw_elements or not elements:
+        raise GmshParseError("no cells of maximal dimension")
+
+    tag_to_index = {t: i for i, t in enumerate(node_tags)}
+    if len(tag_to_index) != len(node_tags):
+        dup = next(t for i, t in enumerate(node_tags) if tag_to_index[t] != i)
+        raise GmshParseError(f"duplicate node tag {dup}")
+    xyz = np.array(coords, dtype=np.float64).reshape(-1, 3)
+    finite = np.isfinite(xyz).all(axis=1)
+    if not finite.all():
+        raise GmshParseError(
+            f"node {node_tags[int(np.argmin(finite))]} has a non-finite coordinate")
+    dim = max(e[0] for e in elements)
+    cells, regions, bfacets, markers = [], [], [], []
+    for edim, tag, nodes in elements:
+        try:
+            verts = [tag_to_index[n] for n in nodes]
+        except KeyError as exc:
+            raise GmshParseError(f"element references unknown node {exc.args[0]}")
+        if edim == dim:
+            cells.append(verts)
+            regions.append(tag)
+        elif edim == dim - 1:
+            bfacets.append(verts)
+            markers.append(tag)
+        # lower-dimensional elements carry no meaning here; skip
+
+    return RawMesh(
+        dim=dim,
+        vertices=xyz[:, :dim],
+        cells=np.array(cells, dtype=np.int64),
+        cell_region_ids=np.array(regions, dtype=np.int64),
+        boundary_facets=(np.array(bfacets, dtype=np.int64)
+                         if bfacets else np.empty((0, max(dim, 1)), dtype=np.int64)),
+        boundary_markers=np.array(markers, dtype=np.int64),
+    )
+
+
+def write_gmsh(mesh: RawMesh) -> str:
+    """Serialize a RawMesh as MSH 2.2 ASCII; read_gmsh inverts it exactly.
+
+    Boundary facets are emitted before cells, each with its marker (or region
+    id) duplicated into the two conventional tag slots.  Coordinates are
+    written with 16 significant digits and zero-padded to three components.
+    """
+    if mesh.num_vertices == 0:
+        raise ValueError("refusing to write a mesh with no vertices")
+    out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
+
+    out.append("$Nodes")
+    out.append(str(mesh.num_vertices))
+    xyz = np.zeros((mesh.num_vertices, 3), dtype=np.float64)
+    xyz[:, :mesh.dim] = mesh.vertices
+    for i, (x, y, z) in enumerate(xyz):
+        out.append(f"{i + 1} {x:.16g} {y:.16g} {z:.16g}")
+    out.append("$EndNodes")
+
+    out.append("$Elements")
+    out.append(str(len(mesh.boundary_facets) + mesh.num_cells))
+    eid = 1
+    ftype = _TYPE_FOR_DIM.get(mesh.dim - 1)
+    for facet, marker in zip(mesh.boundary_facets, mesh.boundary_markers):
+        nodes = " ".join(str(v + 1) for v in facet)
+        out.append(f"{eid} {ftype} 2 {marker} {marker} {nodes}")
+        eid += 1
+    ctype = _TYPE_FOR_DIM[mesh.dim]
+    for cell, region in zip(mesh.cells, mesh.cell_region_ids):
+        nodes = " ".join(str(v + 1) for v in cell)
+        out.append(f"{eid} {ctype} 2 {region} {region} {nodes}")
+        eid += 1
+    out.append("$EndElements")
+    return "\n".join(out) + "\n"

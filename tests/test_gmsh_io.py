@@ -30,6 +30,24 @@ $EndElements
 """
 
 
+INTERVAL_2 = """\
+$MeshFormat
+2.2 0 8
+$EndMeshFormat
+$Nodes
+3
+1 0 0 0
+2 0.5 0 0
+3 1 0 0
+$EndNodes
+$Elements
+2
+1 1 2 0 0 1 2
+2 1 2 0 0 2 3
+$EndElements
+"""
+
+
 def parse(text: str) -> pm.RawMesh:
     return pm.read_gmsh(io.StringIO(text))
 
@@ -60,6 +78,31 @@ class TestRead:
         mesh = parse(text)
         assert mesh.num_cells == 1
 
+    def test_points_skipped_in_2d(self):
+        text = pm.write_gmsh(pm.triangle_grid(1, 1)).replace(
+            "$Elements\n6\n", "$Elements\n8\n0 15 2 7 7 1\n0 15 1 7 2 3\n")
+        assert parse(text) == pm.triangle_grid(1, 1)  # even a malformed point
+
+    def test_points_alone_have_no_cells(self):
+        text = MINIMAL_TET.replace("1 4 2 0 0 1 2 3 4", "1 15 2 0 0 1")
+        with pytest.raises(pm.GmshParseError, match="no cells of maximal dimension"):
+            parse(text)
+
+    def test_points_are_1d_boundary_facets(self):
+        mesh = parse(INTERVAL_2.replace("$Elements\n2\n",
+                                        "$Elements\n4\n5 15 1 8 3\n6 15 0 1\n"))
+        assert mesh.boundary_facets.tolist() == [[2], [0]]
+        assert mesh.boundary_markers.tolist() == [8, 0]
+
+    @pytest.mark.parametrize("point,match", [
+        ("5 15 1 8 3 1", "type-15 element needs 1 nodes, got 2"),
+        ("5 15 1 8", "type-15 element needs 1 nodes, got 0"),
+        ("5 15 1 8 9", "unknown node 9"),
+    ])
+    def test_bad_1d_points(self, point, match):
+        with pytest.raises(pm.GmshParseError, match=match):
+            parse(INTERVAL_2.replace("$Elements\n2\n", f"$Elements\n3\n{point}\n"))
+
     def test_low_dim_elements_skipped(self):
         text = MINIMAL_TET.replace("$Elements\n1\n", "$Elements\n2\n0 1 1 9 1 2\n")
         mesh = parse(text)  # a line inside a tet mesh carries no meaning
@@ -68,6 +111,15 @@ class TestRead:
     def test_msh4_rejected(self):
         with pytest.raises(pm.GmshParseError, match="4.1"):
             parse(MINIMAL_TET.replace("2.2 0 8", "4.1 0 8"))
+
+    def test_error_before_undecodable_bytes(self, tmp_path):
+        # Lines are read only as the parser needs them, so a bad header is
+        # reported before the decoder reaches a non-ASCII byte far behind it.
+        path = tmp_path / "late_bytes.msh"
+        path.write_bytes(MINIMAL_TET.replace("2.2 0 8", "4.1 0 8").encode()
+                         + b"$Comments\n" + b"x\n" * 20000 + b"\xe9\n$EndComments\n")
+        with pytest.raises(pm.GmshParseError, match="4.1"):
+            pm.read_gmsh_file(path)
 
     def test_binary_rejected(self):
         with pytest.raises(pm.GmshParseError, match="binary"):
@@ -81,6 +133,11 @@ class TestRead:
     def test_dangling_node_reference(self):
         with pytest.raises(pm.GmshParseError, match="unknown node"):
             parse(MINIMAL_TET.replace("1 2 3 4\n$EndElements", "1 2 3 9\n$EndElements"))
+
+    def test_empty_node_block(self):
+        text = MINIMAL_TET.replace("4\n1 0 0 0\n2 1 0 0\n3 0 1 0\n4 0 0 1\n", "0\n")
+        with pytest.raises(pm.GmshParseError, match="unknown node 1"):
+            parse(text)
 
     def test_missing_end_nodes(self):
         with pytest.raises(pm.GmshParseError):
@@ -104,10 +161,11 @@ class TestRead:
         ("$Elements\n1\n", "$Elements\n1.0\n", "count '1.0'"),
         ("1 2 3 4\n$End", "1 2 3 x\n$End", "non-integer field in element line"),
         ("2 1 0 0", "2 1 0 zero", "malformed node line '2 1 0 zero'"),
+        ("2 1 0 0", "2.0 1 0 0", "malformed node line '2.0 1 0 0'"),
         ("$Nodes\n4\n", "$Nodes\n-1\n", r"negative \$Nodes count -1"),
         ("$Elements\n1\n", "$Elements\n-1\n", r"negative \$Elements count -1"),
         ("1 4 2 0 0 1 2 3 4", "1 4 -1 0 1 2 3 4", "malformed element line"),
-    ], ids=["nodes-count", "elements-count", "element-field", "node-field",
+    ], ids=["nodes-count", "elements-count", "element-field", "node-field", "node-tag",
             "negative-nodes-count", "negative-elements-count", "negative-ntags"])
     def test_non_numeric_field(self, old, new, match):
         with pytest.raises(pm.GmshParseError, match=match):
@@ -144,6 +202,16 @@ class TestRoundTrip:
             once = parse(pm.write_gmsh(mesh))
             twice = parse(pm.write_gmsh(once))
             assert twice == once == mesh, name
+
+    def test_1d_boundary_points(self):
+        mesh = pm.RawMesh(dim=1, vertices=[[0.0], [0.5], [1.0]], cells=[[0, 1], [1, 2]],
+                          cell_region_ids=[0, 0], boundary_facets=[[0], [2]],
+                          boundary_markers=[5, 6])
+        text = pm.write_gmsh(mesh)
+        assert "1 15 2 5 5 1\n2 15 2 6 6 3\n" in text
+        assert parse(text) == mesh
+        boundary = pm.raw_to_bundle(parse(text)).labels["boundary"]
+        assert boundary.values.tolist() == [5, 6]
 
     def test_refuse_empty(self):
         mesh = parse(MINIMAL_TET)

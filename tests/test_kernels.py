@@ -3,16 +3,20 @@
 Every kernel must reproduce its oracle exactly, on randomly relabeled
 generator meshes (vertex ids, cell order and boundary-facet order shuffled)
 and under random whole-chart permutations, which scramble the stratum
-layout `build_from_cells` produces.
+layout `build_from_cells` produces.  The MSH reader must also agree with the
+line-at-a-time oracle on cosmetically varied text and, error message for
+error message, on text with one defect.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +26,7 @@ from hypothesis import strategies as st
 import _oracles as oracle
 from _helpers import rank_points
 import plexmesh as pm
+from plexmesh import gmsh_io
 
 # Seeded: the same examples run every time.
 PROPERTY = settings(derandomize=True, deadline=None, max_examples=25)
@@ -228,9 +233,11 @@ def test_pipeline_never_imports_numpy_ma():
     # numpy.ma on first use, which adds about 1.24 MB of peak resident
     # memory to every process that runs the pipeline.
     script = """
+import io
 import sys
 import plexmesh as pm
-bundle = pm.raw_to_bundle(pm.triangle_grid(4, 4))
+mesh = pm.read_gmsh(io.StringIO(pm.write_gmsh(pm.triangle_grid(4, 4))))
+bundle = pm.raw_to_bundle(mesh)
 pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), 2)
 pm.cell_centroids(bundle)
 locals_, sf, _ = pm.migrate(bundle, pmap, 2)
@@ -249,3 +256,191 @@ print("numpy.ma" in sys.modules)
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().lower()) is False
+
+
+# -- MSH 2.2 text I/O ------------------------------------------------------------
+
+SPECIAL_FLOATS = [1 / 3, -0.0, 5e-324, 1e300, -2.5e-310, 0.1, 123456789.00000001]
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds,
+       values=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), max_size=8))
+def test_write_gmsh_matches_oracle(raw, seed, values):
+    rng = np.random.default_rng(seed)
+    vertices = raw.vertices.copy()
+    vertices.flat[rng.integers(0, vertices.size, len(values))] = values
+    mesh = pm.RawMesh(dim=raw.dim, vertices=vertices, cells=raw.cells,
+                      cell_region_ids=rng.integers(-2**40, 2**40, raw.num_cells),
+                      boundary_facets=raw.boundary_facets,
+                      boundary_markers=rng.integers(-9, 10**6, len(raw.boundary_facets)))
+    assert pm.write_gmsh(mesh) == oracle.write_gmsh(mesh)
+
+
+def msh_sections(text: str) -> list[list[str]]:
+    """The lines of an MSH text written by write_gmsh, one list per section."""
+    sections, lines = [], text.splitlines()
+    for line in lines:
+        if line.startswith("$") and not line.startswith("$End"):
+            sections.append([])
+        sections[-1].append(line)
+    return sections
+
+
+def int_spellings(rng):
+    """A function that spells a non-negative integer token, in a form int()
+    reads as the same number: plain ASCII digits, or also padded to 19 digits,
+    or also with a '+' or underscores."""
+    forms = [lambda t: t, lambda t: "0" + t]
+    forms += [[], [lambda t: t.zfill(19)],
+              [lambda t: "+" + t, lambda t: "_".join(t)]][rng.integers(3)]
+    return lambda token: forms[rng.integers(len(forms))](token)
+
+
+def cosmetic(lines: list[str], rng) -> str:
+    """The lines with random blank lines, padding, separators and endings."""
+    out = []
+    for line in lines:
+        while rng.random() < 0.1:
+            out.append(rng.choice(["", " ", "\t", " \t "]))
+        tokens = line.split()
+        seps = rng.choice([" ", "  ", "\t", " \t"], len(tokens) - 1)
+        body = tokens[0] + "".join(str(sep) + tok for sep, tok in zip(seps, tokens[1:]))
+        out.append(rng.choice(["", " ", "\t"]) + body + rng.choice(["", " ", "\t"]))
+    return rng.choice(["\n", "\r\n"]).join(out) + "\n"
+
+
+def varied_msh(raw: pm.RawMesh, rng) -> str:
+    """Valid MSH text for `raw` that differs from write_gmsh's in form only."""
+    fmt, nodes, elements = msh_sections(oracle.write_gmsh(raw))
+    nv = len(nodes) - 3
+    spell = int_spellings(rng)
+    for i in range(2, len(nodes) - 1):
+        tag, *xyz = nodes[i].split()
+        nodes[i] = " ".join([spell(tag), *xyz])
+    lines = []
+    for line in elements[2:-1]:
+        eid, etype, _, tag, _, *vertices = line.split()
+        ntags = int(rng.integers(4))
+        tags = [tag, *map(str, rng.integers(0, 9, 2))][:ntags]
+        lines.append(" ".join(map(spell, [eid, etype, str(ntags), *tags, *vertices])))
+    # Points and lines below the facet dimension carry no meaning.
+    extra = [15] * (raw.dim >= 2) + [1] * (raw.dim == 3)
+    for _ in range(int(rng.integers(4)) if extra else 0):
+        etype = rng.choice(extra)
+        nodes_of = rng.integers(1, nv + 1, 1 if etype == 15 else 2)
+        line = f"{len(lines) + 1} {etype} 1 7 " + " ".join(map(str, nodes_of))
+        lines.insert(int(rng.integers(len(lines) + 1)), line)
+    elements = ["$Elements", str(len(lines)), *lines, "$EndElements"]
+    physical = ["$PhysicalNames", "1", '2 1 "wall"', "$EndPhysicalNames"]
+    sections = [fmt, nodes, elements]
+    sections.insert(int(rng.integers(4)), physical)
+    return cosmetic([line for sec in sections for line in sec], rng)
+
+
+def read_in_small_slices(stream) -> pm.RawMesh:
+    """read_gmsh parsing each block 3 lines at a time."""
+    with mock.patch.object(gmsh_io, "_SLICE_LINES", 3):
+        return pm.read_gmsh(stream)
+
+
+def read_both(text: str):
+    """(new, oracle) outcome of reading `text`: a RawMesh or an error message.
+
+    The new reader must give the same outcome when it parses its blocks in
+    slices of a few lines.
+    """
+    outcomes = []
+    for read in (pm.read_gmsh, read_in_small_slices, oracle.read_gmsh):
+        try:
+            outcomes.append(read(io.StringIO(text)))
+        except pm.GmshParseError as exc:
+            outcomes.append(f"GmshParseError: {exc}")
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0], outcomes[2]
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds)
+def test_read_gmsh_matches_oracle(raw, seed):
+    text = varied_msh(raw, np.random.default_rng(seed))
+    got, want = read_both(text)
+    assert isinstance(want, pm.RawMesh), want
+    assert got == want
+
+
+def perturbed(raw: pm.RawMesh, defect: str, rng) -> list[str]:
+    """write_gmsh's lines for `raw` with one kind of defect.
+
+    Defects found only once the whole file is read (duplicate tags, unknown
+    nodes, non-finite coordinates) may be planted twice: the reader must
+    name the one the oracle names.
+    """
+    fmt, nodes, elements = msh_sections(oracle.write_gmsh(raw))
+    for _ in range(int(rng.integers(1, 3))):
+        node = int(rng.integers(2, len(nodes) - 1))
+        element = int(rng.integers(2, len(elements) - 1))
+        _plant(defect, fmt, nodes, elements, node, element, rng)
+        if defect not in ("duplicate-node-tag", "non-finite-coordinate", "unknown-node"):
+            break
+    return fmt + nodes + elements
+
+
+def _plant(defect: str, fmt, nodes, elements, node: int, element: int, rng) -> None:
+    block, row = [(nodes, node), (elements, element)][rng.integers(2)]
+    fields = block[row].split()
+    where = int(rng.integers(len(fields)))
+    if defect == "dropped-field":
+        block[row] = " ".join(fields[:-1])
+    elif defect == "extra-field":
+        block[row] += " 7"
+    elif defect == "non-numeric-token":
+        # "1.5" is a valid coordinate but no valid tag, count or element field.
+        bad = ["x", "1e", "0x10", "--1"] + ["1.5"] * (block is elements or where == 0)
+        fields[where] = rng.choice(bad)
+        block[row] = " ".join(fields)
+    elif defect == "negative-count":
+        count = str(-int(rng.integers(1, 3)))
+        if rng.random() < 0.3:  # an element's tag count
+            fields = elements[element].split()
+            elements[element] = " ".join([*fields[:2], count, *fields[3:]])
+        else:
+            block[1] = count
+    elif defect == "count-off-by-one":
+        block[1] = str(int(block[1]) + rng.choice([-1, 1]))
+    elif defect == "duplicate-node-tag":
+        other = node + 1 if node + 1 < len(nodes) - 1 else node - 1
+        nodes[node] = " ".join([nodes[other].split()[0], *nodes[node].split()[1:]])
+    elif defect == "non-finite-coordinate":
+        fields = nodes[node].split()
+        fields[int(rng.integers(1, 4))] = rng.choice(["nan", "inf", "-inf", "1e400"])
+        nodes[node] = " ".join(fields)
+    elif defect == "unknown-node":
+        fields = elements[element].split()
+        fields[int(rng.integers(5, len(fields)))] = str(len(nodes) - 2 + int(rng.integers(1, 5)))
+        elements[element] = " ".join(fields)
+    elif defect == "unsupported-type":
+        fields = elements[element].split()
+        fields[1] = str(rng.choice([0, 3, 5, 9, 16, -1]))
+        elements[element] = " ".join(fields)
+    elif defect == "wrong-node-count":
+        fields = elements[element].split()
+        fields[1] = str(rng.choice([t for t in (1, 2, 4) if t != int(fields[1])]))
+        elements[element] = " ".join(fields)
+    elif defect == "missing-end":
+        [fmt, nodes, elements][rng.integers(3)].pop()
+
+
+DEFECTS = ["dropped-field", "extra-field", "non-numeric-token", "negative-count",
+           "count-off-by-one", "duplicate-node-tag", "non-finite-coordinate",
+           "unknown-node", "unsupported-type", "wrong-node-count", "missing-end"]
+
+
+@settings(PROPERTY, max_examples=150)
+@given(raw=meshes, seed=seeds, defect=st.sampled_from(DEFECTS))
+def test_read_gmsh_reports_defects_like_oracle(raw, seed, defect):
+    rng = np.random.default_rng(seed)
+    text = cosmetic(perturbed(raw, defect, rng), rng)
+    got, want = read_both(text)
+    assert isinstance(want, str), f"{defect} left the text valid"
+    assert got == want
