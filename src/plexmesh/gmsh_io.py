@@ -14,6 +14,7 @@ to formatting each line on its own.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import IO, Iterator
@@ -363,8 +364,12 @@ def write_gmsh(mesh: RawMesh) -> str:
 
 
 def write_gmsh_file(mesh: RawMesh, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    """Write over path in place, then cut to length: cutting first makes close flush.
+
+    A write failing partway (a full disk) can leave the old file's tail."""
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="ascii") as fh:
         fh.write(write_gmsh(mesh))
+        fh.truncate()
 
 
 # -- raw <-> bundle -------------------------------------------------------------

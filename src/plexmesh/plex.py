@@ -4,9 +4,9 @@ A mesh is encoded as a directed acyclic graph over abstract "points": one
 point per topological entity (cell, facet, edge, vertex), all pooled into a
 single contiguous numbering called the chart.  Each point covers the points
 one level down its boundary (its *cone*); the transpose relation is the
-*support*.  Strata (entities of equal dimension) are recovered from the DAG
-itself as sets of points with equal depth/height, so all traversal code is
-dimension independent.
+*support*.  Strata (entities of equal dimension) are the sets of points of
+equal depth/height, so all traversal code is dimension independent; depths
+are simplex guesses checked against the DAG, or peeled from it.
 
 Both relations are stored in CSR form (an offset array and a target array),
 and every bulk query works on whole arrays of points at once.
@@ -18,6 +18,7 @@ then facets (3D only), then edges.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -106,9 +107,11 @@ def _adjacency_lists(n: int, offsets: np.ndarray, targets: np.ndarray
 class Plex:
     """Immutable layered DAG over mesh points.
 
-    Construction computes the support (transpose) adjacency and the per-point
-    depth/height strata; it rejects cyclic cover relations.  All queries are
-    read-only, so instances are safe for concurrent use.
+    Construction takes simplex depths (cone size - 1) that check out as
+    graded, else peels the DAG, mirrors heights from graded depths, and
+    rejects cyclic cover relations.  The support is built on first use
+    (racing threads build the same arrays); all queries are read-only, so
+    instances are safe for concurrent use.
 
     Build from per-point cone sequences, ``Plex(dim, cones)``, or from CSR
     arrays, ``Plex.from_csr(dim, offsets, targets)``.
@@ -137,16 +140,27 @@ class Plex:
         if targets.size and (targets.min() < 0 or targets.max() >= self.chart_size):
             raise ValueError("cone target outside chart")
 
+        # Graded: every cone arc drops exactly one depth, so closures meet a
+        # point on one BFS level only.  The simplex guess, cone size - 1, is
+        # exact when graded (each cone path from p has length guess[p]) and
+        # proves the DAG acyclic; other DAGs are peeled.
         sources = _row_ids(offsets)
-        self._support_offsets, self._support_targets = self._transpose(sources)
-        self.depths = self._longest_paths(self._cone_offsets,
-                                          self._support_offsets, self._support_targets)
-        self.heights = self._longest_paths(self._support_offsets,
-                                           self._cone_offsets, self._cone_targets)
-        # Graded: every cone arc drops exactly one depth.  Then a point is
-        # reached at one BFS level only, and closures need no cross-level
-        # de-duplication.
-        self._graded = bool(np.all(self.depths[targets] == self.depths[sources] - 1))
+
+        def graded(d):
+            return bool(np.all(d[targets] == d[sources] - 1))
+
+        depths = np.maximum(np.diff(offsets) - 1, 0)
+        self._graded = graded(depths)
+        if not self._graded:
+            depths = self._longest_paths(offsets, *self._support)
+            self._graded = graded(depths)
+        self.depths = depths
+        # Graded with every support-free point on top, each support path
+        # climbs one depth a step to the top: heights mirror depths.
+        top = depths.max(initial=0)
+        has_support = np.bincount(targets, minlength=self.chart_size) > 0
+        self.heights = (top - depths if self._graded and np.all(has_support[depths < top])
+                        else self._longest_paths(self._support_offsets, offsets, targets))
 
     @classmethod
     def from_csr(cls, dim: int, offsets, targets) -> "Plex":
@@ -155,12 +169,16 @@ class Plex:
 
     # -- construction helpers -------------------------------------------------
 
-    def _transpose(self, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Stable sort of cone arcs by target keeps sources ascending, so every
-        # support list comes out sorted.
-        offsets = _offsets(np.bincount(self._cone_targets, minlength=self.chart_size))
-        order = np.argsort(self._cone_targets, kind="stable")
-        return offsets, sources[order]
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray]:
+        # The cone transpose, built on first use (stable, so supports ascend);
+        # __init__ keeps none of it, so most plexes hold no arc-sized copy.
+        targets = self._cone_targets
+        return (_offsets(np.bincount(targets, minlength=self.chart_size)),
+                _row_ids(self._cone_offsets)[np.argsort(targets, kind="stable")])
+
+    _support_offsets = property(lambda self: self._support[0])
+    _support_targets = property(lambda self: self._support[1])
 
     def _longest_paths(self, out_off, in_off, in_tgt) -> np.ndarray:
         """Longest out-arc path length from each point to an out-degree-0 point.
@@ -233,7 +251,7 @@ class Plex:
         """
         offsets, targets = self.closures(points)
         is_vertex = self.depths[targets] == 0
-        vertices = np.searchsorted(self.depth_stratum(0), targets[is_vertex])
+        vertices = (np.cumsum(self.depths == 0) - 1)[targets[is_vertex]]
         return _offsets(is_vertex)[offsets], vertices
 
     def _traverse(self, points, step_off, step_tgt) -> tuple[np.ndarray, np.ndarray]:
@@ -304,10 +322,7 @@ class Plex:
     @property
     def is_interpolated(self) -> bool:
         """True when the DAG is strictly graded and cells sit at depth dim."""
-        cells = self.height_stratum(0)
-        if cells.size and not np.all(self.depths[cells] == self.dim):
-            return False
-        return self._graded
+        return self._graded and bool(np.all(self.depths[self.heights == 0] == self.dim))
 
     def cones(self) -> list[tuple[int, ...]]:
         """All cones as tuples, indexed by point."""

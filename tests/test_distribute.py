@@ -257,7 +257,7 @@ class TestConcurrencyContract:
         # independently
         def arrays(bundle):
             plex, coords = bundle.plex, bundle.coordinates
-            yield from (plex._cone_offsets, plex._cone_targets,
+            yield from (plex._cone_offsets, plex._cone_targets, plex.depths, plex.heights,
                         coords.section.dofs, coords.section.offsets, coords.values)
             for label in bundle.labels.values():
                 yield from (label.points, label.values)
@@ -281,6 +281,27 @@ class TestConcurrencyContract:
             got = list(pool.map(lambda p: plex.closure(p).tolist(),
                                 range(plex.chart_size)))
         assert got == expected
+
+    def test_support_built_concurrently(self, corpus):
+        # A plex builds its support on first use; threads racing there must
+        # all see the same transpose.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        raw = corpus["cube"]
+        reference = pm.raw_to_bundle(raw).plex
+        expected = [reference.star(p).tolist() for p in range(reference.chart_size)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                plex = pm.raw_to_bundle(raw).plex
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(lambda p: plex.star(p).tolist(),
+                                        range(plex.chart_size), timeout=60))
+                assert got == expected
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCommunicationVolume:

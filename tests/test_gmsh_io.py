@@ -228,6 +228,24 @@ class TestRoundTrip:
         assert "0.3333333333333333" in text
         assert parse(text) == mesh
 
+    def test_file_created(self, tmp_path):
+        mesh = pm.triangle_grid(2, 3)
+        path = tmp_path / "new.msh"
+        pm.write_gmsh_file(mesh, path)
+        assert path.read_bytes() == pm.write_gmsh(mesh).encode("ascii")
+        assert pm.read_gmsh_file(path) == parse(pm.write_gmsh(mesh))
+
+    def test_longer_file_rewritten_exactly(self, tmp_path):
+        # The file is rewritten in place and cut to length, so nothing of
+        # the longer mesh it held survives behind the new text.
+        long, short = pm.triangle_grid(6, 6), parse(MINIMAL_TET)
+        path = tmp_path / "mesh.msh"
+        pm.write_gmsh_file(long, path)
+        assert pm.read_gmsh_file(path) == parse(pm.write_gmsh(long))
+        pm.write_gmsh_file(short, path)
+        assert path.read_bytes() == pm.write_gmsh(short).encode("ascii")
+        assert pm.read_gmsh_file(path) == short
+
 
 class TestRawToBundle:
     def test_tet_coordinates(self):

@@ -81,10 +81,21 @@ def assert_traversals_match(plex: pm.Plex, points) -> None:
 
 
 def assert_strata_match(plex: pm.Plex) -> None:
-    assert plex.depths.tolist() == oracle.longest_paths(
-        plex, plex._cone_offsets, plex._cone_targets).tolist()
-    assert plex.heights.tolist() == oracle.longest_paths(
-        plex, plex._support_offsets, plex._support_targets).tolist()
+    """Strata, grading and support of plex equal the oracles'."""
+    offsets, targets = plex._cone_offsets, plex._cone_targets
+    sources = np.repeat(np.arange(plex.chart_size), np.diff(offsets))
+    order = np.lexsort((sources, targets))
+    sup_offsets = np.searchsorted(targets[order], np.arange(plex.chart_size + 1))
+    depths = oracle.longest_paths(plex, offsets, targets)
+    heights = oracle.longest_paths(plex, sup_offsets, sources[order])
+    graded = bool(np.all(depths[targets] == depths[sources] - 1))
+    interpolated = graded and bool(np.all(depths[heights == 0] == plex.dim))
+    assert plex.depths.tolist() == depths.tolist()
+    assert plex.heights.tolist() == heights.tolist()
+    assert plex._graded == graded
+    assert plex.is_interpolated == interpolated
+    assert plex._support_offsets.tolist() == sup_offsets.tolist()
+    assert plex._support_targets.tolist() == sources[order].tolist()
 
 
 @PROPERTY
@@ -108,13 +119,23 @@ def test_closures_and_stars_match_oracle(raw, seed):
     assert_traversals_match(plex, np.arange(plex.chart_size))
 
 
-@pytest.mark.parametrize("dim,cones", [
+HAND_BUILT = [
     (2, [(2, 3, 4), (3, 5, 4), (), (), (), ()]),   # cells covering vertices directly
     # not graded: cells reach vertices both directly and through edges, so a
     # vertex is met on two BFS levels
     (2, [(2, 5, 6), (5, 3), (4, 5), (), (), (3, 4), (4, 7), ()]),
     (3, [(1, 4), (2, 3), (3, 4), (4,), ()]),
-])
+    # not graded: cell 0 covers vertex 4 directly, so 4 sits at height 1
+    (2, [(1, 4), (2, 3), (), (), ()]),
+    # graded, but with support-free points at two depths: edge 7 hangs off
+    # vertex 3 of triangle 0, so heights cannot mirror depths
+    (2, [(4, 5, 6), (), (), (), (1, 2), (2, 3), (1, 3), (3, 8), ()]),
+    # graded, but not simplicial: a quadrilateral covers four edges
+    (2, [(5, 6, 7, 8), (), (), (), (), (1, 2), (2, 3), (3, 4), (4, 1)]),
+]
+
+
+@pytest.mark.parametrize("dim,cones", HAND_BUILT)
 def test_traversals_on_hand_built_dags(dim, cones):
     plex = pm.Plex(dim, cones)
     assert_strata_match(plex)
@@ -134,11 +155,60 @@ def test_closures_of_nothing():
 
 @PROPERTY
 @given(raw=meshes, seed=seeds)
+def test_simplex_depths_are_verified(raw, seed):
+    plex = scrambled(pm.raw_to_bundle(raw), seed).plex
+    # A simplicial mesh keeps its guessed depths, cone size - 1, and mirrors
+    # its heights: nothing is peeled, so the support is not built.
+    assert "_support" not in vars(plex)
+    assert_strata_match(plex)
+    # A cell one face short or covering an extra vertex is guessed wrong,
+    # and its strata must be peeled to the oracle's.
+    rng = np.random.default_rng(seed)
+    cones = plex.cones()
+    cell = int(rng.choice(plex.height_stratum(0)))
+    vertex = int(rng.choice(np.setdiff1d(plex.depth_stratum(0), cones[cell])))
+    for cone in (cones[cell][1:], cones[cell] + (vertex,)):
+        assert_strata_match(pm.Plex(plex.dim, cones[:cell] + [cone] + cones[cell + 1:]))
+
+
+def test_support_built_on_first_use():
+    plex = pm.build_from_cells([(0, 1, 2, 3)], 4, 3)
+    assert "_support" not in vars(plex)
+    assert plex.support(1).tolist() == [10, 11, 13]
+    assert "_support" in vars(plex)
+
+
+@pytest.mark.parametrize("name", ["grid4", "grid32", "cube"])
+def test_pipeline_never_peels(corpus, name, monkeypatch):
+    # Every plex the pipeline builds, gather_to_root's included, is
+    # simplicial, so its guessed depths check out.
+    def peel(*_):
+        raise AssertionError("strata peeled")
+
+    monkeypatch.setattr(pm.Plex, "_longest_paths", peel)
+    bundle = pm.raw_to_bundle(corpus[name])
+    graph = pm.build_dual_graph(bundle.plex)
+    centroids = pm.cell_centroids(bundle)
+    for nparts in (1, 4):
+        for method in ("greedy-bfs", "coordinate-bisection"):
+            pmap = pm.partition_cells(graph, nparts, method, coords=centroids)
+            locals_, sf, _ = pm.migrate(bundle, pmap, nparts)
+            assert pm.gather_to_root(locals_, sf) == bundle
+            for lm in locals_:
+                plex = lm.bundle.plex
+                reordered = pm.apply_permutation(lm.bundle, pm.rcm_ordering(plex))
+                assert pm.p1_pattern(reordered).nnz > 0
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds)
 def test_permutation_kernels_match_oracles(raw, seed):
     bundle = pm.raw_to_bundle(raw)
     rng = np.random.default_rng(seed)
     perm = pm.Permutation(rng.permutation(bundle.plex.chart_size))
-    assert pm.apply_permutation(bundle, perm) == oracle.apply_permutation(bundle, perm)
+    permuted = pm.apply_permutation(bundle, perm)
+    assert permuted == oracle.apply_permutation(bundle, perm)
+    assert_strata_match(permuted.plex)
 
     dofs = rng.integers(0, 3, bundle.plex.chart_size)
     fld = pm.Field("u", pm.Section(dofs), rng.standard_normal(int(dofs.sum())))
@@ -209,6 +279,7 @@ def test_distribution_matches_oracle(kind, size, seed, nparts):
     for lm, want in zip(locals_, want_locals, strict=True):
         assert sf.rank_leaves(lm.rank) == want_sf.rank_leaves(want.rank)
         assert lm.bundle.plex == want.bundle.plex
+        assert_strata_match(lm.bundle.plex)
         assert lm.bundle.coordinates == want.bundle.coordinates
         assert sets_of(lm.bundle.labels) == sets_of(want.bundle.labels)
         assert lm.local_to_global.tolist() == want.local_to_global.tolist()
