@@ -167,6 +167,11 @@ def _cmd_bench(args) -> int:
 
 
 def _build_parser() -> _Parser:
+    def count(text: str) -> int:  # argparse reports "invalid count value: ..."
+        if int(text) < 0:
+            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+        return int(text)
+
     parser = _Parser(prog="plexmesh",
                      description="Mesh topology, distribution and renumbering tool")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -204,7 +209,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("bench", help="compare preprocessor vs runtime start-up")
     p.add_argument("mesh")
     p.add_argument("--nparts", type=int, required=True)
-    p.add_argument("--fields", type=int, default=1,
+    p.add_argument("--fields", type=count, default=1,
                    help="synthetic P1 fields the preprocessor path migrates")
     p.set_defaults(func=_cmd_bench)
     return parser

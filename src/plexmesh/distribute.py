@@ -108,8 +108,8 @@ class RankLocalMesh:
     rank: int
     bundle: MeshBundle
     local_to_global: np.ndarray
-    owned_cells: set[int]   # local cell points owned by this rank
-    ghost_points: set[int]  # local points owned elsewhere
+    owned_cells: np.ndarray   # local cell points owned by this rank, ascending
+    ghost_points: np.ndarray  # local points owned elsewhere, ascending
 
 
 @dataclass
@@ -233,8 +233,8 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
         locals_.append(RankLocalMesh(
             rank=r, bundle=_bundle(plex.dim, names, rank_moved),
             local_to_global=msf.root_point[lo:hi],
-            owned_cells=set(np.flatnonzero(owned_cell[lo:hi]).tolist()),
-            ghost_points=set(np.flatnonzero(ghost[lo:hi]).tolist())))
+            owned_cells=np.flatnonzero(owned_cell[lo:hi]),
+            ghost_points=np.flatnonzero(ghost[lo:hi])))
 
     report = MigrationReport(
         bytes_topology=8 * (moved[0][1].size + msf.leaf_point.size),
@@ -258,7 +258,7 @@ def build_halo(local: RankLocalMesh, sf: StarForest, section: Section,
     if section.num_points != n:
         raise ValueError("section does not match the local chart")
     s = sf._rank_slice(local.rank)
-    if set(sf.leaf_point[s].tolist()) != local.ghost_points:
+    if not np.array_equal(sf.leaf_point[s], local.ghost_points):
         raise ValueError("star forest leaves do not match the ghost point set")
 
     order = np.lexsort((sf.root_point[s], sf.root_rank[s]))
@@ -289,7 +289,7 @@ def gather_to_root(locals_: Sequence[RankLocalMesh], sf: StarForest) -> MeshBund
     msf = _migration_sf([lm.rank for lm in locals_], [lm.local_to_global for lm in locals_])
     owned = np.ones(msf.leaf_point.size, dtype=bool)
     for lm, start in zip(locals_, _offsets([lm.local_to_global.size for lm in locals_])):
-        owned[start + np.fromiter(lm.ghost_points, dtype=np.int64)] = False
+        owned[start + lm.ghost_points] = False
     owned_sf = msf.select(owned)
 
     moved = []

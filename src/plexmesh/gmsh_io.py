@@ -339,12 +339,13 @@ def _element_lines(first_id: int, etype: int, tags: np.ndarray, nodes: np.ndarra
 
 
 def write_gmsh(mesh: RawMesh) -> str:
-    """Serialize a RawMesh as MSH 2.2 ASCII; read_gmsh inverts it exactly.
+    """Serialize a RawMesh as MSH 2.2 ASCII.
 
     Boundary facets are emitted before cells (points, type 15, in 1D), each
     with its marker (or region id) duplicated into the two conventional tag
-    slots.  Coordinates are written with 16 significant digits and
-    zero-padded to three components.
+    slots.  Coordinates are written with 16 significant digits, zero-padded
+    to three components: a double needing 17 (1/6, say) reads back rounded,
+    and a mesh read from a file writes back to the same bytes.
     """
     if mesh.num_vertices == 0:
         raise ValueError("refusing to write a mesh with no vertices")

@@ -6,6 +6,30 @@ import numpy as np
 
 from .gmsh_io import RawMesh
 
+# The two triangles of a quad (a, b, c, d) split along its a-c diagonal.
+_QUAD_TRIS = np.array([(0, 1, 2), (0, 2, 3)])
+
+_BOX_TETS = np.array([  # Kuhn decomposition of the unit cube into six tetrahedra
+    (0, 1, 3, 7), (0, 1, 7, 5), (0, 5, 7, 4),
+    (0, 3, 2, 7), (0, 6, 4, 7), (0, 2, 6, 7),
+])
+
+
+def _lattice(*counts: int) -> tuple[np.ndarray, np.ndarray]:
+    """Vertices of a unit-cube lattice with counts[a] intervals along axis a,
+    numbered x fastest, and their ids as an array indexed [..., y, x]."""
+    axes = [np.linspace(0.0, 1.0, n + 1) for n in counts]
+    grids = np.meshgrid(*axes[::-1], indexing="ij")[::-1]
+    ids = np.arange(grids[0].size).reshape(grids[0].shape)
+    return np.stack(grids, axis=-1).reshape(-1, len(counts)), ids
+
+
+def _quads(ids: np.ndarray) -> np.ndarray:
+    """(a, b, c, d) corners of every quad of a 2D id sheet indexed [v, u], row
+    by row; a is (u, v), b is (u + 1, v), c is (u + 1, v + 1), d is (u, v + 1)."""
+    return np.stack([ids[:-1, :-1], ids[:-1, 1:], ids[1:, 1:], ids[1:, :-1]],
+                    axis=-1).reshape(-1, 4)
+
 
 def interval_mesh(ncells: int, length: float = 1.0) -> RawMesh:
     """1D mesh of ncells equal segments on [0, length]."""
@@ -28,44 +52,14 @@ def triangle_grid(nx: int, ny: int) -> RawMesh:
     """
     if nx < 1 or ny < 1:
         raise ValueError("grid needs at least one quad per direction")
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    verts = np.array([(x, y) for y in ys for x in xs])
-    vid = lambda i, j: j * (nx + 1) + i
-
-    cells = []
-    for j in range(ny):
-        for i in range(nx):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-
-    bfacets, markers = [], []
-    for i in range(nx):
-        bfacets.append((vid(i, 0), vid(i + 1, 0)))
-        markers.append(1)
-    for j in range(ny):
-        bfacets.append((vid(nx, j), vid(nx, j + 1)))
-        markers.append(2)
-    for i in range(nx):
-        bfacets.append((vid(i, ny), vid(i + 1, ny)))
-        markers.append(3)
-    for j in range(ny):
-        bfacets.append((vid(0, j), vid(0, j + 1)))
-        markers.append(4)
-
-    nc = len(cells)
-    return RawMesh(dim=2, vertices=verts, cells=np.array(cells, dtype=np.int64),
-                   cell_region_ids=np.zeros(nc, dtype=np.int64),
-                   boundary_facets=np.array(bfacets, dtype=np.int64),
-                   boundary_markers=np.array(markers, dtype=np.int64))
-
-
-_BOX_TETS = (  # Kuhn decomposition of the unit cube into six tetrahedra
-    (0, 1, 3, 7), (0, 1, 7, 5), (0, 5, 7, 4),
-    (0, 3, 2, 7), (0, 6, 4, 7), (0, 2, 6, 7),
-)
+    verts, ids = _lattice(nx, ny)
+    cells = _quads(ids)[:, _QUAD_TRIS].reshape(-1, 3)
+    sides = (ids[0], ids[:, -1], ids[-1], ids[:, 0])  # each in ascending order
+    return RawMesh(dim=2, vertices=verts, cells=cells,
+                   cell_region_ids=np.zeros(len(cells), dtype=np.int64),
+                   boundary_facets=np.concatenate(
+                       [np.column_stack([s[:-1], s[1:]]) for s in sides]),
+                   boundary_markers=np.repeat([1, 2, 3, 4], [nx, ny, nx, ny]))
 
 
 def tet_box(nx: int, ny: int, nz: int) -> RawMesh:
@@ -76,54 +70,22 @@ def tet_box(nx: int, ny: int, nz: int) -> RawMesh:
     """
     if min(nx, ny, nz) < 1:
         raise ValueError("grid needs at least one box per direction")
-    xs = np.linspace(0.0, 1.0, nx + 1)
-    ys = np.linspace(0.0, 1.0, ny + 1)
-    zs = np.linspace(0.0, 1.0, nz + 1)
-    verts = np.array([(x, y, z) for z in zs for y in ys for x in xs])
-    vid = lambda i, j, k: (k * (ny + 1) + j) * (nx + 1) + i
+    verts, ids = _lattice(nx, ny, nz)
+    # Box corner a + 2b + 4c is the vertex offset by (a, b, c) from its lowest.
+    corners = np.stack([ids[c:c + nz, b:b + ny, a:a + nx]
+                        for c in (0, 1) for b in (0, 1) for a in (0, 1)], axis=-1)
+    cells = corners.reshape(-1, 8)[:, _BOX_TETS].reshape(-1, 4)
 
-    cells = []
-    for k in range(nz):
-        for j in range(ny):
-            for i in range(nx):
-                corner = [vid(i + a, j + b, k + c)
-                          for c in (0, 1) for b in (0, 1) for a in (0, 1)]
-                for tet in _BOX_TETS:
-                    cells.append(tuple(corner[t] for t in tet))
-    cells = np.array(cells, dtype=np.int64)
-
-    # Boundary faces: the two triangles of each outer box face, matching the
-    # tetrahedralization (diagonals inherited from the Kuhn split).
+    # Every Kuhn tetrahedron holds the box diagonal 0-7, so each box face
+    # splits along the diagonal from its lowest to its highest corner, a-c of
+    # its quad; an axis's two sides alternate quad by quad, ids ascending.
     bfacets, markers = [], []
-    cell_faces = set()
-    for cell in cells:
-        for f in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-            cell_faces.add(tuple(sorted(cell[t] for t in f)))
-
-    def emit(quad, marker):
-        # quad = (a, b, c, d) corners in cyclic order; pick the diagonal that
-        # exists in the tetrahedralization
-        a, b, c, d = quad
-        for tri in ((a, b, c), (a, c, d), (a, b, d), (b, c, d)):
-            key = tuple(sorted(tri))
-            if key in cell_faces:
-                bfacets.append(key)
-                markers.append(marker)
-
-    for k in range(nz):
-        for j in range(ny):
-            emit((vid(0, j, k), vid(0, j + 1, k), vid(0, j + 1, k + 1), vid(0, j, k + 1)), 1)
-            emit((vid(nx, j, k), vid(nx, j + 1, k), vid(nx, j + 1, k + 1), vid(nx, j, k + 1)), 2)
-    for k in range(nz):
-        for i in range(nx):
-            emit((vid(i, 0, k), vid(i + 1, 0, k), vid(i + 1, 0, k + 1), vid(i, 0, k + 1)), 3)
-            emit((vid(i, ny, k), vid(i + 1, ny, k), vid(i + 1, ny, k + 1), vid(i, ny, k + 1)), 4)
-    for j in range(ny):
-        for i in range(nx):
-            emit((vid(i, j, 0), vid(i + 1, j, 0), vid(i + 1, j + 1, 0), vid(i, j + 1, 0)), 5)
-            emit((vid(i, j, nz), vid(i + 1, j, nz), vid(i + 1, j + 1, nz), vid(i, j + 1, nz)), 6)
-
+    sides = ((ids[:, :, 0], ids[:, :, -1]), (ids[:, 0], ids[:, -1]), (ids[0], ids[-1]))
+    for axis, (low, high) in enumerate(sides):
+        quads = np.stack([_quads(low), _quads(high)], axis=1)
+        bfacets.append(np.sort(quads[:, :, _QUAD_TRIS].reshape(-1, 3), axis=1))
+        markers.append(np.tile(np.repeat([2 * axis + 1, 2 * axis + 2], 2), len(quads)))
     return RawMesh(dim=3, vertices=verts, cells=cells,
                    cell_region_ids=np.zeros(len(cells), dtype=np.int64),
-                   boundary_facets=np.array(bfacets, dtype=np.int64),
-                   boundary_markers=np.array(markers, dtype=np.int64))
+                   boundary_facets=np.concatenate(bfacets),
+                   boundary_markers=np.concatenate(markers))

@@ -8,23 +8,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmsh_io import MeshBundle
-from .plex import Plex, _adjacency_lists, _csr_rows
+from .plex import Plex, _adjacency, _csr_rows, _row_ids
 
 
 @dataclass(eq=False)
 class DualGraph:
-    """Adjacency over cells: an edge wherever two cells share a facet."""
+    """Cells sharing a facet, as CSR: cell c's are neighbors[offsets[c]:offsets[c + 1]]."""
 
     num_cells: int
-    neighbors: list[tuple[int, ...]]  # per cell, ascending
+    offsets: np.ndarray
+    neighbors: np.ndarray
 
     @property
     def num_edges(self) -> int:
-        return sum(len(n) for n in self.neighbors) // 2
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [(c, n) for c in range(self.num_cells)
-                for n in self.neighbors[c] if c < n]
+        return self.neighbors.size // 2
 
 
 @dataclass(eq=False)
@@ -61,8 +58,8 @@ def build_dual_graph(plex: Plex) -> DualGraph:
     cells = plex.height_stratum(0)
     offsets, support = _csr_rows(plex._support_offsets, plex._support_targets,
                                  plex.height_stratum(1))
-    neighbors = _adjacency_lists(len(cells), offsets, np.searchsorted(cells, support))
-    return DualGraph(len(cells), [tuple(n) for n in neighbors])
+    return DualGraph(len(cells), *_adjacency(len(cells), offsets,
+                                             np.searchsorted(cells, support)))
 
 
 def partition_cells(graph: DualGraph, nparts: int, method: str = "greedy-bfs",
@@ -95,30 +92,30 @@ def partition_cells(graph: DualGraph, nparts: int, method: str = "greedy-bfs",
 
 def _greedy_bfs(graph: DualGraph, nparts: int) -> np.ndarray:
     n = graph.num_cells
-    ranks = np.full(n, -1, dtype=np.int64)
-    assigned = 0
+    bounds, neighbors = graph.offsets.tolist(), graph.neighbors.tolist()
+    ranks = [-1] * n
+    assigned = seed = 0
     for part in range(nparts):
         # Sizing from what is left keeps every later part non-empty.
         target = -(-(n - assigned) // (nparts - part))
+        assigned += target
         size = 0
         queue: deque[int] = deque()
         while size < target:
             if not queue:
-                seed = int(np.flatnonzero(ranks < 0)[0])
-                queue.append(seed)
+                while ranks[seed] >= 0:  # reseed at the lowest unassigned cell
+                    seed += 1
                 ranks[seed] = part
                 size += 1
-                assigned += 1
-                if size == target:
-                    break
+                queue.append(seed)
+                continue
             c = queue.popleft()
-            for nb in graph.neighbors[c]:
+            for nb in neighbors[bounds[c]:bounds[c + 1]]:
                 if ranks[nb] < 0 and size < target:
                     ranks[nb] = part
                     size += 1
-                    assigned += 1
                     queue.append(nb)
-    return ranks
+    return np.array(ranks, dtype=np.int64)
 
 
 def _bisect(idx: np.ndarray, coords: np.ndarray, nparts: int, rank0: int,
@@ -139,7 +136,8 @@ def partition_stats(graph: DualGraph, pmap: PartitionMap) -> PartitionStats:
     """Edge cut and max/mean part-size imbalance of an assignment."""
     if len(pmap.ranks) != graph.num_cells:
         raise ValueError("partition map does not cover the dual graph")
-    cut = sum(1 for a, b in graph.edges() if pmap.ranks[a] != pmap.ranks[b])
+    ranks = pmap.ranks
+    cut = int(np.count_nonzero(ranks[_row_ids(graph.offsets)] != ranks[graph.neighbors])) // 2
     sizes = np.bincount(pmap.ranks, minlength=pmap.nparts)
     imbalance = float(sizes.max() * pmap.nparts / graph.num_cells)
     return PartitionStats(edge_cut=cut, imbalance=imbalance)

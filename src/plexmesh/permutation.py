@@ -27,10 +27,9 @@ class Permutation:
     @classmethod
     def from_new_order(cls, new_order) -> "Permutation":
         """Build from the new-position -> old-point listing (the inverse map)."""
-        order = np.asarray(new_order, dtype=np.int64)
-        fwd = np.empty_like(order)
-        fwd[order] = np.arange(order.size, dtype=np.int64)
-        return cls(fwd)
+        perm = cls(new_order)  # validates the listing as a bijection
+        perm.forward, perm.inverse = perm.inverse, perm.forward
+        return perm
 
     def __len__(self) -> int:
         return self.forward.size

@@ -94,14 +94,11 @@ def _pairs_to_csr(n: int, rows: np.ndarray, cols: np.ndarray
     return _offsets(np.bincount(rows, minlength=n)), cols
 
 
-def _adjacency_lists(n: int, offsets: np.ndarray, targets: np.ndarray
-                     ) -> list[list[int]]:
-    """For each of n items, the other items sharing a CSR row with it, ascending."""
+def _adjacency(n: int, offsets: np.ndarray, targets: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """CSR over n items of the other items sharing a CSR row with each, ascending."""
     a, b = _row_pairs(offsets, targets)
-    offsets, nbrs = _pairs_to_csr(n, a[a != b], b[a != b])
-    flat = nbrs.tolist()
-    bounds = offsets.tolist()
-    return [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
+    return _pairs_to_csr(n, a[a != b], b[a != b])
 
 
 class Plex:

@@ -8,7 +8,7 @@ import numpy as np
 
 from .gmsh_io import MeshBundle
 from .permutation import Permutation
-from .plex import Plex, _adjacency_lists, _csr_rows
+from .plex import Plex, _adjacency, _csr_rows
 from .section import permute_field
 
 
@@ -17,7 +17,9 @@ def _vertex_adjacency(plex: Plex) -> tuple[np.ndarray, list[list[int]]]:
     verts = plex.depth_stratum(0)
     offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets,
                                  plex.depth_stratum(1))
-    return verts, _adjacency_lists(len(verts), offsets, np.searchsorted(verts, targets))
+    bounds, flat = (a.tolist() for a in _adjacency(len(verts), offsets,
+                                                   np.searchsorted(verts, targets)))
+    return verts, [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def _bfs_levels(adj: list[list[int]], start: int) -> tuple[list[int], list[list[int]]]:

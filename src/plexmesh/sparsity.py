@@ -11,25 +11,15 @@ from .plex import _pairs_to_csr, _row_ids, _row_pairs
 class CsrPattern:
     """Symmetric CSR sparsity pattern with a full diagonal.
 
-    Column indices are strictly increasing within each row.
+    Holds every (rows[k], cols[k]) entry plus the diagonal; column indices
+    are strictly increasing within each row.
     """
 
-    def __init__(self, n: int, rows_cols):
-        """rows_cols: iterable of per-row column index iterables."""
-        cols = [np.fromiter((int(c) for c in row), dtype=np.int64) for row in rows_cols]
-        rows = np.repeat(np.arange(len(cols), dtype=np.int64), [c.size for c in cols])
-        self._assemble(n, rows, np.concatenate([rows[:0], *cols]))
-
-    @classmethod
-    def from_pairs(cls, n: int, rows: np.ndarray, cols: np.ndarray) -> "CsrPattern":
-        """Pattern holding every (rows[k], cols[k]) entry plus the diagonal."""
-        pattern = cls.__new__(cls)
-        pattern._assemble(n, rows, cols)
-        return pattern
-
-    def _assemble(self, n: int, rows: np.ndarray, cols: np.ndarray) -> None:
-        if cols.size and (cols.min() < 0 or cols.max() >= n):
-            raise ValueError("column index out of range")
+    def __init__(self, n: int, rows, cols):
+        rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+        if rows.size != cols.size or rows.size and (
+                min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
+            raise ValueError(f"rows and cols must be equal-length indices in [0, {n})")
         diag = np.arange(n, dtype=np.int64)
         self.n = n
         self.indptr, self.indices = _pairs_to_csr(
@@ -59,7 +49,7 @@ def p1_pattern(bundle: MeshBundle) -> CsrPattern:
     if not plex.is_interpolated:
         raise ValueError("pattern construction needs an interpolated plex")
     rows, cols = _row_pairs(*plex.vertex_closures(plex.height_stratum(0)))
-    return CsrPattern.from_pairs(plex.num_vertices, rows, cols)
+    return CsrPattern(plex.num_vertices, rows, cols)
 
 
 def _row_reach(pattern: CsrPattern) -> np.ndarray:

@@ -1,14 +1,17 @@
 """Per-point reference implementations of the array kernels.
 
 These are the original loop-and-dict versions of the topology kernels, of
-the distribution code (tuple-list star forest, dict-of-sets labels) and of
-the line-at-a-time MSH 2.2 reader and writer, kept verbatim (bar being free
-functions over the public API) as test oracles: every array kernel must give
-exactly their results.
+the partitioner (list-of-tuples dual graph), of the distribution code
+(tuple-list star forest, dict-of-sets labels), of the line-at-a-time MSH 2.2
+reader and writer and of the loop-built mesh generators, kept verbatim (bar
+being free functions over the public API, and the lines that build types
+whose representation changed since) as test oracles: every array kernel must
+give exactly their results.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
@@ -18,7 +21,6 @@ from plexmesh import (CsrPattern, Field, GmshParseError, Halo, Label,
                       MeshBundle, MigrationReport, PartitionMap, Permutation,
                       Plex, RankLocalMesh, RawMesh, Section, permute_section,
                       section_from_depth_dofs)
-from plexmesh.partition import DualGraph
 from plexmesh.plex import _CELL_ARITY, _TET_FACETS, _TRI_EDGES, _csr_rows, _offsets
 from plexmesh.renumber import _cuthill_mckee, _pseudo_peripheral
 
@@ -240,7 +242,8 @@ def p1_pattern(bundle: MeshBundle) -> CsrPattern:
         vs = [vrank[int(q)] for q in closure(plex, int(c)) if plex.depths[q] == 0]
         for i in vs:
             rows[i].update(vs)
-    return CsrPattern(len(verts), rows)
+    return CsrPattern(len(verts), np.repeat(np.arange(len(verts)), [len(r) for r in rows]),
+                      [c for r in rows for c in sorted(r)])
 
 
 def bandwidth(pattern: CsrPattern) -> int:
@@ -253,7 +256,23 @@ def profile(pattern: CsrPattern) -> int:
     return sum(i - int(pattern.row(i)[0]) for i in range(pattern.n))
 
 
-def build_dual_graph(plex: Plex) -> DualGraph:
+@dataclass(eq=False)
+class ListDualGraph:
+    """Adjacency over cells: an edge wherever two cells share a facet."""
+
+    num_cells: int
+    neighbors: list[tuple[int, ...]]  # per cell, ascending
+
+    @property
+    def num_edges(self) -> int:
+        return sum(len(n) for n in self.neighbors) // 2
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(c, n) for c in range(self.num_cells)
+                for n in self.neighbors[c] if c < n]
+
+
+def build_dual_graph(plex: Plex) -> ListDualGraph:
     if not plex.is_interpolated:
         raise ValueError("dual graph needs an interpolated plex")
     cells = plex.height_stratum(0)
@@ -266,7 +285,40 @@ def build_dual_graph(plex: Plex) -> DualGraph:
                 a, b = crank[int(sup[i])], crank[int(sup[j])]
                 adj[a].add(b)
                 adj[b].add(a)
-    return DualGraph(len(cells), [tuple(sorted(s)) for s in adj])
+    return ListDualGraph(len(cells), [tuple(sorted(s)) for s in adj])
+
+
+def _greedy_bfs(graph: ListDualGraph, nparts: int) -> np.ndarray:
+    n = graph.num_cells
+    ranks = np.full(n, -1, dtype=np.int64)
+    assigned = 0
+    for part in range(nparts):
+        # Sizing from what is left keeps every later part non-empty.
+        target = -(-(n - assigned) // (nparts - part))
+        size = 0
+        queue: deque[int] = deque()
+        while size < target:
+            if not queue:
+                seed = int(np.flatnonzero(ranks < 0)[0])
+                queue.append(seed)
+                ranks[seed] = part
+                size += 1
+                assigned += 1
+                if size == target:
+                    break
+            c = queue.popleft()
+            for nb in graph.neighbors[c]:
+                if ranks[nb] < 0 and size < target:
+                    ranks[nb] = part
+                    size += 1
+                    assigned += 1
+                    queue.append(nb)
+    return ranks
+
+
+def edge_cut(graph: ListDualGraph, pmap: PartitionMap) -> int:
+    """The edge-cut loop of partition_stats."""
+    return sum(1 for a, b in graph.edges() if pmap.ranks[a] != pmap.ranks[b])
 
 
 def cell_centroids(bundle: MeshBundle) -> np.ndarray:
@@ -449,8 +501,8 @@ def _extract_rank(bundle: MeshBundle, rps: RankPointSet) -> RankLocalMesh:
 
     owned = np.zeros(l2g.size, dtype=bool)
     owned[np.searchsorted(l2g, rps.owned)] = True
-    owned_cells = set(np.flatnonzero(owned & (plex.heights[l2g] == 0)).tolist())
-    ghosts = set(np.flatnonzero(~owned).tolist())
+    owned_cells = np.flatnonzero(owned & (plex.heights[l2g] == 0))
+    ghosts = np.flatnonzero(~owned)
     return RankLocalMesh(rank=rps.rank, bundle=MeshBundle(local_plex, coords, labels),
                          local_to_global=l2g, owned_cells=owned_cells,
                          ghost_points=ghosts)
@@ -521,7 +573,7 @@ def build_halo(local: RankLocalMesh, sf: TupleStarForest, section: Section,
     if section.num_points != n:
         raise ValueError("section does not match the local chart")
     entries = sf.rank_leaves(local.rank)
-    if {e[0] for e in entries} != local.ghost_points:
+    if {e[0] for e in entries} != set(local.ghost_points.tolist()):
         raise ValueError("star forest leaves do not match the ghost point set")
 
     ghost_order = sorted(entries, key=lambda e: (e[1], e[2]))
@@ -791,3 +843,128 @@ def write_gmsh(mesh: RawMesh) -> str:
         eid += 1
     out.append("$EndElements")
     return "\n".join(out) + "\n"
+
+
+# -- mesh generators: per-cell and per-face loops ---------------------------------
+
+
+def interval_mesh(ncells: int, length: float = 1.0) -> RawMesh:
+    """1D mesh of ncells equal segments on [0, length]."""
+    if ncells < 1:
+        raise ValueError("need at least one cell")
+    xs = np.linspace(0.0, length, ncells + 1).reshape(-1, 1)
+    cells = np.column_stack([np.arange(ncells), np.arange(1, ncells + 1)])
+    return RawMesh(dim=1, vertices=xs, cells=cells,
+                   cell_region_ids=np.zeros(ncells, dtype=np.int64),
+                   boundary_facets=np.empty((0, 1), dtype=np.int64),
+                   boundary_markers=np.empty(0, dtype=np.int64))
+
+
+def triangle_grid(nx: int, ny: int) -> RawMesh:
+    """Unit square split into an nx x ny grid of quads, two triangles each.
+
+    Vertices are numbered row-major (x fastest); each quad is split along its
+    lower-left to upper-right diagonal.  Boundary edges carry markers
+    1=bottom, 2=right, 3=top, 4=left.
+    """
+    if nx < 1 or ny < 1:
+        raise ValueError("grid needs at least one quad per direction")
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    verts = np.array([(x, y) for y in ys for x in xs])
+    vid = lambda i, j: j * (nx + 1) + i
+
+    cells = []
+    for j in range(ny):
+        for i in range(nx):
+            v00, v10 = vid(i, j), vid(i + 1, j)
+            v01, v11 = vid(i, j + 1), vid(i + 1, j + 1)
+            cells.append((v00, v10, v11))
+            cells.append((v00, v11, v01))
+
+    bfacets, markers = [], []
+    for i in range(nx):
+        bfacets.append((vid(i, 0), vid(i + 1, 0)))
+        markers.append(1)
+    for j in range(ny):
+        bfacets.append((vid(nx, j), vid(nx, j + 1)))
+        markers.append(2)
+    for i in range(nx):
+        bfacets.append((vid(i, ny), vid(i + 1, ny)))
+        markers.append(3)
+    for j in range(ny):
+        bfacets.append((vid(0, j), vid(0, j + 1)))
+        markers.append(4)
+
+    nc = len(cells)
+    return RawMesh(dim=2, vertices=verts, cells=np.array(cells, dtype=np.int64),
+                   cell_region_ids=np.zeros(nc, dtype=np.int64),
+                   boundary_facets=np.array(bfacets, dtype=np.int64),
+                   boundary_markers=np.array(markers, dtype=np.int64))
+
+
+_BOX_TETS = (  # Kuhn decomposition of the unit cube into six tetrahedra
+    (0, 1, 3, 7), (0, 1, 7, 5), (0, 5, 7, 4),
+    (0, 3, 2, 7), (0, 6, 4, 7), (0, 2, 6, 7),
+)
+
+
+def tet_box(nx: int, ny: int, nz: int) -> RawMesh:
+    """Unit cube as an nx x ny x nz grid of boxes, six tetrahedra each.
+
+    Boundary triangles carry markers 1..6 for the x=0, x=1, y=0, y=1, z=0,
+    z=1 faces respectively.
+    """
+    if min(nx, ny, nz) < 1:
+        raise ValueError("grid needs at least one box per direction")
+    xs = np.linspace(0.0, 1.0, nx + 1)
+    ys = np.linspace(0.0, 1.0, ny + 1)
+    zs = np.linspace(0.0, 1.0, nz + 1)
+    verts = np.array([(x, y, z) for z in zs for y in ys for x in xs])
+    vid = lambda i, j, k: (k * (ny + 1) + j) * (nx + 1) + i
+
+    cells = []
+    for k in range(nz):
+        for j in range(ny):
+            for i in range(nx):
+                corner = [vid(i + a, j + b, k + c)
+                          for c in (0, 1) for b in (0, 1) for a in (0, 1)]
+                for tet in _BOX_TETS:
+                    cells.append(tuple(corner[t] for t in tet))
+    cells = np.array(cells, dtype=np.int64)
+
+    # Boundary faces: the two triangles of each outer box face, matching the
+    # tetrahedralization (diagonals inherited from the Kuhn split).
+    bfacets, markers = [], []
+    cell_faces = set()
+    for cell in cells:
+        for f in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+            cell_faces.add(tuple(sorted(cell[t] for t in f)))
+
+    def emit(quad, marker):
+        # quad = (a, b, c, d) corners in cyclic order; pick the diagonal that
+        # exists in the tetrahedralization
+        a, b, c, d = quad
+        for tri in ((a, b, c), (a, c, d), (a, b, d), (b, c, d)):
+            key = tuple(sorted(tri))
+            if key in cell_faces:
+                bfacets.append(key)
+                markers.append(marker)
+
+    for k in range(nz):
+        for j in range(ny):
+            emit((vid(0, j, k), vid(0, j + 1, k), vid(0, j + 1, k + 1), vid(0, j, k + 1)), 1)
+            emit((vid(nx, j, k), vid(nx, j + 1, k), vid(nx, j + 1, k + 1), vid(nx, j, k + 1)), 2)
+    for k in range(nz):
+        for i in range(nx):
+            emit((vid(i, 0, k), vid(i + 1, 0, k), vid(i + 1, 0, k + 1), vid(i, 0, k + 1)), 3)
+            emit((vid(i, ny, k), vid(i + 1, ny, k), vid(i + 1, ny, k + 1), vid(i, ny, k + 1)), 4)
+    for j in range(ny):
+        for i in range(nx):
+            emit((vid(i, j, 0), vid(i + 1, j, 0), vid(i + 1, j + 1, 0), vid(i, j + 1, 0)), 5)
+            emit((vid(i, j, nz), vid(i + 1, j, nz), vid(i + 1, j + 1, nz), vid(i, j + 1, nz)), 6)
+
+    return RawMesh(dim=3, vertices=verts, cells=cells,
+                   cell_region_ids=np.zeros(len(cells), dtype=np.int64),
+                   boundary_facets=np.array(bfacets, dtype=np.int64),
+                   boundary_markers=np.array(markers, dtype=np.int64))

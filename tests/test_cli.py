@@ -189,6 +189,12 @@ class TestExitCodes:
         assert main(["bogus"]) == 1
         assert main(["partition", "x.msh"]) == 1  # missing --nparts
 
+    def test_negative_fields_is_a_usage_error(self, corpus_dir, capsys):
+        argv = ["bench", str(corpus_dir / "grid4.msh"), "--nparts", "2", "--fields"]
+        assert main(argv + ["-1"]) == 1
+        assert capsys.readouterr().out == ""
+        assert main(argv + ["0"]) == 0
+
     def test_file_errors(self, tmp_path, capsys):
         assert main(["info", str(tmp_path / "missing.msh")]) == 2
         bad = tmp_path / "bad.msh"

@@ -66,7 +66,7 @@ class TestMigrate:
         assert len(locals_) == 1
         assert locals_[0].bundle == two_triangle
         assert sf.rank_leaves(0) == []
-        assert locals_[0].ghost_points == set()
+        assert locals_[0].ghost_points.tolist() == []
         assert report.points_per_rank == [11]
 
     def test_two_triangle_local_meshes(self, two_triangle):
@@ -75,7 +75,7 @@ class TestMigrate:
         # local numbering coincides with global here (full overlap)
         for lm in locals_:
             assert lm.local_to_global.tolist() == list(range(11))
-        assert locals_[1].ghost_points == {0, 2, 3, 4, 6, 7, 8}
+        assert locals_[1].ghost_points.tolist() == [0, 2, 3, 4, 6, 7, 8]
         # leaves of rank 1 cover the shared edge and its two vertices
         leaf_points = {l for l, _, _ in sf.rank_leaves(1)}
         assert {6, 3, 4} <= leaf_points
@@ -173,8 +173,8 @@ class TestBuildHalo:
             rank=lm.rank,
             bundle=pm.apply_permutation(lm.bundle, perm),
             local_to_global=invert_l2g(lm.local_to_global, perm),
-            owned_cells={int(perm.forward[c]) for c in lm.owned_cells},
-            ghost_points={int(perm.forward[g]) for g in lm.ghost_points},
+            owned_cells=np.sort(perm.forward[lm.owned_cells]),
+            ghost_points=np.sort(perm.forward[lm.ghost_points]),
         )
         leaf_point = sf.leaf_point.copy()
         on_rank1 = sf.leaf_rank == 1
@@ -184,6 +184,15 @@ class TestBuildHalo:
         assert perm2.is_identity
         assert halo2.n_owned == halo.n_owned
         assert [r[0] for r in halo2.receives] == [r[0] for r in halo.receives]
+
+    def test_ghost_points_must_match_leaves(self, two_triangle):
+        locals_, sf, _ = split_two_triangle(two_triangle)
+        lm = locals_[1]
+        sec = section_from_depth_dofs(lm.bundle.plex, [1, 0, 0])
+        for ghosts in (lm.ghost_points[1:], lm.ghost_points[::-1]):
+            lm.ghost_points = ghosts
+            with pytest.raises(ValueError, match="ghost point set"):
+                build_halo(lm, sf, sec)
 
     def test_section_size_checked(self, two_triangle):
         locals_, sf, _ = split_two_triangle(two_triangle)
@@ -238,13 +247,15 @@ class TestGather:
 
     def test_double_claim_rejected(self, two_triangle):
         locals_, sf, _ = split_two_triangle(two_triangle)
-        locals_[1].ghost_points.discard(0)  # rank 1 now also claims point 0
+        ghosts = locals_[1].ghost_points
+        locals_[1].ghost_points = ghosts[ghosts != 0]  # rank 1 now also claims point 0
         with pytest.raises(ValueError, match="two ranks"):
             gather_to_root(locals_, sf)
 
     def test_unowned_point_rejected(self, two_triangle):
         locals_, sf, _ = split_two_triangle(two_triangle)
-        locals_[1].ghost_points.add(1)  # nobody owns cell 1 anymore
+        # nobody owns cell 1 anymore
+        locals_[1].ghost_points = np.sort(np.append(locals_[1].ghost_points, 1))
         with pytest.raises(ValueError, match="no rank"):
             gather_to_root(locals_, sf)
 

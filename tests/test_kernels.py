@@ -227,8 +227,49 @@ def test_bundle_kernels_match_oracles(raw, seed):
         assert pm.rcm_ordering(plex) == oracle.rcm_ordering(plex)
         assert pm.bundle_to_raw(bundle) == oracle.bundle_to_raw(bundle)
         assert pm.cell_centroids(bundle).tobytes() == oracle.cell_centroids(bundle).tobytes()
-        assert pm.build_dual_graph(plex).neighbors == \
-            oracle.build_dual_graph(plex).neighbors
+        assert dual_rows(pm.build_dual_graph(plex)) == oracle.build_dual_graph(plex).neighbors
+
+
+def dual_rows(graph: pm.DualGraph) -> list[tuple[int, ...]]:
+    """The CSR dual graph as the oracle's per-cell neighbor tuples."""
+    bounds = graph.offsets.tolist()
+    return [tuple(graph.neighbors[s:e].tolist()) for s, e in zip(bounds[:-1], bounds[1:])]
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["triangles", "tets"]), sizes=st.tuples(*[st.integers(1, 3)] * 3),
+       seed=seeds, nparts=st.integers(1, 8))
+def test_partitioner_matches_oracle(kind, sizes, seed, nparts):
+    nx, ny, nz = sizes
+    raw = relabel(pm.triangle_grid(nx, ny) if kind == "triangles" else pm.tet_box(nx, ny, nz),
+                  seed)
+    plex = scrambled(pm.raw_to_bundle(raw), seed).plex
+    graph, want = pm.build_dual_graph(plex), oracle.build_dual_graph(plex)
+    assert dual_rows(graph) == want.neighbors
+    assert graph.num_edges == want.num_edges
+    nparts = min(nparts, raw.num_cells)
+    greedy = pm.partition_cells(graph, nparts)
+    assert greedy.ranks.tolist() == oracle._greedy_bfs(want, nparts).tolist()
+    ranks = np.random.default_rng(seed).integers(0, nparts, raw.num_cells)
+    for pmap in (greedy, pm.PartitionMap(ranks, nparts)):
+        assert pm.partition_stats(graph, pmap).edge_cut == oracle.edge_cut(want, pmap)
+
+
+def assert_same_mesh_arrays(mesh: pm.RawMesh, want: pm.RawMesh) -> None:
+    assert mesh.dim == want.dim
+    for name in ("vertices", "cells", "cell_region_ids", "boundary_facets",
+                 "boundary_markers"):
+        a, b = getattr(mesh, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+
+
+@PROPERTY
+@given(nx=st.integers(1, 8), ny=st.integers(1, 8), nz=st.integers(1, 8),
+       length=st.sampled_from([1.0, 1 / 3, 2.5, 1e-300]))
+def test_generators_match_oracle(nx, ny, nz, length):
+    assert_same_mesh_arrays(pm.triangle_grid(nx, ny), oracle.triangle_grid(nx, ny))
+    assert_same_mesh_arrays(pm.tet_box(nx, ny, nz), oracle.tet_box(nx, ny, nz))
+    assert_same_mesh_arrays(pm.interval_mesh(nx, length), oracle.interval_mesh(nx, length))
 
 
 @PROPERTY
@@ -283,8 +324,8 @@ def test_distribution_matches_oracle(kind, size, seed, nparts):
         assert lm.bundle.coordinates == want.bundle.coordinates
         assert sets_of(lm.bundle.labels) == sets_of(want.bundle.labels)
         assert lm.local_to_global.tolist() == want.local_to_global.tolist()
-        assert lm.owned_cells == want.owned_cells
-        assert lm.ghost_points == want.ghost_points
+        assert lm.owned_cells.tolist() == want.owned_cells.tolist()
+        assert lm.ghost_points.tolist() == want.ghost_points.tolist()
         sec = pm.Section(rng.integers(0, 3, lm.bundle.plex.chart_size))
         halo, perm = pm.build_halo(lm, sf, sec)
         want_halo, want_perm = oracle.build_halo(want, want_sf, sec)
@@ -307,17 +348,21 @@ def test_pipeline_never_imports_numpy_ma():
 import io
 import sys
 import plexmesh as pm
-mesh = pm.read_gmsh(io.StringIO(pm.write_gmsh(pm.triangle_grid(4, 4))))
-bundle = pm.raw_to_bundle(mesh)
-pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), 2)
-pm.cell_centroids(bundle)
-locals_, sf, _ = pm.migrate(bundle, pmap, 2)
-for lm in locals_:
-    pm.build_halo(lm, sf, lm.bundle.coordinates.section)
-    reordered = pm.apply_permutation(lm.bundle, pm.rcm_ordering(lm.bundle.plex))
-    pm.bandwidth(pm.p1_pattern(reordered))
-    pm.bundle_to_raw(reordered)
-pm.gather_to_root(locals_, sf)
+for mesh, method in ((pm.triangle_grid(4, 4), "greedy-bfs"),
+                     (pm.tet_box(2, 2, 2), "coordinate-bisection")):
+    mesh = pm.read_gmsh(io.StringIO(pm.write_gmsh(mesh)))
+    bundle = pm.raw_to_bundle(mesh)
+    graph = pm.build_dual_graph(bundle.plex)
+    pmap = pm.partition_cells(graph, 2, method=method, coords=pm.cell_centroids(bundle))
+    pm.partition_stats(graph, pmap)
+    locals_, sf, _ = pm.migrate(bundle, pmap, 2)
+    for lm in locals_:
+        pm.build_halo(lm, sf, lm.bundle.coordinates.section)
+        reordered = pm.apply_permutation(lm.bundle, pm.rcm_ordering(lm.bundle.plex))
+        pattern = pm.p1_pattern(reordered)
+        pm.bandwidth(pattern), pm.profile(pattern), pm.spy_export(pattern)
+        pm.write_gmsh(pm.bundle_to_raw(reordered))
+    pm.gather_to_root(locals_, sf)
 print("numpy.ma" in sys.modules)
 """
     src = str(Path(pm.__file__).resolve().parents[1])

@@ -23,8 +23,17 @@ def dual_edges_oracle(cells, dim):
     return edges
 
 
+def neighbors_of(graph, c) -> list[int]:
+    return graph.neighbors[graph.offsets[c]:graph.offsets[c + 1]].tolist()
+
+
+def edges_of(graph) -> list[tuple[int, int]]:
+    """Every dual edge (c, n) with c < n, in row order."""
+    return [(c, n) for c in range(graph.num_cells) for n in neighbors_of(graph, c) if c < n]
+
+
 def stats_oracle(graph, ranks, nparts):
-    cut = sum(1 for a, b in graph.edges() if ranks[a] != ranks[b])
+    cut = sum(1 for a, b in edges_of(graph) if ranks[a] != ranks[b])
     sizes = np.bincount(ranks, minlength=nparts)
     return cut, sizes.max() / (len(ranks) / nparts)
 
@@ -36,20 +45,20 @@ class TestDualGraph:
 
     def test_two_triangles(self):
         graph = build_dual_graph(build_from_cells([(0, 1, 2), (1, 3, 2)], 4, 2))
-        assert graph.edges() == [(0, 1)]
+        assert edges_of(graph) == [(0, 1)]
 
     def test_grid_matches_pairwise_oracle(self, corpus):
         raw = corpus["grid4"]
         graph = build_dual_graph(pm.raw_to_bundle(raw).plex)
         want = dual_edges_oracle([tuple(c) for c in raw.cells.tolist()], raw.dim)
-        assert set(graph.edges()) == want
-        assert all(len(n) <= 3 for n in graph.neighbors)
+        assert set(edges_of(graph)) == want
+        assert all(len(neighbors_of(graph, c)) <= 3 for c in range(graph.num_cells))
 
     def test_symmetry(self, bundles):
         graph = build_dual_graph(bundles["cube"].plex)
-        for c, nbrs in enumerate(graph.neighbors):
-            for n in nbrs:
-                assert c in graph.neighbors[n]
+        for c in range(graph.num_cells):
+            for n in neighbors_of(graph, c):
+                assert c in neighbors_of(graph, n)
 
     def test_non_interpolated_rejected(self):
         # cells covering vertices directly in 2D is not interpolated
@@ -92,7 +101,7 @@ class TestPartitionCells:
             stack = [min(cells)]
             while stack:
                 c = stack.pop()
-                for n in graph.neighbors[c]:
+                for n in neighbors_of(graph, c):
                     if n in cells and n not in seen:
                         seen.add(n)
                         stack.append(n)

@@ -131,3 +131,10 @@ class TestPermutationType:
     def test_from_new_order(self):
         perm = Permutation.from_new_order([2, 0, 1])  # new pos 0 holds old 2
         assert perm.forward.tolist() == [1, 2, 0]
+        assert perm.inverse.tolist() == [2, 0, 1]
+
+    @pytest.mark.parametrize("new_order", [[-1, 0], [0, 5], [0, 0, 1], [1, 1]],
+                             ids=["negative", "too-high", "repeat", "repeat-no-zero"])
+    def test_from_new_order_rejects_non_bijection(self, new_order):
+        with pytest.raises(ValueError):
+            Permutation.from_new_order(new_order)

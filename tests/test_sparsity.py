@@ -33,10 +33,11 @@ def vertex_row_perm(plex, perm) -> np.ndarray:
 
 
 def permuted_pattern(pat: CsrPattern, rho) -> CsrPattern:
-    rows: list[list[int]] = [[] for _ in range(pat.n)]
+    rows, cols = [], []
     for i in range(pat.n):
-        rows[int(rho[i])] = [int(rho[j]) for j in pat.row(i)]
-    return CsrPattern(pat.n, rows)
+        rows += [int(rho[i])] * len(pat.row(i))
+        cols += [int(rho[j]) for j in pat.row(i)]
+    return CsrPattern(pat.n, rows, cols)
 
 
 class TestP1Pattern:
@@ -71,7 +72,7 @@ class TestP1Pattern:
 
 class TestBandwidthProfile:
     def test_diagonal_only(self):
-        pat = CsrPattern(3, [[], [], []])
+        pat = CsrPattern(3, [], [])
         assert bandwidth(pat) == 0 and profile(pat) == 0
 
     def test_path_in_order(self):
@@ -89,7 +90,7 @@ class TestBandwidthProfile:
 
 class TestSpyExport:
     def test_dense_2x2(self):
-        pat = CsrPattern(2, [[0, 1], [0, 1]])
+        pat = CsrPattern(2, [0, 0, 1, 1], [0, 1, 0, 1])
         assert spy_export(pat) == "row,col\n0,0\n0,1\n1,0\n1,1\n"
 
     def test_single_tet_line_count(self, tet_bundle):
@@ -143,10 +144,21 @@ class TestPermutationConsistency:
 
 class TestCsrPattern:
     def test_diagonal_inserted(self):
-        pat = CsrPattern(2, [[1], []])
+        pat = CsrPattern(2, [0], [1])
         assert pat.row(0).tolist() == [0, 1]
         assert pat.row(1).tolist() == [1]
 
     def test_column_out_of_range(self):
         with pytest.raises(ValueError):
-            CsrPattern(2, [[2], []])
+            CsrPattern(2, [0], [2])
+
+    @pytest.mark.parametrize("rows,cols", [([2], [0]), ([-1], [0]), ([0, 1], [0])],
+                             ids=["row-too-high", "negative-row", "length-mismatch"])
+    def test_bad_entries_rejected(self, rows, cols):
+        with pytest.raises(ValueError, match=r"equal-length indices in \[0, 2\)"):
+            CsrPattern(2, rows, cols)
+
+    def test_duplicate_entries_stored_once(self):
+        pat = CsrPattern(3, [2, 0, 2, 2], [0, 2, 0, 1])
+        assert pat.indptr.tolist() == [0, 2, 3, 6]
+        assert pat.indices.tolist() == [0, 2, 1, 0, 1, 2]
