@@ -167,10 +167,12 @@ def _cmd_bench(args) -> int:
 
 
 def _build_parser() -> _Parser:
-    def count(text: str) -> int:  # argparse reports "invalid count value: ..."
-        if int(text) < 0:
-            raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-        return int(text)
+    def count(minimum: int):
+        def count(text: str) -> int:  # argparse reports "invalid count value: ..."
+            if int(text) < minimum:
+                raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {text}")
+            return int(text)
+        return count
 
     parser = _Parser(prog="plexmesh",
                      description="Mesh topology, distribution and renumbering tool")
@@ -182,7 +184,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("partition", help="partition cells and report quality")
     p.add_argument("mesh")
-    p.add_argument("--nparts", type=int, required=True)
+    p.add_argument("--nparts", type=count(1), required=True)
     p.add_argument("--method", default="greedy-bfs",
                    choices=["greedy-bfs", "coordinate-bisection"])
     p.add_argument("--csv", help="write per-cell rank CSV to this path")
@@ -190,7 +192,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("distribute", help="migrate the mesh onto simulated ranks")
     p.add_argument("mesh")
-    p.add_argument("--nparts", type=int, required=True)
+    p.add_argument("--nparts", type=count(1), required=True)
     p.add_argument("--method", default="greedy-bfs",
                    choices=["greedy-bfs", "coordinate-bisection"])
     p.add_argument("--out", default=".", help="output directory (rank meshes, sf.json, report.json)")
@@ -208,8 +210,8 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="compare preprocessor vs runtime start-up")
     p.add_argument("mesh")
-    p.add_argument("--nparts", type=int, required=True)
-    p.add_argument("--fields", type=count, default=1,
+    p.add_argument("--nparts", type=count(1), required=True)
+    p.add_argument("--fields", type=count(0), default=1,
                    help="synthetic P1 fields the preprocessor path migrates")
     p.set_defaults(func=_cmd_bench)
     return parser

@@ -95,7 +95,7 @@ def _layouts(bundle: MeshBundle, names) -> list[tuple[Section, np.ndarray]]:
 def _bundle(dim: int, names, moved) -> MeshBundle:
     """The bundle of CSR (offsets, values) arrays in _layouts order."""
     (offsets, cones), (coord_offsets, coords), *labels = moved
-    return MeshBundle(Plex.from_csr(dim, offsets, cones),
+    return MeshBundle(Plex(dim, offsets, cones),
                       Field("coordinates", Section(np.diff(coord_offsets)), coords),
                       {name: Label(name, _row_ids(label_offsets), values)
                        for name, (label_offsets, values) in zip(names, labels)})

@@ -110,27 +110,19 @@ class Plex:
     (racing threads build the same arrays); all queries are read-only, so
     instances are safe for concurrent use.
 
-    Build from per-point cone sequences, ``Plex(dim, cones)``, or from CSR
-    arrays, ``Plex.from_csr(dim, offsets, targets)``.
+    Built from CSR cones, ``Plex(dim, offsets, targets)``: the cone of point
+    p is ``targets[offsets[p]:offsets[p + 1]]``.
     """
 
-    def __init__(self, dim: int, cones: Sequence[Sequence[int]] | None = None, *,
-                 csr: tuple[np.ndarray, np.ndarray] | None = None):
+    def __init__(self, dim: int, offsets, targets):
         if dim not in (1, 2, 3):
             raise ValueError(f"unsupported mesh dimension {dim}")
         self.dim = dim
-        if csr is None:
-            sizes = np.fromiter((len(c) for c in cones), dtype=np.int64,
-                                count=len(cones))
-            offsets = _offsets(sizes)
-            targets = np.fromiter((q for c in cones for q in c), dtype=np.int64,
-                                  count=int(offsets[-1]))
-        else:
-            offsets, targets = (np.asarray(a, dtype=np.int64) for a in csr)
-            if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
-                    or np.any(np.diff(offsets) < 0)
-                    or targets.shape != (int(offsets[-1]),)):
-                raise ValueError("malformed CSR cone arrays")
+        offsets, targets = (np.asarray(a, dtype=np.int64) for a in (offsets, targets))
+        if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
+                or np.any(np.diff(offsets) < 0)
+                or targets.shape != (int(offsets[-1]),)):
+            raise ValueError("malformed CSR cone arrays")
         self.chart_size = offsets.size - 1
         self._cone_offsets = offsets
         self._cone_targets = targets
@@ -158,11 +150,6 @@ class Plex:
         has_support = np.bincount(targets, minlength=self.chart_size) > 0
         self.heights = (top - depths if self._graded and np.all(has_support[depths < top])
                         else self._longest_paths(self._support_offsets, offsets, targets))
-
-    @classmethod
-    def from_csr(cls, dim: int, offsets, targets) -> "Plex":
-        """Build from CSR cones: the cone of p is targets[offsets[p]:offsets[p + 1]]."""
-        return cls(dim, csr=(offsets, targets))
 
     # -- construction helpers -------------------------------------------------
 
@@ -460,7 +447,7 @@ def build_from_cells(cell_vertex_lists: Sequence[Sequence[int]],
 
     if dim == 1:
         sizes = np.repeat([2, 0], [ncells, num_vertices])
-        return Plex.from_csr(dim, _offsets(sizes), verts_first + cells.reshape(-1))
+        return Plex(dim, _offsets(sizes), verts_first + cells.reshape(-1))
 
     # Facet pass (3D): deduplicate triangles shared between cells, keeping
     # the vertex tuple in first-encounter order for the edge pass below.
@@ -487,4 +474,4 @@ def build_from_cells(cell_vertex_lists: Sequence[Sequence[int]],
         sizes = np.repeat([3, 0, 2], [ncells, num_vertices, len(edge_verts)])
         targets = [edge_pt0 + tri_edges]
     targets.append(verts_first + edge_verts.reshape(-1))
-    return Plex.from_csr(dim, _offsets(sizes), np.concatenate(targets))
+    return Plex(dim, _offsets(sizes), np.concatenate(targets))

@@ -2,65 +2,53 @@
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import takewhile
 
 import numpy as np
 
 from .gmsh_io import MeshBundle
 from .permutation import Permutation
-from .plex import Plex, _adjacency, _csr_rows
+from .plex import Plex, _adjacency, _csr_rows, _row_ids
 from .section import permute_field
 
 
 def _vertex_adjacency(plex: Plex) -> tuple[np.ndarray, list[list[int]]]:
-    """Vertex graph: two vertices are adjacent when a depth-1 point joins them."""
+    """Vertex graph: two vertices are adjacent when a depth-1 point joins them.
+    Each row lists its neighbours in ascending (degree, id)."""
     verts = plex.depth_stratum(0)
     offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets,
                                  plex.depth_stratum(1))
-    bounds, flat = (a.tolist() for a in _adjacency(len(verts), offsets,
-                                                   np.searchsorted(verts, targets)))
+    bounds, flat = _adjacency(len(verts), offsets, np.searchsorted(verts, targets))
+    order = np.lexsort((flat, np.diff(bounds)[flat], _row_ids(bounds)))
+    bounds, flat = bounds.tolist(), flat[order].tolist()
     return verts, [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
-def _bfs_levels(adj: list[list[int]], start: int) -> tuple[list[int], list[list[int]]]:
-    seen = {start}
-    levels = [[start]]
-    while True:
-        nxt = sorted({n for u in levels[-1] for n in adj[u] if n not in seen})
-        if not nxt:
-            break
-        seen.update(nxt)
-        levels.append(nxt)
-    order = [u for level in levels for u in level]
-    return order, levels
-
-
-def _pseudo_peripheral(adj: list[list[int]], component_min: int) -> int:
-    """Repeated BFS toward an eccentric vertex; ties by degree then id."""
-    u = component_min
-    _, levels = _bfs_levels(adj, u)
-    while True:
-        candidate = min(levels[-1], key=lambda v: (len(adj[v]), v))
-        _, cand_levels = _bfs_levels(adj, candidate)
-        if len(cand_levels) > len(levels):
-            u, levels = candidate, cand_levels
-        else:
-            return u
-
-
-def _cuthill_mckee(adj: list[list[int]], start: int) -> list[int]:
+def _cuthill_mckee(adj: list[list[int]], start: int) -> tuple[list[int], dict[int, int]]:
+    """Breadth-first walk from start over the sorted rows, and each vertex's level."""
     order = [start]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        fresh = sorted((v for v in adj[u] if v not in seen),
-                       key=lambda v: (len(adj[v]), v))
-        for v in fresh:
-            seen.add(v)
-            order.append(v)
-            queue.append(v)
-    return order
+    level = {start: 0}
+    for u in order:
+        next_level = level[u] + 1
+        for v in adj[u]:
+            if v not in level:
+                level[v] = next_level
+                order.append(v)
+    return order, level
+
+
+def _component_order(adj: list[list[int]], v0: int) -> list[int]:
+    """Cuthill-McKee order of v0's component, restarting from the last level's
+    lowest (degree, id) vertex while that reaches more levels."""
+    order, level = _cuthill_mckee(adj, v0)
+    while True:
+        depth = level[order[-1]]
+        last = takewhile(lambda v: level[v] == depth, reversed(order))
+        cand_order, cand_level = _cuthill_mckee(
+            adj, min(last, key=lambda v: (len(adj[v]), v)))
+        if cand_level[cand_order[-1]] <= depth:
+            return order
+        order, level = cand_order, cand_level
 
 
 def rcm_ordering(plex: Plex) -> Permutation:
@@ -82,8 +70,7 @@ def rcm_ordering(plex: Plex) -> Permutation:
     for v0 in range(nv):
         if visited[v0]:
             continue
-        start = _pseudo_peripheral(adj, v0)
-        block = _cuthill_mckee(adj, start)
+        block = _component_order(adj, v0)
         visited[block] = True
         vertex_order.extend(reversed(block))
 
@@ -116,7 +103,7 @@ def apply_permutation(bundle: MeshBundle, perm: Permutation) -> MeshBundle:
         raise ValueError("permutation size does not match the chart")
     # New point n takes the cone of old point perm.inverse[n], relabeled.
     offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, perm.inverse)
-    new_plex = Plex.from_csr(plex.dim, offsets, perm.forward[targets])
+    new_plex = Plex(plex.dim, offsets, perm.forward[targets])
 
     coords = permute_field(bundle.coordinates, perm)
     labels = {name: lab.relabeled(perm.forward) for name, lab in bundle.labels.items()}

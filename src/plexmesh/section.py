@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permutation import Permutation
-from .plex import Plex, _csr_rows
+from .plex import Plex, _csr_rows, _offsets
 
 
 class Section:
@@ -26,8 +26,7 @@ class Section:
         self.dofs = np.asarray(dofs, dtype=np.int64)
         if self.dofs.ndim != 1 or (self.dofs.size and self.dofs.min() < 0):
             raise ValueError("dof counts must be a 1-D non-negative array")
-        self.offsets = np.zeros(self.dofs.size + 1, dtype=np.int64)
-        np.cumsum(self.dofs, out=self.offsets[1:])
+        self.offsets = _offsets(self.dofs)
 
     @property
     def num_points(self) -> int:

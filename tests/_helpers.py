@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 import plexmesh as pm
 
 
@@ -18,6 +20,12 @@ def canonical(bundle: pm.MeshBundle):
                for f, m in zip(raw.boundary_facets.tolist(),
                                raw.boundary_markers.tolist())),
     )
+
+
+def plex_from_cones(dim: int, cones) -> pm.Plex:
+    """Plex over per-point cone sequences: the cone of point p is cones[p]."""
+    offsets = np.cumsum([0] + [len(c) for c in cones])
+    return pm.Plex(dim, offsets, [q for c in cones for q in c])
 
 
 def rank_points(msf, owner, rank: int):

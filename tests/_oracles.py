@@ -1,12 +1,12 @@
 """Per-point reference implementations of the array kernels.
 
 These are the original loop-and-dict versions of the topology kernels, of
-the partitioner (list-of-tuples dual graph), of the distribution code
-(tuple-list star forest, dict-of-sets labels), of the line-at-a-time MSH 2.2
-reader and writer and of the loop-built mesh generators, kept verbatim (bar
-being free functions over the public API, and the lines that build types
-whose representation changed since) as test oracles: every array kernel must
-give exactly their results.
+RCM's level and Cuthill-McKee walks, of the partitioner (list-of-tuples dual
+graph), of the distribution code (tuple-list star forest, dict-of-sets
+labels), of the line-at-a-time MSH 2.2 reader and writer and of the
+loop-built mesh generators, kept verbatim (bar being free functions over the
+public API, and the lines that build types whose representation changed
+since) as test oracles: every array kernel must give exactly their results.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ from plexmesh import (CsrPattern, Field, GmshParseError, Halo, Label,
                       Plex, RankLocalMesh, RawMesh, Section, permute_section,
                       section_from_depth_dofs)
 from plexmesh.plex import _CELL_ARITY, _TET_FACETS, _TRI_EDGES, _csr_rows, _offsets
-from plexmesh.renumber import _cuthill_mckee, _pseudo_peripheral
+
+from _helpers import plex_from_cones
 
 
 def traverse(plex: Plex, p, step) -> np.ndarray:
@@ -99,7 +100,7 @@ def build_from_cells(cell_vertex_lists, num_vertices: int, dim: int) -> Plex:
         cones: list[tuple[int, ...]] = [()] * (ncells + num_vertices)
         for i, (a, b) in enumerate(cells):
             cones[i] = (vert_pt(a), vert_pt(b))
-        return Plex(dim, cones)
+        return plex_from_cones(dim, cones)
 
     if dim == 3:
         facet_of: dict[tuple[int, ...], int] = {}
@@ -158,7 +159,7 @@ def build_from_cells(cell_vertex_lists, num_vertices: int, dim: int) -> Plex:
     for e, (a, b) in enumerate(edge_verts):
         cones[edge_pt0 + e] = (vert_pt(a), vert_pt(b))
 
-    return Plex(dim, cones)
+    return plex_from_cones(dim, cones)
 
 
 def permute_field(fld: Field, perm: Permutation) -> Field:
@@ -177,7 +178,7 @@ def apply_permutation(bundle: MeshBundle, perm: Permutation) -> MeshBundle:
     for p in range(plex.chart_size):
         new_cones[int(perm.forward[p])] = tuple(
             int(perm.forward[q]) for q in plex.cone(p))
-    new_plex = Plex(plex.dim, new_cones)
+    new_plex = plex_from_cones(plex.dim, new_cones)
 
     coords = permute_field(bundle.coordinates, perm)
     full_map = {p: int(perm.forward[p]) for p in range(plex.chart_size)}
@@ -196,6 +197,47 @@ def _vertex_adjacency(plex: Plex) -> tuple[np.ndarray, list[list[int]]]:
                 adj[vs[i]].add(vs[j])
                 adj[vs[j]].add(vs[i])
     return verts, [sorted(s) for s in adj]
+
+
+def _bfs_levels(adj: list[list[int]], start: int) -> tuple[list[int], list[list[int]]]:
+    seen = {start}
+    levels = [[start]]
+    while True:
+        nxt = sorted({n for u in levels[-1] for n in adj[u] if n not in seen})
+        if not nxt:
+            break
+        seen.update(nxt)
+        levels.append(nxt)
+    order = [u for level in levels for u in level]
+    return order, levels
+
+
+def _pseudo_peripheral(adj: list[list[int]], component_min: int) -> int:
+    """Repeated BFS toward an eccentric vertex; ties by degree then id."""
+    u = component_min
+    _, levels = _bfs_levels(adj, u)
+    while True:
+        candidate = min(levels[-1], key=lambda v: (len(adj[v]), v))
+        _, cand_levels = _bfs_levels(adj, candidate)
+        if len(cand_levels) > len(levels):
+            u, levels = candidate, cand_levels
+        else:
+            return u
+
+
+def _cuthill_mckee(adj: list[list[int]], start: int) -> list[int]:
+    order = [start]
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        u = queue.popleft()
+        fresh = sorted((v for v in adj[u] if v not in seen),
+                       key=lambda v: (len(adj[v]), v))
+        for v in fresh:
+            seen.add(v)
+            order.append(v)
+            queue.append(v)
+    return order
 
 
 def rcm_ordering(plex: Plex) -> Permutation:
@@ -487,7 +529,7 @@ def _extract_rank(bundle: MeshBundle, rps: RankPointSet) -> RankLocalMesh:
     plex = bundle.plex
     l2g = rps.points
     offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, l2g)
-    local_plex = Plex.from_csr(plex.dim, offsets, np.searchsorted(l2g, targets))
+    local_plex = Plex(plex.dim, offsets, np.searchsorted(l2g, targets))
 
     local_verts = l2g[plex.depths[l2g] == 0]
     coords_global = bundle.vertex_coords()
@@ -622,7 +664,7 @@ def gather_to_root(locals_: Sequence[RankLocalMesh], sf: TupleStarForest) -> Mes
 
     offsets, cone_points = _csr_rows(_offsets(np.concatenate(sizes)),
                                      np.concatenate(cone_points), np.argsort(points))
-    plex = Plex.from_csr(dim, offsets, cone_points)
+    plex = Plex(dim, offsets, cone_points)
     coords = np.zeros((plex.num_vertices, dim), dtype=np.float64)
     coords[np.searchsorted(plex.depth_stratum(0), np.concatenate(vertex_points))] = \
         np.concatenate(vertex_coords)

@@ -189,6 +189,17 @@ class TestExitCodes:
         assert main(["bogus"]) == 1
         assert main(["partition", "x.msh"]) == 1  # missing --nparts
 
+    @pytest.mark.parametrize("nparts", ["0", "-2"])
+    @pytest.mark.parametrize("command", ["partition", "distribute", "bench"])
+    def test_nparts_below_one_is_a_usage_error(self, corpus_dir, tmp_path, capsys,
+                                               command, nparts):
+        argv = [command, str(corpus_dir / "grid4.msh"), "--nparts", nparts]
+        if command == "distribute":
+            argv += ["--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().out == ""
+        assert not any(tmp_path.iterdir())
+
     def test_negative_fields_is_a_usage_error(self, corpus_dir, capsys):
         argv = ["bench", str(corpus_dir / "grid4.msh"), "--nparts", "2", "--fields"]
         assert main(argv + ["-1"]) == 1

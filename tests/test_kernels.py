@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from _helpers import rank_points
+from _helpers import plex_from_cones, rank_points
 import plexmesh as pm
 from plexmesh import gmsh_io
 
@@ -137,11 +137,11 @@ HAND_BUILT = [
 
 @pytest.mark.parametrize("dim,cones", HAND_BUILT)
 def test_traversals_on_hand_built_dags(dim, cones):
-    plex = pm.Plex(dim, cones)
+    plex = plex_from_cones(dim, cones)
     assert_strata_match(plex)
     points = np.arange(plex.chart_size)
     assert_traversals_match(plex, np.concatenate([points, points[::-1]]))
-    rebuilt = pm.Plex.from_csr(dim, plex._cone_offsets, plex._cone_targets)
+    rebuilt = pm.Plex(dim, plex._cone_offsets, plex._cone_targets)
     assert rebuilt == plex and rebuilt.cones() == [tuple(c) for c in cones]
 
 
@@ -168,7 +168,7 @@ def test_simplex_depths_are_verified(raw, seed):
     cell = int(rng.choice(plex.height_stratum(0)))
     vertex = int(rng.choice(np.setdiff1d(plex.depth_stratum(0), cones[cell])))
     for cone in (cones[cell][1:], cones[cell] + (vertex,)):
-        assert_strata_match(pm.Plex(plex.dim, cones[:cell] + [cone] + cones[cell + 1:]))
+        assert_strata_match(plex_from_cones(plex.dim, cones[:cell] + [cone] + cones[cell + 1:]))
 
 
 def test_support_built_on_first_use():
@@ -228,6 +228,43 @@ def test_bundle_kernels_match_oracles(raw, seed):
         assert pm.bundle_to_raw(bundle) == oracle.bundle_to_raw(bundle)
         assert pm.cell_centroids(bundle).tobytes() == oracle.cell_centroids(bundle).tobytes()
         assert dual_rows(pm.build_dual_graph(plex)) == oracle.build_dual_graph(plex).neighbors
+
+
+def joined_grids(sizes, seed: int, interleave: bool) -> pm.Plex:
+    """Shuffled triangle grids joined into one mesh: each grid's vertex ids
+    offset past the previous grids' (or, interleaved, shuffled all together),
+    cells shuffled across grids."""
+    rng = np.random.default_rng(seed)
+    cells, nv = [], 0
+    for nx, ny in sizes:
+        grid = relabel(pm.triangle_grid(nx, ny), int(rng.integers(2**32)))
+        cells.append(grid.cells + nv)
+        nv += grid.num_vertices
+    cells = np.concatenate(cells)
+    cells = cells[rng.permutation(len(cells))]
+    if interleave:
+        cells = rng.permutation(nv)[cells]
+    return pm.build_from_cells(cells, nv, 2)
+
+
+@PROPERTY
+@given(sizes=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=2, max_size=3),
+       seed=seeds, interleave=st.booleans())
+def test_rcm_matches_oracle_on_joined_grids(sizes, seed, interleave):
+    plex = joined_grids(sizes, seed, interleave)
+    assert pm.rcm_ordering(plex) == oracle.rcm_ordering(plex)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["tets", "interval"]), size=st.integers(1, 3), seed=seeds,
+       nparts=st.integers(1, 4))
+def test_rcm_matches_oracle_on_rank_meshes(kind, size, seed, nparts):
+    raw = pm.tet_box(size, 2, 2) if kind == "tets" else pm.interval_mesh(4 * size)
+    bundle = pm.raw_to_bundle(relabel(raw, seed))
+    pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), nparts)
+    locals_, _, _ = pm.migrate(bundle, pmap, nparts)
+    for lm in locals_:
+        assert pm.rcm_ordering(lm.bundle.plex) == oracle.rcm_ordering(lm.bundle.plex)
 
 
 def dual_rows(graph: pm.DualGraph) -> list[tuple[int, ...]]:

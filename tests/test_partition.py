@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 
 import plexmesh as pm
-from plexmesh import (PartitionMap, Plex, build_dual_graph, build_from_cells,
+from plexmesh import (PartitionMap, build_dual_graph, build_from_cells,
                       cell_centroids, partition_cells, partition_stats)
+
+from _helpers import plex_from_cones
 
 
 def dual_edges_oracle(cells, dim):
@@ -62,7 +64,7 @@ class TestDualGraph:
 
     def test_non_interpolated_rejected(self):
         # cells covering vertices directly in 2D is not interpolated
-        plex = Plex(2, [(2, 3, 4), (3, 5, 4), (), (), (), ()])
+        plex = plex_from_cones(2, [(2, 3, 4), (3, 5, 4), (), (), (), ()])
         with pytest.raises(ValueError, match="interpolated"):
             build_dual_graph(plex)
 

@@ -16,6 +16,8 @@ import pytest
 
 from plexmesh import Plex, build_from_cells
 
+from _helpers import plex_from_cones
+
 TET = [(0, 1, 2, 3)]
 TWO_TRI = [(0, 1, 2), (1, 3, 2)]
 
@@ -192,19 +194,37 @@ class TestStrata:
 
     def test_cycle_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
-            Plex(1, [(1,), (2,), (0,)])
+            plex_from_cones(1, [(1,), (2,), (0,)])
 
     def test_long_cycle_rejected_fast(self):
         # Peeling stops at the first empty level, so a ring costs O(arcs).
         n = 100_000
         started = time.perf_counter()
         with pytest.raises(ValueError, match="cover relation contains a cycle"):
-            Plex.from_csr(1, np.arange(n + 1), (np.arange(n) + 1) % n)
+            Plex(1, np.arange(n + 1), (np.arange(n) + 1) % n)
         assert time.perf_counter() - started < 0.5
 
     def test_cycle_above_acyclic_part_rejected(self):
         with pytest.raises(ValueError, match="cycle"):
-            Plex(2, [(1, 3), (2,), (1,), ()])
+            plex_from_cones(2, [(1, 3), (2,), (1,), ()])
+
+
+class TestConstructor:
+    @pytest.mark.parametrize("dim,offsets,targets,message", [
+        (0, [0, 1, 1], [1], "unsupported mesh dimension 0"),
+        (4, [0, 1, 1], [1], "unsupported mesh dimension 4"),
+        (1, [], [], "malformed CSR cone arrays"),
+        (1, [[0, 1, 1]], [1], "malformed CSR cone arrays"),
+        (1, [1, 2, 2], [1, 1], "malformed CSR cone arrays"),
+        (1, [0, 2, 1], [1], "malformed CSR cone arrays"),
+        (1, [0, 1, 1], [1, 0], "malformed CSR cone arrays"),
+        (1, [0, 1, 1], [-1], "cone target outside chart"),
+        (1, [0, 1, 1], [2], "cone target outside chart"),
+    ], ids=["dim-0", "dim-4", "empty-offsets", "2d-offsets", "nonzero-start",
+            "decreasing", "targets-length", "negative-target", "target-at-chart-size"])
+    def test_bad_input_rejected(self, dim, offsets, targets, message):
+        with pytest.raises(ValueError, match=message):
+            Plex(dim, offsets, targets)
 
 
 class TestDuality:
