@@ -177,40 +177,40 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="plexmesh",
                      description="Mesh topology, distribution and renumbering tool")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Shared arguments as parent parsers, each extending the last, so every
+    # usage line lists mesh, --nparts and --method in that order.
+    mesh = _Parser(add_help=False)
+    mesh.add_argument("mesh")
+    sized = _Parser(add_help=False, parents=[mesh])
+    sized.add_argument("--nparts", type=count(1), required=True)
+    method = _Parser(add_help=False, parents=[sized])
+    method.add_argument("--method", default="greedy-bfs",
+                        choices=["greedy-bfs", "coordinate-bisection"])
 
-    p = sub.add_parser("info", help="stratum and size summary of a mesh")
-    p.add_argument("mesh")
+    p = sub.add_parser("info", parents=[mesh], help="stratum and size summary of a mesh")
     p.set_defaults(func=_cmd_info)
 
-    p = sub.add_parser("partition", help="partition cells and report quality")
-    p.add_argument("mesh")
-    p.add_argument("--nparts", type=count(1), required=True)
-    p.add_argument("--method", default="greedy-bfs",
-                   choices=["greedy-bfs", "coordinate-bisection"])
+    p = sub.add_parser("partition", parents=[method],
+                       help="partition cells and report quality")
     p.add_argument("--csv", help="write per-cell rank CSV to this path")
     p.set_defaults(func=_cmd_partition)
 
-    p = sub.add_parser("distribute", help="migrate the mesh onto simulated ranks")
-    p.add_argument("mesh")
-    p.add_argument("--nparts", type=count(1), required=True)
-    p.add_argument("--method", default="greedy-bfs",
-                   choices=["greedy-bfs", "coordinate-bisection"])
+    p = sub.add_parser("distribute", parents=[method],
+                       help="migrate the mesh onto simulated ranks")
     p.add_argument("--out", default=".", help="output directory (rank meshes, sf.json, report.json)")
     p.set_defaults(func=_cmd_distribute)
 
-    p = sub.add_parser("reorder", help="RCM-reorder a mesh and report bandwidth")
-    p.add_argument("mesh")
+    p = sub.add_parser("reorder", parents=[mesh],
+                       help="RCM-reorder a mesh and report bandwidth")
     p.add_argument("--out", help="write the reordered mesh to this path")
     p.set_defaults(func=_cmd_reorder)
 
-    p = sub.add_parser("spy", help="dump the vertex coupling pattern as CSV")
-    p.add_argument("mesh")
+    p = sub.add_parser("spy", parents=[mesh], help="dump the vertex coupling pattern as CSV")
     p.add_argument("--rcm", action="store_true", help="apply RCM before export")
     p.set_defaults(func=_cmd_spy)
 
-    p = sub.add_parser("bench", help="compare preprocessor vs runtime start-up")
-    p.add_argument("mesh")
-    p.add_argument("--nparts", type=count(1), required=True)
+    p = sub.add_parser("bench", parents=[sized],
+                       help="compare preprocessor vs runtime start-up")
     p.add_argument("--fields", type=count(0), default=1,
                    help="synthetic P1 fields the preprocessor path migrates")
     p.set_defaults(func=_cmd_bench)
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else USAGE_ERROR
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"plexmesh: {exc}", file=sys.stderr)
         return FILE_ERROR
     except GmshParseError as exc:

@@ -279,9 +279,11 @@ def build_halo(local: RankLocalMesh, sf: StarForest, section: Section,
 def gather_to_root(locals_: Sequence[RankLocalMesh], sf: StarForest) -> MeshBundle:
     """Reassemble the original bundle from a complete distribution.
 
-    Every global point must be owned by exactly one rank: the migration SF's
-    owned leaves are reduced onto the global chart, so cones, coordinates and
-    labels come from the owners in the pre-migration numbering exactly.
+    Each rank owns the points it does not list in ``ghost_points`` (``sf``
+    is not read), and every global point must have exactly one owner: the
+    owned leaves of the migration SF rebuilt from ``local_to_global`` are
+    reduced onto the global chart, so cones, coordinates and labels come
+    from the owners in the pre-migration numbering exactly.
     """
     locals_ = sorted(locals_, key=lambda lm: lm.rank)
     names = sorted({name for lm in locals_ for name in lm.bundle.labels})

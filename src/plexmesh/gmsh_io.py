@@ -21,7 +21,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .plex import Label, Plex, _offsets, build_from_cells
+from .plex import Label, Plex, _first_encounter_ids, _offsets, build_from_cells
 from .section import Field, section_from_depth_dofs
 
 # Gmsh element type -> (topological dimension, node count)
@@ -319,7 +319,11 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
 
 def read_gmsh_file(path) -> RawMesh:
     with open(path, "r", encoding="ascii") as fh:
-        return read_gmsh(fh)
+        try:
+            return read_gmsh(fh)
+        except UnicodeDecodeError as exc:
+            raise GmshParseError(
+                f"non-ASCII byte 0x{exc.object[exc.start]:02x} in MSH file") from None
 
 
 # -- writing -------------------------------------------------------------------
@@ -376,12 +380,6 @@ def write_gmsh_file(mesh: RawMesh, path) -> None:
 # -- raw <-> bundle -------------------------------------------------------------
 
 
-def _vertex_set_keys(rows: np.ndarray) -> np.ndarray:
-    """One sortable key per row of vertex ids, equal exactly for equal vertex sets."""
-    rows = np.ascontiguousarray(np.sort(rows, axis=1), dtype=np.int64)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).reshape(-1)
-
-
 def _vertex_table(plex: Plex, points: np.ndarray) -> np.ndarray:
     """(len(points), k) vertex numbers of each point's closure, closure order."""
     offsets, verts = plex.vertex_closures(points)
@@ -394,8 +392,9 @@ def _vertex_table(plex: Plex, points: np.ndarray) -> np.ndarray:
 def raw_to_bundle(mesh: RawMesh) -> MeshBundle:
     """Interpolate a RawMesh and attach coordinates, region and boundary labels.
 
-    Boundary facets are matched to plex points by sorted vertex tuple; a facet
-    absent from the interpolated mesh means the input is non-conforming.
+    Boundary facets are matched to plex points by vertex set, numbered as
+    interpolation numbers its entities; a facet absent from the interpolated
+    mesh means the input is non-conforming.
     """
     plex = build_from_cells(mesh.cells, mesh.num_vertices, mesh.dim)
     sec = section_from_depth_dofs(plex, [mesh.dim] + [0] * mesh.dim)
@@ -403,23 +402,17 @@ def raw_to_bundle(mesh: RawMesh) -> MeshBundle:
 
     region = Label.from_arrays("region", np.arange(mesh.num_cells), mesh.cell_region_ids)
 
-    boundary = Label("boundary")
-    if len(mesh.boundary_facets):
-        # Vertex v is point num_cells + v in a built plex, so closure vertex
-        # numbers are input vertex ids.
-        candidates = plex.height_stratum(1)
-        keys = _vertex_set_keys(_vertex_table(plex, candidates))
-        order = np.argsort(keys)
-        wanted = _vertex_set_keys(mesh.boundary_facets)
-        at = np.minimum(np.searchsorted(keys[order], wanted), len(keys) - 1)
-        missing = keys[order[at]] != wanted
-        if missing.any():
-            key = tuple(sorted(mesh.boundary_facets[np.argmax(missing)].tolist()))
-            raise ValueError(
-                f"boundary facet {key} not found in the interpolated mesh")
-        found = order[at]
-        boundary = Label.from_arrays("boundary", candidates[found],
-                                     mesh.boundary_markers)
+    # Vertex v is point num_cells + v in a built plex, so closure vertex
+    # numbers are input vertex ids.  Candidates are distinct, so candidate k
+    # is numbered k, and an input facet numbered higher is not in the mesh.
+    candidates = plex.height_stratum(1)
+    found = _first_encounter_ids(np.concatenate(
+        [_vertex_table(plex, candidates), mesh.boundary_facets]))[0][len(candidates):]
+    missing = found >= len(candidates)
+    if missing.any():
+        key = tuple(sorted(mesh.boundary_facets[np.argmax(missing)].tolist()))
+        raise ValueError(f"boundary facet {key} not found in the interpolated mesh")
+    boundary = Label.from_arrays("boundary", candidates[found], mesh.boundary_markers)
 
     return MeshBundle(plex, coords, {"region": region, "boundary": boundary})
 

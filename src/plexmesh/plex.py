@@ -242,13 +242,13 @@ class Plex:
         """Level-synchronous BFS from every point at once over a CSR relation.
 
         Each level's (row, point) pairs are sorted and de-duplicated as one
-        key array, so every row lists its levels in order, each ascending.
+        key array, so levels are row-sorted and one stable sort by row lists
+        every row's levels in order, each ascending.
         """
         n = self.chart_size
         pts = np.asarray(points, dtype=np.int64).reshape(-1)
         if pts.size and (pts.min() < 0 or pts.max() >= n):
-            bad = pts[(pts < 0) | (pts >= n)][0]
-            raise IndexError(f"point {bad} outside chart [0, {n})")
+            self._check(pts[(pts < 0) | (pts >= n)][0])
         m = pts.size
         rows = np.arange(m, dtype=np.int64)
         levels = [(rows, pts)]
@@ -268,16 +268,9 @@ class Plex:
             rows, pts = np.divmod(keys, n)
             levels.append((rows, pts))
 
-        # Scatter each level behind the earlier levels of the same row.
-        counts = [np.bincount(r, minlength=m) for r, _ in levels]
-        offsets = _offsets(sum(counts))
-        out = np.empty(offsets[-1], dtype=np.int64)
-        cursor = offsets[:-1].copy()
-        for (r, p), c in zip(levels, counts):
-            group_start = np.cumsum(c) - c
-            out[cursor[r] + np.arange(r.size) - group_start[r]] = p
-            cursor += c
-        return offsets, out
+        rows, pts = (np.concatenate(a) for a in zip(*levels))
+        return (_offsets(np.bincount(rows, minlength=m)),
+                pts[np.argsort(rows, kind="stable")])
 
     # -- strata ----------------------------------------------------------------
 

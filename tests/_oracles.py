@@ -7,6 +7,7 @@ labels), of the line-at-a-time MSH 2.2 reader and writer and of the
 loop-built mesh generators, kept verbatim (bar being free functions over the
 public API, and the lines that build types whose representation changed
 since) as test oracles: every array kernel must give exactly their results.
+Boundary-facet matching has a dict-based brute force written for the tests.
 """
 
 from __future__ import annotations
@@ -411,6 +412,26 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
                          if bfacets else np.empty((0, max(plex.dim, 1)), dtype=np.int64)),
         boundary_markers=np.array(markers, dtype=np.int64),
     )
+
+
+def facet_points(plex: Plex) -> dict[tuple[int, ...], int]:
+    """Every height-1 point, keyed by the sorted vertex numbers of its closure."""
+    vrank = {int(p): i for i, p in enumerate(plex.depth_stratum(0))}
+    return {tuple(sorted(vrank[int(q)] for q in closure(plex, p) if plex.depths[q] == 0)): p
+            for p in plex.height_stratum(1).tolist()}
+
+
+def boundary_label(plex: Plex, facets, markers) -> Label:
+    """raw_to_bundle's boundary label: each facet row (vertex ids) goes to the
+    height-1 point whose closure has the same vertex set."""
+    point_of = facet_points(plex)
+    points = []
+    for row in np.asarray(facets).tolist():
+        key = tuple(sorted(row))
+        if key not in point_of:
+            raise ValueError(f"boundary facet {key} not found in the interpolated mesh")
+        points.append(point_of[key])
+    return Label.from_arrays("boundary", points, markers)
 
 
 @dataclass(eq=False)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import jsonschema
+import numpy as np
 import pytest
 
 import plexmesh as pm
@@ -211,6 +212,33 @@ class TestExitCodes:
         bad = tmp_path / "bad.msh"
         bad.write_text("$MeshFormat\n4.1 0 8\n$EndMeshFormat\n")
         assert main(["info", str(bad)]) == 2
+
+    @pytest.mark.parametrize("command", ["distribute", "reorder", "info"])
+    def test_os_errors_are_file_errors(self, corpus_dir, tmp_path, capsys, command):
+        # An existing file where a directory is wanted: FileExistsError or
+        # NotADirectoryError, neither of which is a missing-file error.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        mesh = str(corpus_dir / "grid4.msh")
+        argv = {"distribute": ["distribute", mesh, "--nparts", "2", "--out", str(blocker)],
+                "reorder": ["reorder", mesh, "--out", str(blocker / "x.msh")],
+                "info": ["info", str(blocker / "x.msh")]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("plexmesh: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("content", [
+        ONE_TRIANGLE.encode() + "$Comments\nmaill\u00e9\n$EndComments\n".encode(),
+        np.random.default_rng(7).bytes(256) + b"\xff",
+    ], ids=["accented-comment", "random-bytes"])
+    def test_non_ascii_input_is_a_parse_error(self, tmp_path, capsys, content):
+        mesh = tmp_path / "bytes.msh"
+        mesh.write_bytes(content)
+        first = next(b for b in content if b > 0x7F)
+        assert main(["info", str(mesh)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"plexmesh: parse error: non-ASCII byte 0x{first:02x} in MSH file\n"
 
     def test_validation_errors(self, corpus_dir, capsys):
         assert main(["partition", str(corpus_dir / "tet_single.msh"),

@@ -121,6 +121,16 @@ class TestRead:
         with pytest.raises(pm.GmshParseError, match="4.1"):
             pm.read_gmsh_file(path)
 
+    @pytest.mark.parametrize("where", ["comment", "node"])
+    def test_non_ascii_byte_is_a_parse_error(self, tmp_path, where):
+        path = tmp_path / "accent.msh"
+        text = (MINIMAL_TET + "$Comments\nmaill\u00e9\n$EndComments\n"
+                if where == "comment" else MINIMAL_TET.replace("2 1 0 0", "2 1\u00e9 0 0"))
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(pm.GmshParseError, match="non-ASCII byte 0xc3") as info:
+            pm.read_gmsh_file(path)
+        assert info.value.__cause__ is None and info.value.__suppress_context__
+
     def test_binary_rejected(self):
         with pytest.raises(pm.GmshParseError, match="binary"):
             parse(MINIMAL_TET.replace("2.2 0 8", "2.2 1 8"))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -143,6 +144,25 @@ def test_traversals_on_hand_built_dags(dim, cones):
     assert_traversals_match(plex, np.concatenate([points, points[::-1]]))
     rebuilt = pm.Plex(dim, plex._cone_offsets, plex._cone_targets)
     assert rebuilt == plex and rebuilt.cones() == [tuple(c) for c in cones]
+
+
+@PROPERTY
+@given(seed=seeds)
+def test_traversals_on_random_non_graded_dags(seed):
+    # Cones draw from higher-numbered points, so the DAG is acyclic and its
+    # arcs may skip depths; 0 -> 1 -> 2 plus 0 -> 2 makes one skip certain.
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(10, 61))
+    sizes = [int(rng.integers(0, min(4, n - p - 1) + 1)) for p in range(n)]
+    cones = [sorted(rng.choice(np.arange(p + 1, n), k, replace=False).tolist())
+             for p, k in enumerate(sizes)]
+    cones[0] = sorted({1, 2, *cones[0]})
+    cones[1] = sorted({2, *cones[1]})
+    plex = plex_from_cones(int(rng.integers(1, 4)), cones)
+    assert not plex._graded
+    assert_strata_match(plex)
+    # Any order, repeats included.
+    assert_traversals_match(plex, rng.integers(0, n, 2 * n))
 
 
 def test_closures_of_nothing():
@@ -409,6 +429,47 @@ print("numpy.ma" in sys.modules)
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().lower()) is False
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds)
+def test_boundary_matching_matches_oracle(raw, seed):
+    # The generator's boundary facets plus repeats of any facet, interior ones
+    # too, shuffled and with their vertices permuted; then 1-3 planted vertex
+    # sets that are no facet.
+    rng = np.random.default_rng(seed)
+    plex = oracle.build_from_cells(raw.cells, raw.num_vertices, raw.dim)
+    known = oracle.facet_points(plex)
+    all_facets = np.array(sorted(known))
+    extra = all_facets[rng.integers(0, len(all_facets), 1 + len(all_facets) // 2)]
+    rows = np.concatenate([raw.boundary_facets, extra, extra[:3]])
+    rows = rng.permuted(rows[rng.permutation(len(rows))], axis=1)
+    markers = rng.integers(-5, 6, len(rows))
+
+    def with_facets(facets, markers):
+        return pm.RawMesh(dim=raw.dim, vertices=raw.vertices, cells=raw.cells,
+                          cell_region_ids=raw.cell_region_ids,
+                          boundary_facets=facets, boundary_markers=markers)
+
+    bundle = pm.raw_to_bundle(with_facets(rows, markers))
+    assert bundle.labels["boundary"] == oracle.boundary_label(plex, rows, markers)
+    if raw.dim == 1:
+        return  # every vertex is a 1D facet, so nothing can be planted
+    planted, count = [], int(rng.integers(1, 4))
+    while len(planted) < count:
+        row = rng.choice(raw.num_vertices, raw.dim, replace=False)
+        if tuple(sorted(row.tolist())) not in known:
+            planted.append(row)
+    at = np.sort(rng.choice(len(rows) + len(planted), len(planted), replace=False))
+    bad = np.empty((len(rows) + len(planted), raw.dim), dtype=np.int64)
+    keep = np.ones(len(bad), dtype=bool)
+    keep[at] = False
+    bad[at], bad[keep] = planted, rows
+    message = f"boundary facet {tuple(sorted(planted[0].tolist()))} not found"
+    for build in (pm.raw_to_bundle,
+                  lambda m: oracle.boundary_label(plex, m.boundary_facets, m.boundary_markers)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build(with_facets(bad, np.zeros(len(bad), dtype=np.int64)))
 
 
 # -- MSH 2.2 text I/O ------------------------------------------------------------
