@@ -72,6 +72,9 @@ def _cmd_partition(args) -> int:
     bundle = _load(args.mesh)
     graph, pmap = _partition(bundle, args.nparts, args.method)
     stats = partition_stats(graph, pmap)
+    if args.csv:
+        lines = ["cell,rank"] + [f"{c},{int(r)}" for c, r in enumerate(pmap.ranks)]
+        Path(args.csv).write_text("\n".join(lines) + "\n")
     _emit({
         "method": args.method,
         "nparts": args.nparts,
@@ -79,9 +82,6 @@ def _cmd_partition(args) -> int:
         "edge_cut": stats.edge_cut,
         "imbalance": stats.imbalance,
     })
-    if args.csv:
-        lines = ["cell,rank"] + [f"{c},{int(r)}" for c, r in enumerate(pmap.ranks)]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
     return 0
 
 

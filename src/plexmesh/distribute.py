@@ -37,8 +37,8 @@ class StarForest:
         arrays = [np.asarray(a, dtype=np.int64)
                   for a in (leaf_rank, leaf_point, root_rank, root_point)]
         key = arrays[0] * (1 + int(arrays[1].max(initial=0))) + arrays[1]
-        if np.any(key[1:] < key[:-1]):
-            arrays = [a[np.argsort(key, kind="stable")] for a in arrays]
+        if (key[1:] < key[:-1]).any():
+            arrays = [a[key.argsort(kind="stable")] for a in arrays]
         self.nranks = nranks
         self.leaf_rank, self.leaf_point, self.root_rank, self.root_point = arrays
 
@@ -66,11 +66,11 @@ class StarForest:
         """Inverse of bcast: each leaf's block of a Section-laid leaf array at
         its root, as CSR over roots [0, nroots), which must have one leaf each."""
         claimed = np.bincount(self.root_point, minlength=nroots)
-        if np.any(claimed > 1):
+        if (claimed > 1).any():
             raise ValueError("inconsistent ownership: a point is claimed by two ranks")
-        if np.any(claimed == 0):
+        if (claimed == 0).any():
             raise ValueError("incomplete distribution: a point is owned by no rank")
-        return _csr_rows(section.offsets, values, np.argsort(self.root_point))
+        return _csr_rows(section.offsets, values, self.root_point.argsort())
 
 
 def _migration_sf(ranks: Sequence[int], points: Sequence[np.ndarray]) -> StarForest:
@@ -86,7 +86,7 @@ def _layouts(bundle: MeshBundle, names) -> list[tuple[Section, np.ndarray]]:
     coordinates, then the values of each named label."""
     plex, coords = bundle.plex, bundle.coordinates
     labels = [bundle.labels.get(name, Label(name)) for name in names]
-    return [(Section(np.diff(plex._cone_offsets)), plex._cone_targets),
+    return [(Section(plex._cone_offsets[1:] - plex._cone_offsets[:-1]), plex._cone_targets),
             (coords.section, coords.values),
             *((Section(np.bincount(lab.points, minlength=plex.chart_size)), lab.values)
               for lab in labels)]
@@ -94,9 +94,9 @@ def _layouts(bundle: MeshBundle, names) -> list[tuple[Section, np.ndarray]]:
 
 def _bundle(dim: int, names, moved) -> MeshBundle:
     """The bundle of CSR (offsets, values) arrays in _layouts order."""
-    (offsets, cones), (coord_offsets, coords), *labels = moved
+    (offsets, cones), (coord_off, coords), *labels = moved
     return MeshBundle(Plex(dim, offsets, cones),
-                      Field("coordinates", Section(np.diff(coord_offsets)), coords),
+                      Field("coordinates", Section(coord_off[1:] - coord_off[:-1]), coords),
                       {name: Label(name, _row_ids(label_offsets), values)
                        for name, (label_offsets, values) in zip(names, labels)})
 
@@ -173,17 +173,16 @@ def close_partition(plex: Plex, pmap: PartitionMap) -> tuple[StarForest, np.ndar
     # with a cell of another rank goes to that rank too.
     sup_offsets, sup = _csr_rows(plex._support_offsets, plex._support_targets,
                                  plex.height_stratum(1))
-    a, b = _row_pairs(sup_offsets, np.searchsorted(cells, sup))
+    a, b = _row_pairs(sup_offsets, ((plex.heights == 0).cumsum() - 1)[sup])
     foreign = pmap.ranks[a] != pmap.ranks[b]
     sent_cell = np.concatenate([np.arange(len(cells), dtype=np.int64), a[foreign]])
     sent_rank = np.concatenate([pmap.ranks, pmap.ranks[b[foreign]]])
 
     # Every (rank, point) pair the sent cells' closures cover, sorted by rank.
-    sizes = np.diff(offsets)[sent_cell]
-    _, pts = _csr_rows(offsets, closure_pts, sent_cell)
-    keys = _unique_sorted(np.repeat(sent_rank, sizes) * chart + pts)
+    sent_offsets, pts = _csr_rows(offsets, closure_pts, sent_cell)
+    keys = _unique_sorted(sent_rank.repeat(sent_offsets[1:] - sent_offsets[:-1]) * chart + pts)
     ranks, pts = np.divmod(keys, chart)
-    leaf_point = np.arange(keys.size) - np.searchsorted(ranks, ranks)
+    leaf_point = np.arange(keys.size) - _offsets(np.bincount(ranks, minlength=nparts))[ranks]
     return StarForest(nparts, ranks, leaf_point, np.zeros_like(ranks), pts), owner
 
 
@@ -210,11 +209,6 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
     bounds = np.searchsorted(msf.leaf_rank, np.arange(nranks + 1)).tolist()
     names = list(bundle.labels)
     moved = [msf.bcast(*layout) for layout in _layouts(bundle, names)]
-    # Cones in rank-local ids: the leaf point of each (leaf rank, cone point).
-    offsets = moved[0][0]
-    rank_key = msf.leaf_rank * chart
-    moved[0] = (offsets, msf.leaf_point[np.searchsorted(
-        rank_key + msf.root_point, np.repeat(rank_key, np.diff(offsets)) + moved[0][1])])
 
     # Point SF by composition: reduce the owners' local ids onto the global
     # points, then bcast them back to every copy.
@@ -227,14 +221,20 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
                     owner[msf.root_point[ghost]], owner_point[ghost])
 
     owned_cell = owned & (plex.heights[msf.root_point] == 0)
+    local_of = np.empty(chart, dtype=np.int64)
     locals_ = []
     for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rank_moved = [(o[lo:hi + 1] - o[lo], v[o[lo]:o[hi]]) for o, v in moved]
+        # Cones in rank-local ids.  Every cone point of a point the rank
+        # receives lies in a received closure, so local_of never serves an
+        # entry left by an earlier rank.
+        local_of[msf.root_point[lo:hi]] = msf.leaf_point[lo:hi]
+        rank_moved[0] = (rank_moved[0][0], local_of[rank_moved[0][1]])
         locals_.append(RankLocalMesh(
             rank=r, bundle=_bundle(plex.dim, names, rank_moved),
             local_to_global=msf.root_point[lo:hi],
-            owned_cells=np.flatnonzero(owned_cell[lo:hi]),
-            ghost_points=np.flatnonzero(ghost[lo:hi])))
+            owned_cells=owned_cell[lo:hi].nonzero()[0],
+            ghost_points=ghost[lo:hi].nonzero()[0]))
 
     report = MigrationReport(
         bytes_topology=8 * (moved[0][1].size + msf.leaf_point.size),
@@ -265,7 +265,7 @@ def build_halo(local: RankLocalMesh, sf: StarForest, section: Section,
     ghosts = sf.leaf_point[s][order]
     owned = np.ones(n, dtype=bool)
     owned[ghosts] = False
-    owned = np.flatnonzero(owned)
+    owned = owned.nonzero()[0]
     has_dofs = section.dofs[owned] > 0
     perm = Permutation.from_new_order(
         np.concatenate([owned[has_dofs], owned[~has_dofs], ghosts]))
@@ -300,6 +300,6 @@ def gather_to_root(locals_: Sequence[RankLocalMesh], sf: StarForest) -> MeshBund
         # Cones (k == 0) in global ids.
         values = np.concatenate([lm.local_to_global[v] if k == 0 else v
                                  for lm, (_, v) in zip(locals_, parts)])
-        offsets, values = _csr_rows(offsets, values, np.flatnonzero(owned))
-        moved.append(owned_sf.reduce(Section(np.diff(offsets)), values, chart))
+        offsets, values = _csr_rows(offsets, values, owned.nonzero()[0])
+        moved.append(owned_sf.reduce(Section(offsets[1:] - offsets[:-1]), values, chart))
     return _bundle(locals_[0].bundle.dim, names, moved)

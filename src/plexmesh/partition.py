@@ -55,11 +55,10 @@ def build_dual_graph(plex: Plex) -> DualGraph:
     """Connect cells through shared height-1 points; requires an interpolated plex."""
     if not plex.is_interpolated:
         raise ValueError("dual graph needs an interpolated plex")
-    cells = plex.height_stratum(0)
+    cell_of = (plex.heights == 0).cumsum() - 1  # cell number of each cell point
     offsets, support = _csr_rows(plex._support_offsets, plex._support_targets,
                                  plex.height_stratum(1))
-    return DualGraph(len(cells), *_adjacency(len(cells), offsets,
-                                             np.searchsorted(cells, support)))
+    return DualGraph(plex.num_cells, *_adjacency(plex.num_cells, offsets, cell_of[support]))
 
 
 def partition_cells(graph: DualGraph, nparts: int, method: str = "greedy-bfs",

@@ -15,7 +15,7 @@ class Permutation:
             raise ValueError("permutation image outside [0, n)")
         inv = np.full(n, -1, dtype=np.int64)
         inv[fwd] = np.arange(n, dtype=np.int64)
-        if np.any(inv < 0):
+        if (inv < 0).any():
             raise ValueError("permutation is not a bijection")
         self.forward = fwd
         self.inverse = inv

@@ -42,7 +42,8 @@ _CELL_ARITY = {1: 2, 2: 3, 3: 4}
 
 def _unique_sorted(values: np.ndarray) -> np.ndarray:
     """Sorted distinct values of a 1-D integer array."""
-    values = np.sort(values)
+    values = values.copy()
+    values.sort()
     if values.size < 2:
         return values
     keep = np.empty(values.size, dtype=bool)
@@ -54,7 +55,7 @@ def _unique_sorted(values: np.ndarray) -> np.ndarray:
 def _offsets(sizes: np.ndarray) -> np.ndarray:
     """CSR offsets (exclusive prefix sum with the total appended) of row sizes."""
     out = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=out[1:])
+    np.cumsum(sizes, out=out[1:])  # sizes may be a list
     return out
 
 
@@ -64,25 +65,25 @@ def _csr_rows(offsets: np.ndarray, targets: np.ndarray,
     starts = offsets[rows]
     sizes = offsets[rows + 1] - starts
     out = _offsets(sizes)
-    idx = np.arange(out[-1], dtype=np.int64) + np.repeat(starts - out[:-1], sizes)
+    idx = np.arange(out[-1], dtype=np.int64) + (starts - out[:-1]).repeat(sizes)
     return out, targets[idx]
 
 
 def _row_ids(offsets: np.ndarray) -> np.ndarray:
     """Row index of every entry of a CSR relation."""
-    return np.repeat(np.arange(len(offsets) - 1, dtype=np.int64), np.diff(offsets))
+    return np.arange(len(offsets) - 1, dtype=np.int64).repeat(offsets[1:] - offsets[:-1])
 
 
 def _row_pairs(offsets: np.ndarray, targets: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """Every ordered pair (a, b) of entries sharing a row, (a, a) included."""
-    sizes = np.diff(offsets)
+    sizes = offsets[1:] - offsets[:-1]
     entry_row = _row_ids(offsets)
     reps = sizes[entry_row]
-    first = np.repeat(targets, reps)
+    first = targets.repeat(reps)
     pair_start = _offsets(reps)
-    within = np.arange(pair_start[-1], dtype=np.int64) - np.repeat(pair_start[:-1], reps)
-    second = targets[np.repeat(offsets[entry_row], reps) + within]
+    within = np.arange(pair_start[-1], dtype=np.int64) - pair_start[:-1].repeat(reps)
+    second = targets[offsets[entry_row].repeat(reps) + within]
     return first, second
 
 
@@ -120,7 +121,7 @@ class Plex:
         self.dim = dim
         offsets, targets = (np.asarray(a, dtype=np.int64) for a in (offsets, targets))
         if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
-                or np.any(np.diff(offsets) < 0)
+                or (offsets[1:] < offsets[:-1]).any()
                 or targets.shape != (int(offsets[-1]),)):
             raise ValueError("malformed CSR cone arrays")
         self.chart_size = offsets.size - 1
@@ -136,9 +137,9 @@ class Plex:
         sources = _row_ids(offsets)
 
         def graded(d):
-            return bool(np.all(d[targets] == d[sources] - 1))
+            return bool((d[targets] == d[sources] - 1).all())
 
-        depths = np.maximum(np.diff(offsets) - 1, 0)
+        depths = np.maximum(offsets[1:] - offsets[:-1] - 1, 0)
         self._graded = graded(depths)
         if not self._graded:
             depths = self._longest_paths(offsets, *self._support)
@@ -148,7 +149,7 @@ class Plex:
         # climbs one depth a step to the top: heights mirror depths.
         top = depths.max(initial=0)
         has_support = np.bincount(targets, minlength=self.chart_size) > 0
-        self.heights = (top - depths if self._graded and np.all(has_support[depths < top])
+        self.heights = (top - depths if self._graded and has_support[depths < top].all()
                         else self._longest_paths(self._support_offsets, offsets, targets))
 
     # -- construction helpers -------------------------------------------------
@@ -159,7 +160,7 @@ class Plex:
         # __init__ keeps none of it, so most plexes hold no arc-sized copy.
         targets = self._cone_targets
         return (_offsets(np.bincount(targets, minlength=self.chart_size)),
-                _row_ids(self._cone_offsets)[np.argsort(targets, kind="stable")])
+                _row_ids(self._cone_offsets)[targets.argsort(kind="stable")])
 
     _support_offsets = property(lambda self: self._support[0])
     _support_targets = property(lambda self: self._support[1])
@@ -172,9 +173,9 @@ class Plex:
         longest path.  Each arc is visited once.  Points left over when a
         level comes out empty lie on or above a cycle.
         """
-        remaining = np.diff(out_off)
+        remaining = out_off[1:] - out_off[:-1]
         level = np.empty(self.chart_size, dtype=np.int64)
-        frontier = np.flatnonzero(remaining == 0)
+        frontier = (remaining == 0).nonzero()[0]
         left = self.chart_size
         k = 0
         while left:
@@ -235,7 +236,7 @@ class Plex:
         """
         offsets, targets = self.closures(points)
         is_vertex = self.depths[targets] == 0
-        vertices = (np.cumsum(self.depths == 0) - 1)[targets[is_vertex]]
+        vertices = ((self.depths == 0).cumsum() - 1)[targets[is_vertex]]
         return _offsets(is_vertex)[offsets], vertices
 
     def _traverse(self, points, step_off, step_tgt) -> tuple[np.ndarray, np.ndarray]:
@@ -257,7 +258,7 @@ class Plex:
             offsets, reached = _csr_rows(step_off, step_tgt, pts)
             if reached.size == 0:
                 break
-            keys = _unique_sorted(np.repeat(rows, np.diff(offsets)) * n + reached)
+            keys = _unique_sorted(rows.repeat(offsets[1:] - offsets[:-1]) * n + reached)
             if seen is not None:
                 found = np.searchsorted(seen, keys)
                 found[found == seen.size] = 0
@@ -270,7 +271,7 @@ class Plex:
 
         rows, pts = (np.concatenate(a) for a in zip(*levels))
         return (_offsets(np.bincount(rows, minlength=m)),
-                pts[np.argsort(rows, kind="stable")])
+                pts[rows.argsort(kind="stable")])
 
     # -- strata ----------------------------------------------------------------
 
@@ -282,11 +283,11 @@ class Plex:
 
     def depth_stratum(self, d: int) -> np.ndarray:
         """Points at depth d (distance from the vertex stratum), ascending."""
-        return np.flatnonzero(self.depths == d).astype(np.int64)
+        return (self.depths == d).nonzero()[0]
 
     def height_stratum(self, h: int) -> np.ndarray:
         """Points at height h (distance from the cell stratum), ascending."""
-        return np.flatnonzero(self.heights == h).astype(np.int64)
+        return (self.heights == h).nonzero()[0]
 
     @property
     def num_cells(self) -> int:
@@ -299,7 +300,7 @@ class Plex:
     @property
     def is_interpolated(self) -> bool:
         """True when the DAG is strictly graded and cells sit at depth dim."""
-        return self._graded and bool(np.all(self.depths[self.heights == 0] == self.dim))
+        return self._graded and bool((self.depths[self.heights == 0] == self.dim).all())
 
     def cones(self) -> list[tuple[int, ...]]:
         """All cones as tuples, indexed by point."""

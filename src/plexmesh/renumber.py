@@ -18,8 +18,8 @@ def _vertex_adjacency(plex: Plex) -> tuple[np.ndarray, list[list[int]]]:
     verts = plex.depth_stratum(0)
     offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets,
                                  plex.depth_stratum(1))
-    bounds, flat = _adjacency(len(verts), offsets, np.searchsorted(verts, targets))
-    order = np.lexsort((flat, np.diff(bounds)[flat], _row_ids(bounds)))
+    bounds, flat = _adjacency(len(verts), offsets, ((plex.depths == 0).cumsum() - 1)[targets])
+    order = np.lexsort((flat, (bounds[1:] - bounds[:-1])[flat], _row_ids(bounds)))
     bounds, flat = bounds.tolist(), flat[order].tolist()
     return verts, [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
@@ -83,16 +83,13 @@ def rcm_ordering(plex: Plex) -> Permutation:
     # so every cone point has its key already.
     key = np.empty(plex.chart_size, dtype=np.int64)
     key[verts] = vrank_new
-    forward = np.empty(plex.chart_size, dtype=np.int64)
-    for d in range(int(plex.depths.max()) + 1):
+    for d in range(1, int(plex.depths.max()) + 1):
         stratum = plex.depth_stratum(d)
-        if d > 0:
-            offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets,
-                                         stratum)
-            key[stratum] = np.minimum.reduceat(key[targets], offsets[:-1])
-        order = np.lexsort((stratum, key[stratum]))
-        # stratum[order[k]] becomes the k-th point of this stratum's id range
-        forward[stratum[order]] = stratum
+        offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, stratum)
+        key[stratum] = np.minimum.reduceat(key[targets], offsets[:-1])
+    # The k-th point by (depth, key, id) takes the k-th id by (depth, id).
+    forward = np.empty(plex.chart_size, dtype=np.int64)
+    forward[np.lexsort((key, plex.depths))] = plex.depths.argsort(kind="stable")
     return Permutation(forward)
 
 

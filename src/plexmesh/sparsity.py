@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gmsh_io import MeshBundle
+from .gmsh_io import MeshBundle, _format_rows
 from .plex import _pairs_to_csr, _row_ids, _row_pairs
 
 
@@ -71,5 +71,5 @@ def profile(pattern: CsrPattern) -> int:
 
 def spy_export(pattern: CsrPattern) -> str:
     """CSV of stored entries, row-major: header 'row,col' then one line each."""
-    pairs = zip(_row_ids(pattern.indptr).tolist(), pattern.indices.tolist())
-    return "".join(["row,col\n", *(f"{i},{j}\n" for i, j in pairs)])
+    return "row,col\n" + _format_rows(
+        "%d,%d\n", np.column_stack([_row_ids(pattern.indptr), pattern.indices]))

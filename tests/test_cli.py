@@ -228,6 +228,14 @@ class TestExitCodes:
         assert err.startswith("plexmesh: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_unwritable_partition_csv_prints_no_report(self, corpus_dir, tmp_path, capsys):
+        argv = ["partition", str(corpus_dir / "grid4.msh"), "--nparts", "2",
+                "--csv", str(tmp_path / "missing" / "ranks.csv")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("plexmesh: ") and captured.err.count("\n") == 1
+
     @pytest.mark.parametrize("content", [
         ONE_TRIANGLE.encode() + "$Comments\nmaill\u00e9\n$EndComments\n".encode(),
         np.random.default_rng(7).bytes(256) + b"\xff",

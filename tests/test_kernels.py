@@ -332,21 +332,23 @@ def test_generators_match_oracle(nx, ny, nz, length):
 @PROPERTY
 @given(raw=meshes, seed=seeds, nparts=st.integers(1, 4))
 def test_close_partition_matches_oracle(raw, seed, nparts):
-    bundle = pm.raw_to_bundle(raw)
     # Random ranks, some possibly empty.
     ranks = np.random.default_rng(seed).integers(0, nparts, raw.num_cells)
     pmap = pm.PartitionMap(ranks, nparts)
-    msf, owner = pm.close_partition(bundle.plex, pmap)
-    want = oracle.close_partition(bundle.plex, pmap)
-    assert msf.leaf_rank.size == sum(b.points.size for b in want)
-    for b in want:
-        points, owned = rank_points(msf, owner, b.rank)
-        assert points == b.points.tolist()
-        assert owned == b.owned.tolist()
-        assert msf.leaf_point[msf.leaf_rank == b.rank].tolist() == list(range(len(points)))
-    assert not msf.root_rank.any()
-    locals_, sf, _ = pm.migrate(bundle, pmap, nparts)
-    assert pm.gather_to_root(locals_, sf) == bundle
+    built = pm.raw_to_bundle(raw)
+    # Scrambled, cells leave [0, ncells): a cell's index is no longer its point.
+    for bundle in (built, scrambled(built, seed)):
+        msf, owner = pm.close_partition(bundle.plex, pmap)
+        want = oracle.close_partition(bundle.plex, pmap)
+        assert msf.leaf_rank.size == sum(b.points.size for b in want)
+        for b in want:
+            points, owned = rank_points(msf, owner, b.rank)
+            assert points == b.points.tolist()
+            assert owned == b.owned.tolist()
+            assert msf.leaf_point[msf.leaf_rank == b.rank].tolist() == list(range(len(points)))
+        assert not msf.root_rank.any()
+        locals_, sf, _ = pm.migrate(bundle, pmap, nparts)
+        assert pm.gather_to_root(locals_, sf) == bundle
 
 
 def sets_of(labels: dict) -> dict:
@@ -359,42 +361,44 @@ def sets_of(labels: dict) -> dict:
 def test_distribution_matches_oracle(kind, size, seed, nparts):
     raw = relabel({"triangles": pm.triangle_grid(2 + size, 3),
                    "tets": pm.tet_box(1 + size, 2, 1)}[kind], seed)
-    bundle = pm.raw_to_bundle(raw)
+    built = pm.raw_to_bundle(raw)
     rng = np.random.default_rng(seed)
     # Random ranks with at least one of them empty when nparts > 1.
     ranks = rng.integers(0, nparts, raw.num_cells)
     empty = rng.integers(nparts)
     ranks[ranks == empty] = (empty + 1) % nparts
     pmap = pm.PartitionMap(ranks, nparts)
-    dofs = rng.integers(0, 3, bundle.plex.chart_size)
+    dofs = rng.integers(0, 3, built.plex.chart_size)
     fld = pm.Field("u", pm.Section(dofs), rng.standard_normal(int(dofs.sum())))
 
-    locals_, sf, report = pm.migrate(bundle, pmap, nparts, fields=[fld])
-    want_locals, want_sf, want_report = oracle.migrate(
-        oracle.dict_labels(bundle), pmap, nparts, fields=[fld])
-    assert sf.nranks == want_sf.nranks
-    assert report.as_dict() == want_report.as_dict()
-    for lm, want in zip(locals_, want_locals, strict=True):
-        assert sf.rank_leaves(lm.rank) == want_sf.rank_leaves(want.rank)
-        assert lm.bundle.plex == want.bundle.plex
-        assert_strata_match(lm.bundle.plex)
-        assert lm.bundle.coordinates == want.bundle.coordinates
-        assert sets_of(lm.bundle.labels) == sets_of(want.bundle.labels)
-        assert lm.local_to_global.tolist() == want.local_to_global.tolist()
-        assert lm.owned_cells.tolist() == want.owned_cells.tolist()
-        assert lm.ghost_points.tolist() == want.ghost_points.tolist()
-        sec = pm.Section(rng.integers(0, 3, lm.bundle.plex.chart_size))
-        halo, perm = pm.build_halo(lm, sf, sec)
-        want_halo, want_perm = oracle.build_halo(want, want_sf, sec)
-        assert halo == want_halo
-        assert perm.forward.tolist() == want_perm.forward.tolist()
+    # Scrambled, cells leave [0, ncells): a cell's index is no longer its point.
+    for bundle in (built, scrambled(built, seed)):
+        locals_, sf, report = pm.migrate(bundle, pmap, nparts, fields=[fld])
+        want_locals, want_sf, want_report = oracle.migrate(
+            oracle.dict_labels(bundle), pmap, nparts, fields=[fld])
+        assert sf.nranks == want_sf.nranks
+        assert report.as_dict() == want_report.as_dict()
+        for lm, want in zip(locals_, want_locals, strict=True):
+            assert sf.rank_leaves(lm.rank) == want_sf.rank_leaves(want.rank)
+            assert lm.bundle.plex == want.bundle.plex
+            assert_strata_match(lm.bundle.plex)
+            assert lm.bundle.coordinates == want.bundle.coordinates
+            assert sets_of(lm.bundle.labels) == sets_of(want.bundle.labels)
+            assert lm.local_to_global.tolist() == want.local_to_global.tolist()
+            assert lm.owned_cells.tolist() == want.owned_cells.tolist()
+            assert lm.ghost_points.tolist() == want.ghost_points.tolist()
+            sec = pm.Section(rng.integers(0, 3, lm.bundle.plex.chart_size))
+            halo, perm = pm.build_halo(lm, sf, sec)
+            want_halo, want_perm = oracle.build_halo(want, want_sf, sec)
+            assert halo == want_halo
+            assert perm.forward.tolist() == want_perm.forward.tolist()
 
-    gathered = pm.gather_to_root(locals_, sf)
-    want = oracle.gather_to_root(want_locals, want_sf)
-    assert gathered.plex == want.plex
-    assert gathered.coordinates == want.coordinates
-    assert sets_of(gathered.labels) == sets_of(want.labels)
-    assert gathered == bundle
+        gathered = pm.gather_to_root(locals_, sf)
+        want = oracle.gather_to_root(want_locals, want_sf)
+        assert gathered.plex == want.plex
+        assert gathered.coordinates == want.coordinates
+        assert sets_of(gathered.labels) == sets_of(want.labels)
+        assert gathered == bundle
 
 
 def test_pipeline_never_imports_numpy_ma():
