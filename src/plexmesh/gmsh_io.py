@@ -432,6 +432,9 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
 
     # A cell with several region values gets its largest, the last of its run.
     region = bundle.labels.get("region", Label("region"))
+    not_cell = plex.heights[region.points] != 0
+    if not_cell.any():
+        raise ValueError(f"region value on point {region.points[not_cell.argmax()]}, not a cell")
     last = np.ones(region.points.size, dtype=bool)
     last[:-1] = region.points[1:] != region.points[:-1]
     regions = np.zeros(len(cell_points), dtype=np.int64)

@@ -6,7 +6,7 @@ single contiguous numbering called the chart.  Each point covers the points
 one level down its boundary (its *cone*); the transpose relation is the
 *support*.  Strata (entities of equal dimension) are the sets of points of
 equal depth/height, so all traversal code is dimension independent; depths
-are simplex guesses checked against the DAG, or peeled from it.
+are simplex guesses checked against the DAG, or relaxed over it, up to dim.
 
 Both relations are stored in CSR form (an offset array and a target array),
 and every bulk query works on whole arrays of points at once.
@@ -106,8 +106,9 @@ class Plex:
     """Immutable layered DAG over mesh points.
 
     Construction takes simplex depths (cone size - 1) that check out as
-    graded, else peels the DAG, mirrors heights from graded depths, and
-    rejects cyclic cover relations.  The support is built on first use
+    graded, else relaxes longest paths, and mirrors heights from graded
+    depths.  As in DMPlex, depth is at most dim: cyclic cover relations and
+    DAGs deeper than dim are rejected.  The support is built on first use
     (racing threads build the same arrays); all queries are read-only, so
     instances are safe for concurrent use.
 
@@ -133,24 +134,24 @@ class Plex:
         # Graded: every cone arc drops exactly one depth, so closures meet a
         # point on one BFS level only.  The simplex guess, cone size - 1, is
         # exact when graded (each cone path from p has length guess[p]) and
-        # proves the DAG acyclic; other DAGs are peeled.
+        # proves the DAG acyclic; other DAGs and guesses past dim are relaxed.
         sources = _row_ids(offsets)
 
         def graded(d):
             return bool((d[targets] == d[sources] - 1).all())
 
         depths = np.maximum(offsets[1:] - offsets[:-1] - 1, 0)
-        self._graded = graded(depths)
+        top = depths.max(initial=0)
+        self._graded = top <= dim and graded(depths)
         if not self._graded:
-            depths = self._longest_paths(offsets, *self._support)
-            self._graded = graded(depths)
+            depths = self._longest_paths(sources, targets)
+            top, self._graded = depths.max(initial=0), graded(depths)
         self.depths = depths
         # Graded with every support-free point on top, each support path
         # climbs one depth a step to the top: heights mirror depths.
-        top = depths.max(initial=0)
         has_support = np.bincount(targets, minlength=self.chart_size) > 0
         self.heights = (top - depths if self._graded and has_support[depths < top].all()
-                        else self._longest_paths(self._support_offsets, offsets, targets))
+                        else self._longest_paths(targets, sources))
 
     # -- construction helpers -------------------------------------------------
 
@@ -165,29 +166,23 @@ class Plex:
     _support_offsets = property(lambda self: self._support[0])
     _support_targets = property(lambda self: self._support[1])
 
-    def _longest_paths(self, out_off, in_off, in_tgt) -> np.ndarray:
-        """Longest out-arc path length from each point to an out-degree-0 point.
+    def _longest_paths(self, tails, heads) -> np.ndarray:
+        """Longest path length from each point along the arcs tails -> heads.
 
-        Kahn-style peeling: level 0 is every point without out-arcs; level k
-        is every point whose out-arcs all lead to levels below k, which is its
-        longest path.  Each arc is visited once.  Points left over when a
-        level comes out empty lie on or above a cycle.
+        After k relaxation rounds from zero every point holds min(longest
+        path, k): the rounds end when one changes nothing, and a cycle or a
+        path longer than dim passes dim by round dim + 1.
         """
-        remaining = out_off[1:] - out_off[:-1]
-        level = np.empty(self.chart_size, dtype=np.int64)
-        frontier = (remaining == 0).nonzero()[0]
-        left = self.chart_size
-        k = 0
-        while left:
-            if frontier.size == 0:
-                raise ValueError("cover relation contains a cycle")
-            level[frontier] = k
-            left -= frontier.size
-            _, preds = _csr_rows(in_off, in_tgt, frontier)
-            np.subtract.at(remaining, preds, 1)
-            frontier = _unique_sorted(preds[remaining[preds] == 0])
-            k += 1
-        return level
+        level = np.zeros(self.chart_size, dtype=np.int64)
+        while True:
+            new = np.zeros_like(level)
+            np.maximum.at(new, tails, level[heads] + 1)
+            if new.max(initial=0) > self.dim:
+                raise ValueError("cover relation contains a cycle or a path longer "
+                                 f"than dimension {self.dim}")
+            if (new == level).all():
+                return level
+            level = new
 
     # -- incidence queries -----------------------------------------------------
 
@@ -244,7 +239,10 @@ class Plex:
 
         Each level's (row, point) pairs are sorted and de-duplicated as one
         key array, so levels are row-sorted and one stable sort by row lists
-        every row's levels in order, each ascending.
+        every row's levels in order, each ascending.  Unless graded, a point
+        met again on a later level is dropped after the walk (stably sorted,
+        the first of equal keys is the earliest); depth <= dim bounds the
+        walk to dim + 1 levels.
         """
         n = self.chart_size
         pts = np.asarray(points, dtype=np.int64).reshape(-1)
@@ -253,23 +251,21 @@ class Plex:
         m = pts.size
         rows = np.arange(m, dtype=np.int64)
         levels = [(rows, pts)]
-        seen = None if self._graded else np.sort(rows * n + pts)
         while True:
             offsets, reached = _csr_rows(step_off, step_tgt, pts)
             if reached.size == 0:
                 break
             keys = _unique_sorted(rows.repeat(offsets[1:] - offsets[:-1]) * n + reached)
-            if seen is not None:
-                found = np.searchsorted(seen, keys)
-                found[found == seen.size] = 0
-                keys = keys[seen[found] != keys]
-                if keys.size == 0:
-                    break
-                seen = np.sort(np.concatenate([seen, keys]))
             rows, pts = np.divmod(keys, n)
             levels.append((rows, pts))
 
         rows, pts = (np.concatenate(a) for a in zip(*levels))
+        if not self._graded:
+            keys = rows * n + pts
+            order = keys.argsort(kind="stable")
+            first = np.ones(keys.size, dtype=bool)
+            first[order[1:]] = keys[order[1:]] != keys[order[:-1]]
+            rows, pts = rows[first], pts[first]
         return (_offsets(np.bincount(rows, minlength=m)),
                 pts[rows.argsort(kind="stable")])
 

@@ -292,6 +292,23 @@ class TestRawToBundle:
         bundle.labels["region"] = pm.Label("region")
         assert pm.bundle_to_raw(bundle).cell_region_ids.tolist() == [0, 0]
 
+    def test_region_on_a_vertex_rejected(self):
+        bundle = pm.raw_to_bundle(pm.triangle_grid(2, 1))  # cells 0-3, vertices from 4
+        bundle.labels["region"] = pm.Label.from_arrays("region", [0, 4], [1, 9])
+        with pytest.raises(ValueError, match="region value on point 4, not a cell"):
+            pm.bundle_to_raw(bundle)
+
+    def test_region_on_a_vertex_of_a_scrambled_bundle_rejected(self):
+        # A vertex numbered between cells must not pass for the next cell.
+        bundle = pm.raw_to_bundle(pm.triangle_grid(2, 1))
+        perm = pm.Permutation(np.random.default_rng(5).permutation(bundle.plex.chart_size))
+        bundle = pm.apply_permutation(bundle, perm)
+        cells, vertices = bundle.plex.height_stratum(0), bundle.plex.depth_stratum(0)
+        vertex = int(vertices[vertices < cells.max()][0])
+        bundle.labels["region"] = pm.Label.from_arrays("region", [vertex], [9])
+        with pytest.raises(ValueError, match=f"region value on point {vertex}, not a cell"):
+            pm.bundle_to_raw(bundle)
+
     def test_missing_facet_rejected(self):
         mesh = parse(MINIMAL_TET)
         bad = pm.RawMesh(dim=3, vertices=mesh.vertices, cells=mesh.cells,

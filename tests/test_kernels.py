@@ -17,6 +17,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -97,6 +98,10 @@ def assert_strata_match(plex: pm.Plex) -> None:
     assert plex.is_interpolated == interpolated
     assert plex._support_offsets.tolist() == sup_offsets.tolist()
     assert plex._support_targets.tolist() == sources[order].tolist()
+    # Depth and height are at most dim, so the strata 0..dim cover the chart.
+    for strata in (plex.depth_stratum, plex.height_stratum):
+        assert sum(len(strata(k)) for k in range(plex.dim + 1)) == plex.chart_size
+    assert pm.section_from_depth_dofs(plex, [1] * (plex.dim + 1)).total_size == plex.chart_size
 
 
 @PROPERTY
@@ -120,12 +125,27 @@ def test_closures_and_stars_match_oracle(raw, seed):
     assert_traversals_match(plex, np.arange(plex.chart_size))
 
 
+def plex_if_shallow(dim: int, cones) -> pm.Plex | None:
+    """plex_from_cones(dim, cones) if the oracle finds no path longer than
+    dim; otherwise None, once Plex is seen to reject the cones."""
+    offsets = np.cumsum([0] + [len(c) for c in cones])
+    targets = np.array([q for c in cones for q in c], dtype=np.int64)
+    depths = oracle.longest_paths(SimpleNamespace(chart_size=len(cones)), offsets, targets)
+    if depths.max(initial=0) > dim:
+        with pytest.raises(ValueError, match=f"path longer than dimension {dim}"):
+            plex_from_cones(dim, cones)
+        return None
+    return plex_from_cones(dim, cones)
+
+
+# Not graded: cells reach vertices both directly and through edges, so a
+# vertex is met on two BFS levels.  Point 0 is at depth 3.
+SKIPPING = [(2, 5, 6), (5, 3), (4, 5), (), (), (3, 4), (4, 7), ()]
+
 HAND_BUILT = [
     (2, [(2, 3, 4), (3, 5, 4), (), (), (), ()]),   # cells covering vertices directly
-    # not graded: cells reach vertices both directly and through edges, so a
-    # vertex is met on two BFS levels
-    (2, [(2, 5, 6), (5, 3), (4, 5), (), (), (3, 4), (4, 7), ()]),
-    (3, [(1, 4), (2, 3), (3, 4), (4,), ()]),
+    (2, SKIPPING),                                 # deeper than dim: rejected
+    (3, [(1, 4), (2, 3), (3, 4), (4,), ()]),       # a chain of depth 4: rejected
     # not graded: cell 0 covers vertex 4 directly, so 4 sits at height 1
     (2, [(1, 4), (2, 3), (), (), ()]),
     # graded, but with support-free points at two depths: edge 7 hangs off
@@ -133,12 +153,19 @@ HAND_BUILT = [
     (2, [(4, 5, 6), (), (), (), (1, 2), (2, 3), (1, 3), (3, 8), ()]),
     # graded, but not simplicial: a quadrilateral covers four edges
     (2, [(5, 6, 7, 8), (), (), (), (), (1, 2), (2, 3), (3, 4), (4, 1)]),
+    (3, SKIPPING),
+    # graded, so the simplex guess checks out, but an interpolated
+    # tetrahedron is deeper than dim 2: rejected
+    (2, [(5, 6, 7, 8), (), (), (), (), (9, 10, 11), (12, 13, 10), (14, 13, 11),
+         (12, 14, 9), (2, 3), (1, 3), (1, 2), (3, 4), (1, 4), (2, 4)]),
 ]
 
 
 @pytest.mark.parametrize("dim,cones", HAND_BUILT)
 def test_traversals_on_hand_built_dags(dim, cones):
-    plex = plex_from_cones(dim, cones)
+    plex = plex_if_shallow(dim, cones)
+    if plex is None:
+        return
     assert_strata_match(plex)
     points = np.arange(plex.chart_size)
     assert_traversals_match(plex, np.concatenate([points, points[::-1]]))
@@ -158,11 +185,51 @@ def test_traversals_on_random_non_graded_dags(seed):
              for p, k in enumerate(sizes)]
     cones[0] = sorted({1, 2, *cones[0]})
     cones[1] = sorted({2, *cones[1]})
-    plex = plex_from_cones(int(rng.integers(1, 4)), cones)
+    # Accepted exactly when no path is longer than dim: at these sizes
+    # almost never, which the layered DAGs below make up for.
+    plex = plex_if_shallow(int(rng.integers(1, 4)), cones)
+    if plex is None:
+        return
     assert not plex._graded
     assert_strata_match(plex)
     # Any order, repeats included.
     assert_traversals_match(plex, rng.integers(0, n, 2 * n))
+
+
+def layered_dag(seed: int) -> list[list[int]]:
+    """Cones of a random DAG on levels 0..3 whose arcs drop one or more levels.
+
+    A chain through all four levels plus an arc from its top to its bottom
+    makes the DAG non-graded; point ids are shuffled.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(8, 41))
+    level = rng.integers(0, 4, n)
+    level[:4] = [3, 2, 1, 0]
+    cones = []
+    for p in range(n):
+        below = (level < level[p]).nonzero()[0]
+        k = int(rng.integers(0, min(4, below.size) + 1))
+        cones.append({*rng.choice(below, k, replace=False).tolist()})
+    cones[0] |= {1, 3}
+    cones[1] |= {2}
+    cones[2] |= {3}
+    new = rng.permutation(n)
+    return [sorted(int(new[q]) for q in cones[p]) for p in new.argsort()]
+
+
+@PROPERTY
+@given(seed=seeds)
+def test_traversals_on_random_layered_dags(seed):
+    # Depth at most 3 with skip arcs: accepted at dim 3, and every closure and
+    # star of the chain's ends meets a point on two levels.
+    cones = layered_dag(seed)
+    plex = plex_from_cones(3, cones)
+    assert not plex._graded
+    assert_strata_match(plex)
+    points = np.arange(plex.chart_size)
+    rng = np.random.default_rng(seed)
+    assert_traversals_match(plex, np.concatenate([points, rng.permutation(points)]))
 
 
 def test_closures_of_nothing():
@@ -178,17 +245,20 @@ def test_closures_of_nothing():
 def test_simplex_depths_are_verified(raw, seed):
     plex = scrambled(pm.raw_to_bundle(raw), seed).plex
     # A simplicial mesh keeps its guessed depths, cone size - 1, and mirrors
-    # its heights: nothing is peeled, so the support is not built.
+    # its heights: nothing is relaxed, and the support is not built.
     assert "_support" not in vars(plex)
     assert_strata_match(plex)
     # A cell one face short or covering an extra vertex is guessed wrong,
-    # and its strata must be peeled to the oracle's.
+    # and its strata must be relaxed to the oracle's, still without the
+    # support.
     rng = np.random.default_rng(seed)
     cones = plex.cones()
     cell = int(rng.choice(plex.height_stratum(0)))
     vertex = int(rng.choice(np.setdiff1d(plex.depth_stratum(0), cones[cell])))
     for cone in (cones[cell][1:], cones[cell] + (vertex,)):
-        assert_strata_match(plex_from_cones(plex.dim, cones[:cell] + [cone] + cones[cell + 1:]))
+        relaxed = plex_from_cones(plex.dim, cones[:cell] + [cone] + cones[cell + 1:])
+        assert "_support" not in vars(relaxed)
+        assert_strata_match(relaxed)
 
 
 def test_support_built_on_first_use():
@@ -202,10 +272,10 @@ def test_support_built_on_first_use():
 def test_pipeline_never_peels(corpus, name, monkeypatch):
     # Every plex the pipeline builds, gather_to_root's included, is
     # simplicial, so its guessed depths check out.
-    def peel(*_):
-        raise AssertionError("strata peeled")
+    def relax(*_):
+        raise AssertionError("strata relaxed")
 
-    monkeypatch.setattr(pm.Plex, "_longest_paths", peel)
+    monkeypatch.setattr(pm.Plex, "_longest_paths", relax)
     bundle = pm.raw_to_bundle(corpus[name])
     graph = pm.build_dual_graph(bundle.plex)
     centroids = pm.cell_centroids(bundle)

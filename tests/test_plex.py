@@ -196,12 +196,17 @@ class TestStrata:
         with pytest.raises(ValueError, match="cycle"):
             plex_from_cones(1, [(1,), (2,), (0,)])
 
-    def test_long_cycle_rejected_fast(self):
-        # Peeling stops at the first empty level, so a ring costs O(arcs).
-        n = 100_000
+    @pytest.mark.parametrize("offsets,targets", [
+        (np.arange(100_001), (np.arange(100_000) + 1) % 100_000),
+        (np.minimum(np.arange(100_001), 99_999), np.arange(1, 100_000)),
+    ], ids=["ring", "chain"])
+    def test_long_cycle_rejected_fast(self, offsets, targets):
+        # Relaxation round k raises every point on a cycle or a path of k or
+        # more arcs to k, so a value past dim shows by round dim + 1: a ring
+        # or a chain of any length costs dim + 1 rounds of O(arcs).
         started = time.perf_counter()
         with pytest.raises(ValueError, match="cover relation contains a cycle"):
-            Plex(1, np.arange(n + 1), (np.arange(n) + 1) % n)
+            Plex(1, offsets, targets)
         assert time.perf_counter() - started < 0.5
 
     def test_cycle_above_acyclic_part_rejected(self):
