@@ -18,8 +18,7 @@ import numpy as np
 from .gmsh_io import MeshBundle
 from .partition import PartitionMap
 from .permutation import Permutation
-from .plex import (Label, Plex, _csr_rows, _offsets, _row_ids, _row_pairs,
-                   _unique_sorted)
+from .plex import Label, Plex, _csr_rows, _offsets, _row_ids, _unique_sorted
 from .section import Field, Section
 
 
@@ -171,9 +170,8 @@ def close_partition(plex: Plex, pmap: PartitionMap) -> tuple[StarForest, np.ndar
 
     # One layer of overlap through shared facets: every cell sharing a facet
     # with a cell of another rank goes to that rank too.
-    sup_offsets, sup = _csr_rows(plex._support_offsets, plex._support_targets,
-                                 plex.height_stratum(1))
-    a, b = _row_pairs(sup_offsets, ((plex.heights == 0).cumsum() - 1)[sup])
+    graph_offsets, b = plex._cell_graph
+    a = _row_ids(graph_offsets)
     foreign = pmap.ranks[a] != pmap.ranks[b]
     sent_cell = np.concatenate([np.arange(len(cells), dtype=np.int64), a[foreign]])
     sent_rank = np.concatenate([pmap.ranks, pmap.ranks[b[foreign]]])

@@ -107,6 +107,10 @@ class MeshBundle:
         on_vertex = sec.dofs[self.plex.depth_stratum(0)]
         if not (np.all(on_vertex == dim) and sec.total_size == on_vertex.size * dim):
             raise ValueError("coordinates must carry dim dofs per vertex only")
+        for name, label in self.labels.items():  # points ascend: the ends bound them
+            for p in label.points[:1].tolist() + label.points[-1:].tolist():
+                if not 0 <= p < self.plex.chart_size:
+                    raise ValueError(f"label '{name}' marks point {p}, outside the chart")
 
     @property
     def dim(self) -> int:
@@ -380,15 +384,6 @@ def write_gmsh_file(mesh: RawMesh, path) -> None:
 # -- raw <-> bundle -------------------------------------------------------------
 
 
-def _vertex_table(plex: Plex, points: np.ndarray) -> np.ndarray:
-    """(len(points), k) vertex numbers of each point's closure, closure order."""
-    offsets, verts = plex.vertex_closures(points)
-    sizes = np.diff(offsets)
-    if sizes.size and np.any(sizes != sizes[0]):
-        raise ValueError("points with differing vertex counts")
-    return verts.reshape(len(points), sizes[0] if sizes.size else 0)
-
-
 def raw_to_bundle(mesh: RawMesh) -> MeshBundle:
     """Interpolate a RawMesh and attach coordinates, region and boundary labels.
 
@@ -407,7 +402,7 @@ def raw_to_bundle(mesh: RawMesh) -> MeshBundle:
     # is numbered k, and an input facet numbered higher is not in the mesh.
     candidates = plex.height_stratum(1)
     found = _first_encounter_ids(np.concatenate(
-        [_vertex_table(plex, candidates), mesh.boundary_facets]))[0][len(candidates):]
+        [plex.vertex_closures(candidates), mesh.boundary_facets]))[0][len(candidates):]
     missing = found >= len(candidates)
     if missing.any():
         key = tuple(sorted(mesh.boundary_facets[np.argmax(missing)].tolist()))
@@ -428,7 +423,7 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
     coords = bundle.vertex_coords()
 
     cell_points = plex.height_stratum(0)
-    cells = _vertex_table(plex, cell_points)
+    cells = plex.vertex_closures(cell_points)
 
     # A cell with several region values gets its largest, the last of its run.
     region = bundle.labels.get("region", Label("region"))
@@ -441,12 +436,16 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
     regions[np.searchsorted(cell_points, region.points[last])] = region.values[last]
 
     boundary = bundle.labels.get("boundary", Label("boundary"))
+    not_facet = plex.heights[boundary.points] != 1
+    if not_facet.any():
+        raise ValueError(
+            f"boundary value on point {boundary.points[not_facet.argmax()]}, not a facet")
     by_value = np.lexsort((boundary.points, boundary.values))
     return RawMesh(
         dim=plex.dim,
         vertices=coords,
         cells=cells,
         cell_region_ids=regions,
-        boundary_facets=np.sort(_vertex_table(plex, boundary.points[by_value]), axis=1),
+        boundary_facets=np.sort(plex.vertex_closures(boundary.points[by_value]), axis=1),
         boundary_markers=boundary.values[by_value],
     )

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmsh_io import MeshBundle
-from .plex import Plex, _adjacency, _csr_rows, _row_ids
+from .plex import Plex, _row_ids
 
 
 @dataclass(eq=False)
@@ -55,10 +55,7 @@ def build_dual_graph(plex: Plex) -> DualGraph:
     """Connect cells through shared height-1 points; requires an interpolated plex."""
     if not plex.is_interpolated:
         raise ValueError("dual graph needs an interpolated plex")
-    cell_of = (plex.heights == 0).cumsum() - 1  # cell number of each cell point
-    offsets, support = _csr_rows(plex._support_offsets, plex._support_targets,
-                                 plex.height_stratum(1))
-    return DualGraph(plex.num_cells, *_adjacency(plex.num_cells, offsets, cell_of[support]))
+    return DualGraph(plex.num_cells, *plex._cell_graph)
 
 
 def partition_cells(graph: DualGraph, nparts: int, method: str = "greedy-bfs",
@@ -145,14 +142,5 @@ def partition_stats(graph: DualGraph, pmap: PartitionMap) -> PartitionStats:
 def cell_centroids(bundle: MeshBundle) -> np.ndarray:
     """Mean vertex position per cell, (ncells, dim), cells in ascending order."""
     plex = bundle.plex
-    coords = bundle.vertex_coords()
-    offsets, verts = plex.vertex_closures(plex.height_stratum(0))
-    sizes = np.diff(offsets)
-    # Sum each cell's vertices one closure position at a time, in closure
-    # order, as the mean of its (k, dim) coordinate rows would.
-    out = coords[verts[offsets[:-1]]]
-    for j in range(1, int(sizes.max(initial=0))):
-        rows = np.flatnonzero(sizes > j)
-        out[rows] += coords[verts[offsets[rows] + j]]
-    out /= sizes[:, None]
-    return out
+    table = plex.vertex_closures(plex.height_stratum(0))
+    return bundle.vertex_coords()[table].sum(axis=1) / table.shape[1]

@@ -74,19 +74,6 @@ def _row_ids(offsets: np.ndarray) -> np.ndarray:
     return np.arange(len(offsets) - 1, dtype=np.int64).repeat(offsets[1:] - offsets[:-1])
 
 
-def _row_pairs(offsets: np.ndarray, targets: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Every ordered pair (a, b) of entries sharing a row, (a, a) included."""
-    sizes = offsets[1:] - offsets[:-1]
-    entry_row = _row_ids(offsets)
-    reps = sizes[entry_row]
-    first = targets.repeat(reps)
-    pair_start = _offsets(reps)
-    within = np.arange(pair_start[-1], dtype=np.int64) - pair_start[:-1].repeat(reps)
-    second = targets[offsets[entry_row].repeat(reps) + within]
-    return first, second
-
-
 def _pairs_to_csr(n: int, rows: np.ndarray, cols: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray]:
     """CSR over n rows of the distinct (row, col) pairs, columns ascending."""
@@ -98,7 +85,13 @@ def _pairs_to_csr(n: int, rows: np.ndarray, cols: np.ndarray
 def _adjacency(n: int, offsets: np.ndarray, targets: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
     """CSR over n items of the other items sharing a CSR row with each, ascending."""
-    a, b = _row_pairs(offsets, targets)
+    # Every ordered pair (a, b) of entries sharing a row, (a, a) included.
+    entry_row = _row_ids(offsets)
+    reps = (offsets[1:] - offsets[:-1])[entry_row]
+    a = targets.repeat(reps)
+    pair_start = _offsets(reps)
+    within = np.arange(pair_start[-1], dtype=np.int64) - pair_start[:-1].repeat(reps)
+    b = targets[offsets[entry_row].repeat(reps) + within]
     return _pairs_to_csr(n, a[a != b], b[a != b])
 
 
@@ -108,9 +101,9 @@ class Plex:
     Construction takes simplex depths (cone size - 1) that check out as
     graded, else relaxes longest paths, and mirrors heights from graded
     depths.  As in DMPlex, depth is at most dim: cyclic cover relations and
-    DAGs deeper than dim are rejected.  The support is built on first use
-    (racing threads build the same arrays); all queries are read-only, so
-    instances are safe for concurrent use.
+    DAGs deeper than dim are rejected.  The support and the two mesh graphs
+    are built on first use (racing threads build the same arrays); all
+    queries are read-only, so instances are safe for concurrent use.
 
     Built from CSR cones, ``Plex(dim, offsets, targets)``: the cone of point
     p is ``targets[offsets[p]:offsets[p + 1]]``.
@@ -165,6 +158,19 @@ class Plex:
 
     _support_offsets = property(lambda self: self._support[0])
     _support_targets = property(lambda self: self._support[1])
+
+    # The mesh graphs, built on first use like the support: items (vertices,
+    # cells) joined by a depth-1 (height-1) point, as CSR over item numbers,
+    # a prefix count over the items' mask, columns ascending, no self-loops.
+
+    def _joined(self, items: np.ndarray, relation, through: np.ndarray):
+        offsets, targets = _csr_rows(*relation, through)
+        return _adjacency(int(np.count_nonzero(items)), offsets, (items.cumsum() - 1)[targets])
+
+    _vertex_graph = cached_property(lambda self: self._joined(
+        self.depths == 0, (self._cone_offsets, self._cone_targets), self.depth_stratum(1)))
+    _cell_graph = cached_property(lambda self: self._joined(
+        self.heights == 0, self._support, self.height_stratum(1)))
 
     def _longest_paths(self, tails, heads) -> np.ndarray:
         """Longest path length from each point along the arcs tails -> heads.
@@ -223,16 +229,21 @@ class Plex:
         """
         return self._traverse(points, self._cone_offsets, self._cone_targets)
 
-    def vertex_closures(self, points) -> tuple[np.ndarray, np.ndarray]:
-        """The vertices in each point's closure, as CSR of vertex numbers.
+    def vertex_closures(self, points) -> np.ndarray:
+        """The vertices in each point's closure, as a (len(points), k) table.
 
         Vertex numbers count depth-0 points in ascending point order; each
-        row keeps closure order.
+        row keeps closure order.  Points whose closures hold differing
+        numbers of vertices raise ValueError.
         """
         offsets, targets = self.closures(points)
         is_vertex = self.depths[targets] == 0
+        bounds = _offsets(is_vertex)[offsets]
+        sizes = bounds[1:] - bounds[:-1]
+        if (sizes[1:] != sizes[:-1]).any():
+            raise ValueError("points with differing vertex counts")
         vertices = ((self.depths == 0).cumsum() - 1)[targets[is_vertex]]
-        return _offsets(is_vertex)[offsets], vertices
+        return vertices.reshape(sizes.size, sizes.max(initial=0))
 
     def _traverse(self, points, step_off, step_tgt) -> tuple[np.ndarray, np.ndarray]:
         """Level-synchronous BFS from every point at once over a CSR relation.

@@ -8,20 +8,8 @@ import numpy as np
 
 from .gmsh_io import MeshBundle
 from .permutation import Permutation
-from .plex import Plex, _adjacency, _csr_rows, _row_ids
+from .plex import Plex, _csr_rows, _row_ids
 from .section import permute_field
-
-
-def _vertex_adjacency(plex: Plex) -> tuple[np.ndarray, list[list[int]]]:
-    """Vertex graph: two vertices are adjacent when a depth-1 point joins them.
-    Each row lists its neighbours in ascending (degree, id)."""
-    verts = plex.depth_stratum(0)
-    offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets,
-                                 plex.depth_stratum(1))
-    bounds, flat = _adjacency(len(verts), offsets, ((plex.depths == 0).cumsum() - 1)[targets])
-    order = np.lexsort((flat, (bounds[1:] - bounds[:-1])[flat], _row_ids(bounds)))
-    bounds, flat = bounds.tolist(), flat[order].tolist()
-    return verts, [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
 
 
 def _cuthill_mckee(adj: list[list[int]], start: int) -> tuple[list[int], dict[int, int]]:
@@ -62,7 +50,12 @@ def rcm_ordering(plex: Plex) -> Permutation:
     by the minimum new vertex number in their closure (ties by old id), so a
     single permutation covers the whole chart.
     """
-    verts, adj = _vertex_adjacency(plex)
+    # The vertex graph, each row sorted by ascending (degree, id).
+    bounds, flat = plex._vertex_graph
+    order = np.lexsort((flat, (bounds[1:] - bounds[:-1])[flat], _row_ids(bounds)))
+    bounds, flat = bounds.tolist(), flat[order].tolist()
+    adj = [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
+    verts = plex.depth_stratum(0)
     nv = len(verts)
 
     visited = np.zeros(nv, dtype=bool)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gmsh_io import MeshBundle, _format_rows
-from .plex import _pairs_to_csr, _row_ids, _row_pairs
+from .plex import _pairs_to_csr, _row_ids
 
 
 class CsrPattern:
@@ -42,14 +42,19 @@ class CsrPattern:
 def p1_pattern(bundle: MeshBundle) -> CsrPattern:
     """Vertex-vertex coupling: (i, j) stored when i and j share a cell closure.
 
+    On a simplicial plex two vertices share a cell exactly when an edge joins
+    them, so the pattern is the plex's vertex graph plus the diagonal.
     Row/column indices count vertices in ascending vertex-point order, which
     keeps the pattern well defined on permuted bundles too.
     """
     plex = bundle.plex
     if not plex.is_interpolated:
         raise ValueError("pattern construction needs an interpolated plex")
-    rows, cols = _row_pairs(*plex.vertex_closures(plex.height_stratum(0)))
-    return CsrPattern(plex.num_vertices, rows, cols)
+    sizes, upper = plex._cone_offsets[1:] - plex._cone_offsets[:-1], plex.depths > 0
+    if (sizes[upper] != plex.depths[upper] + 1).any():
+        raise ValueError("pattern construction needs a simplicial plex")
+    bounds, cols = plex._vertex_graph
+    return CsrPattern(plex.num_vertices, _row_ids(bounds), cols)
 
 
 def _row_reach(pattern: CsrPattern) -> np.ndarray:

@@ -512,6 +512,13 @@ class DictLabel:
     def points_with(self, value: int) -> np.ndarray:
         return np.array(sorted(self.values.get(int(value), ())), dtype=np.int64)
 
+    @property
+    def points(self) -> np.ndarray:
+        """Every marked point, ascending, as Label.points lists them (MeshBundle
+        checks the ends against the chart)."""
+        return np.array(sorted(p for pts in self.values.values() for p in pts),
+                        dtype=np.int64)
+
     def value_ids(self) -> list[int]:
         return sorted(self.values)
 

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -296,9 +298,13 @@ class TestExitCodes:
 
 
 def test_console_entry_point(corpus_dir):
+    # The subprocess imports the plexmesh under test, installed or not.
+    src = str(Path(pm.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "plexmesh.cli", "info",
          str(corpus_dir / "line_single.msh")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 1

@@ -314,6 +314,30 @@ class TestConcurrencyContract:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_mesh_graphs_built_concurrently(self, corpus):
+        # The vertex and cell graphs are built on first use too; threads
+        # racing there must all see the same graphs.
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        def graphs(bundle):
+            dual, pattern = pm.build_dual_graph(bundle.plex), pm.p1_pattern(bundle)
+            return [a.tolist() for a in (dual.offsets, dual.neighbors,
+                                         pattern.indptr, pattern.indices)]
+
+        raw = corpus["cube"]
+        expected = graphs(pm.raw_to_bundle(raw))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                bundle = pm.raw_to_bundle(raw)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    got = list(pool.map(lambda _: graphs(bundle), range(16), timeout=60))
+                assert got == [expected] * 16
+        finally:
+            sys.setswitchinterval(interval)
+
 
 class TestCommunicationVolume:
     def test_topology_only_beats_full_state(self, bundles):

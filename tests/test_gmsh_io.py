@@ -309,6 +309,32 @@ class TestRawToBundle:
         with pytest.raises(ValueError, match=f"region value on point {vertex}, not a cell"):
             pm.bundle_to_raw(bundle)
 
+    @pytest.mark.parametrize("point", [40, -1])
+    def test_label_point_outside_the_chart_rejected(self, point):
+        bundle = pm.raw_to_bundle(pm.triangle_grid(2, 1))  # 19 points
+        label = pm.Label.from_arrays("region", [0, point], [1, 9])
+        with pytest.raises(ValueError,
+                           match=f"label 'region' marks point {point}, outside the chart"):
+            pm.MeshBundle(bundle.plex, bundle.coordinates, {"region": label})
+
+    def test_boundary_on_a_cell_rejected(self):
+        bundle = pm.raw_to_bundle(pm.triangle_grid(2, 1))
+        bundle.labels["boundary"] = pm.Label.from_arrays("boundary", [0], [5])
+        with pytest.raises(ValueError, match="boundary value on point 0, not a facet"):
+            pm.bundle_to_raw(bundle)
+
+    def test_boundary_on_a_cell_of_a_scrambled_bundle_rejected(self):
+        # A cell numbered between facets, marked with a real facet.
+        bundle = pm.raw_to_bundle(pm.triangle_grid(2, 1))
+        perm = pm.Permutation(np.random.default_rng(5).permutation(bundle.plex.chart_size))
+        bundle = pm.apply_permutation(bundle, perm)
+        cells, facets = bundle.plex.height_stratum(0), bundle.plex.height_stratum(1)
+        cell = int(cells[(cells > facets.min()) & (cells < facets.max())][0])
+        bundle.labels["boundary"] = pm.Label.from_arrays(
+            "boundary", [int(facets[0]), cell], [1, 5])
+        with pytest.raises(ValueError, match=f"boundary value on point {cell}, not a facet"):
+            pm.bundle_to_raw(bundle)
+
     def test_missing_facet_rejected(self):
         mesh = parse(MINIMAL_TET)
         bad = pm.RawMesh(dim=3, vertices=mesh.vertices, cells=mesh.cells,

@@ -176,9 +176,16 @@ def test_traversals_on_hand_built_dags(dim, cones):
 @PROPERTY
 @given(seed=seeds)
 def test_traversals_on_random_non_graded_dags(seed):
+    # A layered DAG on levels 0..dim with a skip arc is non-graded and no
+    # deeper than dim: accepted, and every traversal matches the oracles.
+    rng = np.random.default_rng(seed)
+    dim = int(rng.integers(2, 4))
+    plex = plex_from_cones(dim, layered_dag(int(rng.integers(2**32)), dim))
+    assert not plex._graded
+    assert_strata_match(plex)
+    assert_traversals_match(plex, rng.integers(0, plex.chart_size, 2 * plex.chart_size))
     # Cones draw from higher-numbered points, so the DAG is acyclic and its
     # arcs may skip depths; 0 -> 1 -> 2 plus 0 -> 2 makes one skip certain.
-    rng = np.random.default_rng(seed)
     n = int(rng.integers(10, 61))
     sizes = [int(rng.integers(0, min(4, n - p - 1) + 1)) for p in range(n)]
     cones = [sorted(rng.choice(np.arange(p + 1, n), k, replace=False).tolist())
@@ -186,7 +193,7 @@ def test_traversals_on_random_non_graded_dags(seed):
     cones[0] = sorted({1, 2, *cones[0]})
     cones[1] = sorted({2, *cones[1]})
     # Accepted exactly when no path is longer than dim: at these sizes
-    # almost never, which the layered DAGs below make up for.
+    # almost never, which the layered DAG above makes up for.
     plex = plex_if_shallow(int(rng.integers(1, 4)), cones)
     if plex is None:
         return
@@ -196,24 +203,24 @@ def test_traversals_on_random_non_graded_dags(seed):
     assert_traversals_match(plex, rng.integers(0, n, 2 * n))
 
 
-def layered_dag(seed: int) -> list[list[int]]:
-    """Cones of a random DAG on levels 0..3 whose arcs drop one or more levels.
+def layered_dag(seed: int, top: int = 3) -> list[list[int]]:
+    """Cones of a random DAG on levels 0..top whose arcs drop one or more levels.
 
-    A chain through all four levels plus an arc from its top to its bottom
-    makes the DAG non-graded; point ids are shuffled.
+    A chain through all the levels plus an arc from its top to its bottom
+    makes the DAG non-graded (for top >= 2); point ids are shuffled.
     """
     rng = np.random.default_rng(seed)
     n = int(rng.integers(8, 41))
-    level = rng.integers(0, 4, n)
-    level[:4] = [3, 2, 1, 0]
+    level = rng.integers(0, top + 1, n)
+    level[:top + 1] = np.arange(top, -1, -1)
     cones = []
     for p in range(n):
         below = (level < level[p]).nonzero()[0]
         k = int(rng.integers(0, min(4, below.size) + 1))
         cones.append({*rng.choice(below, k, replace=False).tolist()})
-    cones[0] |= {1, 3}
-    cones[1] |= {2}
-    cones[2] |= {3}
+    for p in range(top):
+        cones[p] |= {p + 1}
+    cones[0] |= {top}
     new = rng.permutation(n)
     return [sorted(int(new[q]) for q in cones[p]) for p in new.argsort()]
 
@@ -266,6 +273,46 @@ def test_support_built_on_first_use():
     assert "_support" not in vars(plex)
     assert plex.support(1).tolist() == [10, 11, 13]
     assert "_support" in vars(plex)
+
+
+def test_mesh_graphs_built_on_first_use():
+    plex = pm.build_from_cells([(0, 1, 2), (1, 3, 2)], 4, 2)
+    assert not {"_vertex_graph", "_cell_graph"} & set(vars(plex))
+    bounds, cols = plex._vertex_graph
+    assert bounds.tolist() == [0, 2, 5, 8, 10] and cols.tolist() == [1, 2, 0, 2, 3, 0, 1, 3, 1, 2]
+    assert "_vertex_graph" in vars(plex) and "_cell_graph" not in vars(plex)
+    assert [a.tolist() for a in plex._cell_graph] == [[0, 1, 2], [1, 0]]
+    assert "_cell_graph" in vars(plex)
+
+
+def count_graphs(monkeypatch) -> list[int]:
+    """Hook plex._adjacency; the list grows by one per graph derived."""
+    calls = []
+    adjacency = pm.plex._adjacency
+
+    def counted(*args):
+        calls.append(1)
+        return adjacency(*args)
+
+    monkeypatch.setattr(pm.plex, "_adjacency", counted)
+    return calls
+
+
+def test_reorder_pipeline_derives_each_vertex_graph_once(corpus, monkeypatch):
+    bundle = pm.raw_to_bundle(corpus["grid4"])
+    calls = count_graphs(monkeypatch)
+    before = pm.p1_pattern(bundle)
+    reordered = pm.apply_permutation(bundle, pm.rcm_ordering(bundle.plex))
+    assert pm.p1_pattern(reordered).nnz == before.nnz
+    assert len(calls) == 2
+
+
+def test_partition_overlap_reuses_the_cell_graph(corpus, monkeypatch):
+    plex = pm.raw_to_bundle(corpus["cube"]).plex
+    calls = count_graphs(monkeypatch)
+    pmap = pm.partition_cells(pm.build_dual_graph(plex), 4)
+    pm.close_partition(plex, pmap)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["grid4", "grid32", "cube"])

@@ -157,6 +157,12 @@ class TestQueries:
         oracle = reachable(plex, shared, plex.support)
         assert {0, 1} <= set(plex.star(shared).tolist()) == oracle
 
+    def test_vertex_closures_table(self, tet):
+        assert tet.vertex_closures([5, 6]).tolist() == [[0, 1, 2], [0, 2, 3]]
+        assert tet.vertex_closures([]).shape == (0, 0)
+        with pytest.raises(ValueError, match="differing vertex counts"):
+            tet.vertex_closures([0, 5])
+
     def test_out_of_chart(self, tet):
         for op in (tet.cone, tet.support, tet.closure, tet.star):
             with pytest.raises(IndexError):

@@ -11,6 +11,8 @@ import plexmesh as pm
 from plexmesh import (CsrPattern, Permutation, apply_permutation, bandwidth,
                       p1_pattern, profile, spy_export)
 
+from _helpers import plex_from_cones
+
 
 def pattern_oracle(raw: pm.RawMesh) -> set[tuple[int, int]]:
     """Oracle: vertex pairs coupled through a cell, straight from raw cells."""
@@ -62,6 +64,16 @@ class TestP1Pattern:
             assert all((j, i) in ent for i, j in ent), name
             assert all((i, i) in ent for i in range(pat.n)), name
             assert ent == pattern_oracle(corpus[name]), name
+
+    def test_quadrilateral_rejected(self):
+        # Interpolated but not simplicial: the diagonal vertices of a
+        # quadrilateral share its closure but no edge.
+        plex = plex_from_cones(2, [(5, 6, 7, 8), (), (), (), (), (1, 2), (2, 3), (3, 4),
+                                   (4, 1)])
+        coords = pm.Field("coordinates", pm.section_from_depth_dofs(plex, [2, 0, 0]),
+                          np.array([0, 0, 1, 0, 1, 1, 0, 1], dtype=np.float64))
+        with pytest.raises(ValueError, match="needs a simplicial plex"):
+            p1_pattern(pm.MeshBundle(plex, coords))
 
     def test_columns_strictly_increasing(self, bundles):
         pat = p1_pattern(bundles["grid4"])
