@@ -16,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .distribute import migrate
-from .gmsh_io import (GmshParseError, MeshBundle, bundle_to_raw, raw_to_bundle,
-                      read_gmsh_file, write_gmsh_file)
+from .gmsh_io import (GmshParseError, MeshBundle, _format_rows, bundle_to_raw,
+                      raw_to_bundle, read_gmsh_file, write_gmsh_file)
 from .partition import (build_dual_graph, cell_centroids, partition_cells,
                         partition_stats)
 from .renumber import apply_permutation, rcm_ordering
@@ -73,8 +73,8 @@ def _cmd_partition(args) -> int:
     graph, pmap = _partition(bundle, args.nparts, args.method)
     stats = partition_stats(graph, pmap)
     if args.csv:
-        lines = ["cell,rank"] + [f"{c},{int(r)}" for c, r in enumerate(pmap.ranks)]
-        Path(args.csv).write_text("\n".join(lines) + "\n")
+        Path(args.csv).write_text("cell,rank\n" + _format_rows(
+            "%d,%d\n", np.column_stack([np.arange(graph.num_cells), pmap.ranks])))
     _emit({
         "method": args.method,
         "nparts": args.nparts,

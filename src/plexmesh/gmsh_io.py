@@ -8,10 +8,10 @@ $Nodes and $Elements blocks are parsed and formatted as arrays with numpy.
 The reader reads lines from the stream as it needs them and parses up to
 512 lines of a block with one call, loadtxt for nodes and fromstring for
 elements, once the bytes show numbers both read exactly as int() and
-float() do.  Other text (a '+', a 19-digit tag, a control or non-ASCII
-character) and any slice that fails its checks go to a per-line path that
-splits in Python and names the first bad line.  Node tags that fill one
-range index a map; other tags are searched.  The writer fills one
+float() do.  A slice of other text (a '+', a 19-digit tag, a control or
+non-ASCII character), or one that fails a check, is read again one line
+at a time, and that pass names the first bad line.  Node tags that fill
+one range index a map; other tags are searched.  The writer fills one
 %-template repeated per row, so its text is byte-identical to formatting
 each line on its own.
 """
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import islice
 from typing import IO, Iterator
 
 import numpy as np
@@ -158,28 +158,22 @@ def _count(line: str, section: str) -> int:
 
 
 def _split_nodes(block: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tags and (n, 3) coordinates of n lines of a $Nodes block, split in Python.
-
-    The path for text that _parse_nodes refuses, and the one that names a
-    bad line."""
-    rows = list(map(str.split, block))
-    if len(rows) == n and set(map(len, rows)) <= {4}:
-        fields = list(chain.from_iterable(rows))
-        try:
-            tags = np.array(fields[::4], dtype=np.int64)
-            del fields[::4]
-            return tags, np.array(fields, dtype=np.float64).reshape(n, 3)
-        except (ValueError, OverflowError):
-            pass
-    # Error path only: name the first bad line.
-    for line, r in zip(block, rows):
+    """Tags and (n, 3) coordinates of n lines of a $Nodes block, one line
+    at a time: the path for text that _parse_nodes refuses, which names the
+    first bad line."""
+    tags, xyz = np.empty(n, dtype=np.int64), np.empty((n, 3))
+    for k, line in enumerate(block):
+        r = line.split()
         try:
             if len(r) != 4:
                 raise ValueError
-            np.array(r[:1], dtype=np.int64), np.array(r[1:], dtype=np.float64)
+            tags[k:k + 1] = np.array(r[:1], dtype=np.int64)
+            xyz[k] = np.array(r[1:], dtype=np.float64)
         except (ValueError, OverflowError):
             raise GmshParseError(f"malformed node line '{line}'") from None
-    raise GmshParseError("unexpected end of file while reading $Nodes")
+    if len(block) != n:
+        raise GmshParseError("unexpected end of file while reading $Nodes")
+    return tags, xyz
 
 
 def _element_arrays(fields: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...] | None:
@@ -203,36 +197,27 @@ def _element_arrays(fields: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, 
 
 
 def _split_elements(block: list[str], n: int) -> tuple[np.ndarray, ...]:
-    """_parse_elements' arrays for n lines of an $Elements block, split in
-    Python.
-
-    The path for text that _parse_elements refuses, and the one that names
-    a bad line."""
-    rows = list(map(str.split, block))
-    sizes = np.array(list(map(len, rows)), dtype=np.int64)
-    try:
-        fields = np.array(list(chain.from_iterable(rows)), dtype=np.int64)
-    except (ValueError, OverflowError):
-        fields = None
-    if fields is not None and len(rows) == n:
-        arrays = _element_arrays(fields, sizes)
-        if arrays is not None:
-            return arrays
-    # Error path only: name the first bad line.
-    for parts in rows:
-        parts = _ints(parts, "element line")
+    """_parse_elements' arrays for n lines of an $Elements block, one line
+    at a time: the path for text that _parse_elements refuses, which names
+    the first bad line."""
+    fields, sizes = [], []
+    for line in block:
+        parts = _ints(line.split(), "element line")
         if len(parts) < 3 or parts[2] < 0:
             raise GmshParseError("malformed element line")
         etype, ntags = parts[1], parts[2]
-        if etype == _GMSH_POINT:
-            continue
-        if etype not in _ELEMENT_TYPES:
-            raise GmshParseError(f"unsupported element type {etype}")
-        nnodes = _ELEMENT_TYPES[etype][1]
-        if len(parts[3 + ntags:]) != nnodes:
-            raise GmshParseError(
-                f"type-{etype} element needs {nnodes} nodes, got {len(parts[3 + ntags:])}")
-    raise GmshParseError("unexpected end of file while reading $Elements")
+        if etype != _GMSH_POINT:
+            if etype not in _ELEMENT_TYPES:
+                raise GmshParseError(f"unsupported element type {etype}")
+            nnodes = _ELEMENT_TYPES[etype][1]
+            if len(parts[3 + ntags:]) != nnodes:
+                raise GmshParseError(
+                    f"type-{etype} element needs {nnodes} nodes, got {len(parts[3 + ntags:])}")
+        fields += parts
+        sizes.append(len(parts))
+    if len(block) != n:
+        raise GmshParseError("unexpected end of file while reading $Elements")
+    return _element_arrays(np.array(fields, dtype=np.int64), np.array(sizes, dtype=np.int64))
 
 
 # The bytes a block's text may hold for numpy to parse it: integers, or
@@ -271,7 +256,7 @@ def _parse_nodes(block: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
     One loadtxt call parses the lines, which it does as float() and int()
     do, once every tag is checked to be an optional '-' and digits, at most
     _INT_CHARS bytes in all (older numpy reads a float as an int with only
-    a warning).  Other text goes to _split_nodes.
+    a warning).  Other text, and any bad line, go to _split_nodes.
     """
     raw = _plain_bytes(block, n, _TEXT_BYTES)
     if raw is not None:

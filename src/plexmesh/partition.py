@@ -77,8 +77,9 @@ def partition_cells(graph: DualGraph, nparts: int, method: str = "greedy-bfs",
         if coords is None:
             raise ValueError("coordinate-bisection requires cell centroids")
         coords = np.asarray(coords, dtype=np.float64)
-        if len(coords) != graph.num_cells:
-            raise ValueError("one centroid per cell required")
+        if coords.ndim != 2 or len(coords) != graph.num_cells:
+            raise ValueError(f"one centroid per cell required: coords of shape "
+                             f"({graph.num_cells}, k), got {coords.shape}")
         ranks = np.empty(graph.num_cells, dtype=np.int64)
         _bisect(np.arange(graph.num_cells), coords, nparts, 0, ranks)
     else:

@@ -343,6 +343,8 @@ class Label:
         """Label marking points[i] with values[i]."""
         points = np.asarray(points, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
+        if points.size != values.size:
+            raise ValueError(f"label '{name}': {points.size} points but {values.size} values")
         order = np.lexsort((values, points))
         points, values = points[order], values[order]
         keep = np.ones(points.size, dtype=bool)

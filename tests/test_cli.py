@@ -56,6 +56,10 @@ class TestPartition:
         lines = csv.read_text().strip().splitlines()
         assert lines[0] == "cell,rank"
         assert len(lines) == 33
+        bundle = pm.raw_to_bundle(pm.read_gmsh_file(corpus_dir / "grid4.msh"))
+        ranks = pm.partition_cells(pm.build_dual_graph(bundle.plex), 4).ranks.tolist()
+        assert csv.read_bytes() == ("cell,rank\n" + "".join(
+            f"{c},{r}\n" for c, r in enumerate(ranks))).encode()
 
     def test_both_methods(self, corpus_dir, capsys):
         for method in ("greedy-bfs", "coordinate-bisection"):

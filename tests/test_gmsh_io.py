@@ -368,6 +368,32 @@ class TestFastParse:
         assert got == oracle.read_gmsh(io.StringIO(text))
         assert not refuse.called
 
+    @pytest.mark.parametrize("block,old,new,want", [
+        ("Nodes", "1051 ", "+1051 ", None),
+        ("Nodes", "1051 ", "1051\x0b", None),
+        ("Elements", "1051 2 ", "1051 +2 ", None),
+        ("Elements", "1051 2 ", "1051\x0b2 ", None),
+        ("Nodes", "1051 ", "1051.0 ", "malformed node line '1051.0 "),
+        ("Elements", "1051 2 2 ", "1051 2 2 1.5 ", "non-integer field in element line '1051 2 2 1.5 "),
+    ], ids=["tag-plus", "tag-vt", "type-plus", "field-vt", "tag-1051.0", "field-1.5"])
+    def test_fallback_in_a_later_slice(self, block, old, new, want):
+        # triangle_grid(32, 32) has 1089 node and 2176 element lines; line
+        # 1051 of either block is in its third slice.
+        lines = pm.write_gmsh(pm.triangle_grid(32, 32)).split("\n")
+        at = lines.index(f"${block}") + 2 + 1050
+        assert lines[at].startswith(old)
+        lines[at] = new + lines[at][len(old):]
+        text = "\n".join(lines)
+        split = f"_split_{block.lower()}"
+        with mock.patch.object(gmsh_io, split, wraps=getattr(gmsh_io, split)) as fallback:
+            got = outcome(pm.read_gmsh, io.StringIO(text))
+        assert got == outcome(oracle.read_gmsh, io.StringIO(text))
+        assert fallback.call_count == 1 and fallback.call_args.args[0][1050 - 1024] == lines[at]
+        if want is None:
+            assert isinstance(got, pm.RawMesh)
+        else:
+            assert got.startswith(f"GmshParseError: {want}")
+
 
 class TestNodeLookup:
     """Tags filling one range are indexed; any others are searched.  Both

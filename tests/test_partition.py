@@ -144,6 +144,12 @@ class TestPartitionCells:
         with pytest.raises(ValueError, match="centroid"):
             partition_cells(graph, 2, method="coordinate-bisection")
 
+    def test_bisection_needs_2d_coords(self, bundles):
+        graph = build_dual_graph(bundles["grid4"].plex)
+        with pytest.raises(ValueError, match=r"coords of shape \(32, k\), got \(32,\)"):
+            partition_cells(graph, 2, method="coordinate-bisection",
+                            coords=np.zeros(graph.num_cells))
+
     def test_unknown_method(self, bundles):
         graph = build_dual_graph(bundles["grid4"].plex)
         with pytest.raises(ValueError, match="unknown"):

@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from plexmesh import Plex, build_from_cells
+from plexmesh import Label, Plex, build_from_cells
 
 from _helpers import plex_from_cones
 
@@ -257,3 +257,9 @@ class TestDuality:
             assert set().union(*(set(plex.closure(q).tolist()) for q in cl)) == cl
             st = set(plex.star(p).tolist())
             assert set().union(*(set(plex.star(q).tolist()) for q in st)) == st
+
+
+class TestLabel:
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="label 'x': 2 points but 1 values"):
+            Label.from_arrays("x", [0, 1], [1])
