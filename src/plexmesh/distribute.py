@@ -259,7 +259,8 @@ def build_halo(local: RankLocalMesh, sf: StarForest, section: Section,
     if not np.array_equal(sf.leaf_point[s], local.ghost_points):
         raise ValueError("star forest leaves do not match the ghost point set")
 
-    order = np.lexsort((sf.root_point[s], sf.root_rank[s]))
+    root_rank, root_point = sf.root_rank[s], sf.root_point[s]
+    order = (root_rank * (1 + root_point.max(initial=0)) + root_point).argsort(kind="stable")
     ghosts = sf.leaf_point[s][order]
     owned = np.ones(n, dtype=bool)
     owned[ghosts] = False
@@ -269,8 +270,8 @@ def build_halo(local: RankLocalMesh, sf: StarForest, section: Section,
         np.concatenate([owned[has_dofs], owned[~has_dofs], ghosts]))
 
     n_owned = int(section.dofs[owned].sum())
-    receives = list(zip(perm.forward[ghosts].tolist(), sf.root_rank[s][order].tolist(),
-                        sf.root_point[s][order].tolist()))
+    receives = list(zip(perm.forward[ghosts].tolist(), root_rank[order].tolist(),
+                        root_point[order].tolist()))
     return Halo(n_owned=n_owned, receives=receives), perm
 
 

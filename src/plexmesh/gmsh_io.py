@@ -550,7 +550,7 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
     if not_facet.any():
         raise ValueError(
             f"boundary value on point {boundary.points[not_facet.argmax()]}, not a facet")
-    by_value = np.lexsort((boundary.points, boundary.values))
+    by_value = boundary.values.argsort(kind="stable")  # ties stay in point order
     return RawMesh(
         dim=plex.dim,
         vertices=coords,

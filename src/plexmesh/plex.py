@@ -52,6 +52,19 @@ def _unique_sorted(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _lex_key(rows: np.ndarray) -> np.ndarray:
+    """One int64 per row of a non-negative int64 table, in the rows' lexicographic
+    order; a fold that could pass int64 first renumbers key and column densely."""
+    key = rows[:, 0]
+    for col in rows.T[1:]:
+        base = int(col.max(initial=0)) + 1
+        if (int(key.max(initial=0)) + 1) * base > 2**63:
+            key, col = (np.searchsorted(_unique_sorted(a), a) for a in (key, col))
+            base = int(col.max(initial=0)) + 1
+        key = key * base + col
+    return key
+
+
 def _offsets(sizes: np.ndarray) -> np.ndarray:
     """CSR offsets (exclusive prefix sum with the total appended) of row sizes."""
     out = np.zeros(len(sizes) + 1, dtype=np.int64)
@@ -343,6 +356,9 @@ class Label:
         """Label marking points[i] with values[i]."""
         points = np.asarray(points, dtype=np.int64)
         values = np.asarray(values, dtype=np.int64)
+        if points.ndim != 1 or values.ndim != 1:
+            raise ValueError(f"label '{name}': points of shape {points.shape} and values "
+                             f"of shape {values.shape}, not 1-D")
         if points.size != values.size:
             raise ValueError(f"label '{name}': {points.size} points but {values.size} values")
         order = np.lexsort((values, points))
@@ -395,8 +411,9 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int) -> np.ndarray:
         i = int(repeated[0])
         raise ValueError(f"degenerate cell {i} {tuple(cells[i].tolist())}: "
                          "repeated vertex id")
-    order = np.lexsort(ordered.T[::-1])
-    same = np.flatnonzero(np.all(ordered[order[1:]] == ordered[order[:-1]], axis=1))
+    key = _lex_key(ordered)
+    order = key.argsort(kind="stable")
+    same = (key[order[1:]] == key[order[:-1]]).nonzero()[0]
     if same.size:
         i, j = order[[same[0], same[0] + 1]].tolist()  # stable: i < j
         raise ValueError(f"duplicate cell {j} {tuple(cells[j].tolist())}: "
@@ -413,12 +430,12 @@ def _first_encounter_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the number of every row and, per number, the index of the row
     that first showed it.
     """
-    keys = np.sort(rows, axis=1)
-    order = np.lexsort(keys.T[::-1])  # stable: equal rows keep input order
-    keys = keys[order]
+    key = _lex_key(np.sort(rows, axis=1))
+    order = key.argsort()            # groups equal rows, in no set order within
+    key = key[order]
     new = np.ones(len(order), dtype=bool)
-    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
-    first = order[new]               # first row of each group, by sort position
+    new[1:] = key[1:] != key[:-1]
+    first = np.minimum.reduceat(order, new.nonzero()[0])  # each group's first row
     rank = np.empty(first.size, dtype=np.int64)
     by_encounter = np.argsort(first)
     rank[by_encounter] = np.arange(first.size, dtype=np.int64)

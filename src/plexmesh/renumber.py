@@ -50,9 +50,11 @@ def rcm_ordering(plex: Plex) -> Permutation:
     by the minimum new vertex number in their closure (ties by old id), so a
     single permutation covers the whole chart.
     """
-    # The vertex graph, each row sorted by ascending (degree, id).
+    # The vertex graph, each row sorted by ascending (degree, id): columns ascend
+    # within a row, so one stable sort by row * nv + degree (degree < nv) does it.
     bounds, flat = plex._vertex_graph
-    order = np.lexsort((flat, (bounds[1:] - bounds[:-1])[flat], _row_ids(bounds)))
+    degree = bounds[1:] - bounds[:-1]
+    order = (_row_ids(bounds) * degree.size + degree[flat]).argsort(kind="stable")
     bounds, flat = bounds.tolist(), flat[order].tolist()
     adj = [flat[s:e] for s, e in zip(bounds[:-1], bounds[1:])]
     verts = plex.depth_stratum(0)
@@ -82,7 +84,8 @@ def rcm_ordering(plex: Plex) -> Permutation:
         key[stratum] = np.minimum.reduceat(key[targets], offsets[:-1])
     # The k-th point by (depth, key, id) takes the k-th id by (depth, id).
     forward = np.empty(plex.chart_size, dtype=np.int64)
-    forward[np.lexsort((key, plex.depths))] = plex.depths.argsort(kind="stable")
+    order = (plex.depths * plex.chart_size + key).argsort(kind="stable")
+    forward[order] = plex.depths.argsort(kind="stable")
     return Permutation(forward)
 
 

@@ -8,6 +8,8 @@ loop-built mesh generators, kept verbatim (bar being free functions over the
 public API, and the lines that build types whose representation changed
 since) as test oracles: every array kernel must give exactly their results.
 Boundary-facet matching has a dict-based brute force written for the tests.
+Row grouping and the duplicate-cell check keep their multi-key np.lexsort
+versions: the one-key sorts must give exactly their results.
 """
 
 from __future__ import annotations
@@ -161,6 +163,33 @@ def build_from_cells(cell_vertex_lists, num_vertices: int, dim: int) -> Plex:
         cones[edge_pt0 + e] = (vert_pt(a), vert_pt(b))
 
     return plex_from_cones(dim, cones)
+
+
+def first_encounter_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """plex._first_encounter_ids by a stable np.lexsort over the sorted rows."""
+    keys = np.sort(rows, axis=1)
+    order = np.lexsort(keys.T[::-1])  # stable: equal rows keep input order
+    keys = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = np.any(keys[1:] != keys[:-1], axis=1)
+    first = order[new]               # first row of each group, by sort position
+    rank = np.empty(first.size, dtype=np.int64)
+    by_encounter = np.argsort(first)
+    rank[by_encounter] = np.arange(first.size, dtype=np.int64)
+    ids = np.empty(len(order), dtype=np.int64)
+    ids[order] = rank[np.cumsum(new) - 1]
+    return ids, first[by_encounter]
+
+
+def duplicate_cell_message(cells: np.ndarray) -> str | None:
+    """The message of plex._cell_array's duplicate check by np.lexsort, or None."""
+    ordered = np.sort(cells, axis=1)
+    order = np.lexsort(ordered.T[::-1])
+    same = np.flatnonzero(np.all(ordered[order[1:]] == ordered[order[:-1]], axis=1))
+    if not same.size:
+        return None
+    i, j = order[[same[0], same[0] + 1]].tolist()  # stable: i < j
+    return f"duplicate cell {j} {tuple(cells[j].tolist())}: same vertices as cell {i}"
 
 
 def permute_field(fld: Field, perm: Permutation) -> Field:

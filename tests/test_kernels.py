@@ -113,6 +113,63 @@ def test_build_from_cells_matches_oracle(raw):
     assert_strata_match(plex)
 
 
+@st.composite
+def int_tables(draw) -> np.ndarray:
+    """0-300 rows of 1-4 columns over an alphabet of at most 4 values, so rows
+    repeat; some tables shift every value, or some columns, near 2**62 or 2**63."""
+    shape = (draw(st.integers(0, 300)), draw(st.integers(1, 4)))
+    alphabet = draw(st.integers(1, 4))
+    shifts = st.sampled_from([0, 0, 2**62 - 2, 2**63 - 5])
+    shift = draw(st.one_of(shifts, st.lists(shifts, min_size=shape[1], max_size=shape[1])))
+    rows = np.random.default_rng(draw(seeds)).integers(0, alphabet, shape)
+    return rows + np.array(shift, dtype=np.int64)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(rows=int_tables())
+def test_row_keys_match_lexsort(rows):
+    with mock.patch.object(pm.plex, "_unique_sorted", wraps=pm.plex._unique_sorted) as hook:
+        key = pm.plex._lex_key(rows)
+    # Keys renumber densely only where a fold could pass int64, as any fold
+    # into keys near 2**62 could.
+    if rows.size == 0 or rows.max() < 4:
+        assert not hook.called
+    elif rows.shape[1] > 1 and rows.min() >= 2**62 - 2:
+        assert hook.called
+    order = np.lexsort(rows.T[::-1])
+    assert key.argsort(kind="stable").tolist() == order.tolist()
+    assert ((key[order[1:]] == key[order[:-1]]).tolist()
+            == (rows[order[1:]] == rows[order[:-1]]).all(axis=1).tolist())
+    for got, want in zip(pm.plex._first_encounter_ids(rows), oracle.first_encounter_ids(rows)):
+        assert got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 3, 4])
+def test_row_keys_of_no_rows(ncols):
+    rows = np.empty((0, ncols), dtype=np.int64)
+    assert pm.plex._lex_key(rows).argsort().tolist() == np.lexsort(rows.T[::-1]).tolist() == []
+    for got, want in zip(pm.plex._first_encounter_ids(rows), oracle.first_encounter_ids(rows)):
+        assert got.tolist() == want.tolist() == []
+
+
+@pytest.mark.parametrize("kind", ["interval", "triangles", "tets"])
+@pytest.mark.parametrize("seed", range(8))
+def test_duplicate_cell_named_as_by_lexsort(kind, seed):
+    """Several cells repeated, vertices reordered, all rows shuffled: the
+    error names the pair the multi-key sort names."""
+    rng = np.random.default_rng(seed)
+    raw = MESHES[kind](2)
+    copies = raw.cells[rng.choice(raw.num_cells, 4)]
+    copies = np.take_along_axis(copies, rng.permuted(np.indices(copies.shape)[1], axis=1), 1)
+    cells = rng.permutation(np.concatenate([raw.cells, copies]))
+    want = oracle.duplicate_cell_message(cells)
+    assert want is not None
+    with pytest.raises(ValueError) as err:
+        pm.plex._cell_array(cells, raw.num_vertices, raw.dim)
+    assert str(err.value) == want
+    assert oracle.duplicate_cell_message(raw.cells) is None
+
+
 @PROPERTY
 @given(raw=meshes, seed=seeds)
 def test_closures_and_stars_match_oracle(raw, seed):

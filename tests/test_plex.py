@@ -263,3 +263,12 @@ class TestLabel:
     def test_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="label 'x': 2 points but 1 values"):
             Label.from_arrays("x", [0, 1], [1])
+
+    @pytest.mark.parametrize("points, values, shapes", [
+        ([[0, 1], [2, 3]], [[1, 2], [3, 4]], r"\(2, 2\) and values of shape \(2, 2\)"),
+        ([[0, 1]], [1, 2], r"\(1, 2\) and values of shape \(2,\)"),
+        (5, 6, r"\(\) and values of shape \(\)"),
+    ], ids=["both-2d", "2d-points", "scalars"])
+    def test_not_1d_rejected(self, points, values, shapes):
+        with pytest.raises(ValueError, match=f"label 'x': points of shape {shapes}, not 1-D"):
+            Label.from_arrays("x", points, values)
