@@ -114,9 +114,10 @@ class Plex:
     Construction takes simplex depths (cone size - 1) that check out as
     graded, else relaxes longest paths, and mirrors heights from graded
     depths.  As in DMPlex, depth is at most dim: cyclic cover relations and
-    DAGs deeper than dim are rejected.  The support and the two mesh graphs
-    are built on first use (racing threads build the same arrays); all
-    queries are read-only, so instances are safe for concurrent use.
+    DAGs deeper than dim are rejected.  The support, the per-depth vertex
+    tables and the two mesh graphs are built on first use (racing threads
+    build the same arrays); all queries are read-only, so instances are safe
+    for concurrent use.
 
     Built from CSR cones, ``Plex(dim, offsets, targets)``: the cone of point
     p is ``targets[offsets[p]:offsets[p + 1]]``.
@@ -180,10 +181,60 @@ class Plex:
         offsets, targets = _csr_rows(*relation, through)
         return _adjacency(int(np.count_nonzero(items)), offsets, (items.cumsum() - 1)[targets])
 
-    _vertex_graph = cached_property(lambda self: self._joined(
-        self.depths == 0, (self._cone_offsets, self._cone_targets), self.depth_stratum(1)))
+    @cached_property
+    def _vertex_graph(self) -> tuple[np.ndarray, np.ndarray]:
+        # Both orders of every edge row, where the edges have a vertex table.
+        edges = self._vertex_table(1)
+        if edges is None:
+            return self._joined(self.depths == 0, (self._cone_offsets, self._cone_targets),
+                                self.depth_stratum(1))
+        return _pairs_to_csr(self.num_vertices, edges.ravel(), edges[:, ::-1].ravel())
+
     _cell_graph = cached_property(lambda self: self._joined(
         self.heights == 0, self._support, self.height_stratum(1)))
+
+    def _vertex_table(self, d: int) -> np.ndarray | None:
+        """The depth-d stratum's vertex sets, ascending, as a (size, d + 1)
+        table built depth by depth on first use; None where there is none.
+
+        Depth 0 is the vertex-number column.  A depth-d row is the union of
+        its d + 1 cone points' rows, kept on a graded plex where they hold
+        each of d + 1 vertices d times, as a simplex's facets do: it is then
+        the closure's vertex set.  The cache is a tuple replaced whole.
+        """
+        tables = vars(self).get("_vertex_tables") or (np.arange(self.num_vertices)[:, None],)
+        while len(tables) <= d and tables[-1] is not None:
+            tables += (self._union_rows(len(tables), tables[-1]),)
+        self._vertex_tables = tables
+        return tables[d] if d < len(tables) else None
+
+    def _union_rows(self, d: int, below: np.ndarray) -> np.ndarray | None:
+        stratum = self.depth_stratum(d)
+        starts = self._cone_offsets[stratum]
+        if not self._graded or (self._cone_offsets[stratum + 1] - starts != d + 1).any():
+            return None
+        below_row = (self.depths == d - 1).cumsum() - 1
+        cones = below_row[self._cone_targets[starts[:, None] + np.arange(d + 1)]]
+        rows = np.sort(below[cones].reshape(-1, (d + 1) * d), axis=1).reshape(-1, d + 1, d)
+        if (rows[..., 1:] != rows[..., :1]).any() or (rows[:, 1:, 0] <= rows[:, :-1, 0]).any():
+            return None
+        return rows[..., 0].copy()
+
+    def _permuted(self, perm) -> "Plex":
+        """This plex renumbered by perm, carrying what the DAG fixes: strata,
+        grading and, once built, the vertex graph, relabelled.  The one way
+        relations enter a plex other than through __init__."""
+        new = object.__new__(Plex)
+        new.dim, new.chart_size, new._graded = self.dim, self.chart_size, self._graded
+        offsets, targets = _csr_rows(self._cone_offsets, self._cone_targets, perm.inverse)
+        new._cone_offsets, new._cone_targets = offsets, perm.forward[targets]
+        new.depths, new.heights = self.depths[perm.inverse], self.heights[perm.inverse]
+        if "_vertex_graph" in vars(self):
+            bounds, cols = self._vertex_graph
+            # Old vertex i's new number counts the new vertices before its new point.
+            vnum = ((new.depths == 0).cumsum() - 1)[perm.forward[self.depth_stratum(0)]]
+            new._vertex_graph = _pairs_to_csr(vnum.size, vnum[_row_ids(bounds)], vnum[cols])
+        return new
 
     def _longest_paths(self, tails, heads) -> np.ndarray:
         """Longest path length from each point along the arcs tails -> heads.
@@ -210,6 +261,13 @@ class Plex:
         if not 0 <= p < self.chart_size:
             raise IndexError(f"point {p} outside chart [0, {self.chart_size})")
         return p
+
+    def _points(self, points) -> np.ndarray:
+        """points as a flat int64 array, each checked to lie in the chart."""
+        pts = np.asarray(points, dtype=np.int64).reshape(-1)
+        if pts.size and (pts.min() < 0 or pts.max() >= self.chart_size):
+            self._check(pts[(pts < 0) | (pts >= self.chart_size)][0])
+        return pts
 
     def cone(self, p: PointId) -> np.ndarray:
         """Points directly covered by p (its boundary one level down)."""
@@ -245,11 +303,18 @@ class Plex:
     def vertex_closures(self, points) -> np.ndarray:
         """The vertices in each point's closure, as a (len(points), k) table.
 
-        Vertex numbers count depth-0 points in ascending point order; each
-        row keeps closure order.  Points whose closures hold differing
-        numbers of vertices raise ValueError.
+        Vertex numbers count depth-0 points in ascending point order; rows
+        ascend on a graded plex, in closure order on others.  Points of one
+        depth index its vertex table when it has one.  Points whose closures
+        hold differing numbers of vertices raise ValueError.
         """
-        offsets, targets = self.closures(points)
+        pts = self._points(points)
+        depths = self.depths[pts]
+        if pts.size and (depths == depths[0]).all():
+            table = self._vertex_table(int(depths[0]))
+            if table is not None:
+                return table[((self.depths == depths[0]).cumsum() - 1)[pts]]
+        offsets, targets = self.closures(pts)
         is_vertex = self.depths[targets] == 0
         bounds = _offsets(is_vertex)[offsets]
         sizes = bounds[1:] - bounds[:-1]
@@ -269,9 +334,7 @@ class Plex:
         walk to dim + 1 levels.
         """
         n = self.chart_size
-        pts = np.asarray(points, dtype=np.int64).reshape(-1)
-        if pts.size and (pts.min() < 0 or pts.max() >= n):
-            self._check(pts[(pts < 0) | (pts >= n)][0])
+        pts = self._points(points)
         m = pts.size
         rows = np.arange(m, dtype=np.int64)
         levels = [(rows, pts)]

@@ -78,7 +78,7 @@ def rcm_ordering(plex: Plex) -> Permutation:
     # so every cone point has its key already.
     key = np.empty(plex.chart_size, dtype=np.int64)
     key[verts] = vrank_new
-    for d in range(1, int(plex.depths.max()) + 1):
+    for d in range(1, int(plex.depths.max(initial=0)) + 1):
         stratum = plex.depth_stratum(d)
         offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, stratum)
         key[stratum] = np.minimum.reduceat(key[targets], offsets[:-1])
@@ -94,10 +94,7 @@ def apply_permutation(bundle: MeshBundle, perm: Permutation) -> MeshBundle:
     plex = bundle.plex
     if len(perm) != plex.chart_size:
         raise ValueError("permutation size does not match the chart")
-    # New point n takes the cone of old point perm.inverse[n], relabeled.
-    offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, perm.inverse)
-    new_plex = Plex(plex.dim, offsets, perm.forward[targets])
-
+    new_plex = plex._permuted(perm)
     coords = permute_field(bundle.coordinates, perm)
     labels = {name: lab.relabeled(perm.forward) for name, lab in bundle.labels.items()}
     return MeshBundle(new_plex, coords, labels)

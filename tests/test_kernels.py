@@ -10,6 +10,7 @@ error message, on text with one defect.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
@@ -343,7 +344,7 @@ def test_mesh_graphs_built_on_first_use():
 
 
 def count_graphs(monkeypatch) -> list[int]:
-    """Hook plex._adjacency; the list grows by one per graph derived."""
+    """Hook plex._adjacency; the list grows by one per graph it derives."""
     calls = []
     adjacency = pm.plex._adjacency
 
@@ -356,12 +357,27 @@ def count_graphs(monkeypatch) -> list[int]:
 
 
 def test_reorder_pipeline_derives_each_vertex_graph_once(corpus, monkeypatch):
+    # The permuted plex carries the graph relabelled, so p1_pattern of the
+    # reordered bundle derives nothing.
     bundle = pm.raw_to_bundle(corpus["grid4"])
-    calls = count_graphs(monkeypatch)
+    derived = []
+    derive = pm.Plex._vertex_graph.func
+
+    def counted(plex):
+        derived.append(plex)
+        return derive(plex)
+
+    prop = functools.cached_property(counted)
+    prop.__set_name__(pm.Plex, "_vertex_graph")
+    monkeypatch.setattr(pm.Plex, "_vertex_graph", prop)
     before = pm.p1_pattern(bundle)
     reordered = pm.apply_permutation(bundle, pm.rcm_ordering(bundle.plex))
+    plex = reordered.plex
+    assert "_vertex_graph" in vars(plex)
     assert pm.p1_pattern(reordered).nnz == before.nnz
-    assert len(calls) == 2
+    assert len(derived) == 1 and derived[0] is bundle.plex
+    fresh = pm.Plex(plex.dim, plex._cone_offsets, plex._cone_targets)._vertex_graph
+    assert_same_arrays(plex._vertex_graph, fresh)
 
 
 def test_partition_overlap_reuses_the_cell_graph(corpus, monkeypatch):
@@ -392,6 +408,113 @@ def test_pipeline_never_peels(corpus, name, monkeypatch):
                 plex = lm.bundle.plex
                 reordered = pm.apply_permutation(lm.bundle, pm.rcm_ordering(plex))
                 assert pm.p1_pattern(reordered).nnz > 0
+
+
+def assert_same_arrays(got, want) -> None:
+    for a, b in zip(got, want, strict=True):
+        assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist())
+
+
+def bfs_vertex_closures(plex: pm.Plex, points) -> np.ndarray:
+    """vertex_closures through the closure BFS alone, without vertex tables."""
+    with mock.patch.object(pm.Plex, "_vertex_table", return_value=None):
+        return plex.vertex_closures(points)
+
+
+def joined_vertex_graph(plex: pm.Plex):
+    """The vertex graph by the generic build, vertices joined through depth 1."""
+    return plex._joined(plex.depths == 0, (plex._cone_offsets, plex._cone_targets),
+                        plex.depth_stratum(1))
+
+
+def rebuilt(plex: pm.Plex, perm: pm.Permutation) -> pm.Plex:
+    """plex renumbered by perm through the constructor."""
+    cones = [()] * plex.chart_size
+    for p, cone in enumerate(plex.cones()):
+        cones[perm(p)] = tuple(perm(q) for q in cone)
+    return plex_from_cones(plex.dim, cones)
+
+
+def assert_derived_relations_match(plex: pm.Plex, seed: int) -> None:
+    """Every stratum's vertex table rows equal the BFS rows, the vertex
+    graph the generic build, and _permuted a rebuilt plex, under a random
+    and the RCM permutation, with the graph carried once built."""
+    rng = np.random.default_rng(seed)
+    for d in range(plex.dim + 1):
+        stratum = plex.depth_stratum(d)
+        for points in (stratum, rng.permutation(stratum)[:rng.integers(stratum.size + 1)]):
+            try:
+                want = bfs_vertex_closures(plex, points)
+            except ValueError:
+                with pytest.raises(ValueError, match="differing vertex counts"):
+                    plex.vertex_closures(points)
+            else:
+                assert_same_arrays([plex.vertex_closures(points)], [want])
+    assert "_vertex_graph" not in vars(plex._permuted(pm.Permutation.identity(plex.chart_size)))
+    assert_same_arrays(plex._vertex_graph, joined_vertex_graph(plex))
+    for perm in (pm.Permutation(rng.permutation(plex.chart_size)), pm.rcm_ordering(plex)):
+        got, want = plex._permuted(perm), rebuilt(plex, perm)
+        assert got == want and got._graded == want._graded
+        assert_same_arrays([got.depths, got.heights], [want.depths, want.heights])
+        assert "_vertex_graph" in vars(got)
+        assert_same_arrays(got._vertex_graph, joined_vertex_graph(want))
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds)
+def test_derived_relations_match_oracles(raw, seed):
+    built = pm.raw_to_bundle(raw)
+    for bundle in (built, scrambled(built, seed)):
+        assert all(bundle.plex._vertex_table(d) is not None for d in range(raw.dim + 1))
+        assert_derived_relations_match(bundle.plex, seed)
+        # A cell one face short has its depth relaxed and no cell table.
+        cones = bundle.plex.cones()
+        cell = int(bundle.plex.height_stratum(0)[0])
+        short = plex_from_cones(raw.dim, cones[:cell] + [cones[cell][1:]] + cones[cell + 1:])
+        assert short._vertex_table(raw.dim) is None
+        assert_derived_relations_match(short, seed)
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds, nparts=st.integers(1, 8))
+def test_derived_relations_match_oracles_on_rank_meshes(raw, seed, nparts):
+    bundle = scrambled(pm.raw_to_bundle(raw), seed)
+    nparts = min(nparts, raw.num_cells)
+    pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), nparts)
+    for lm in pm.migrate(bundle, pmap, nparts)[0]:
+        assert lm.bundle.plex._vertex_table(raw.dim) is not None
+        assert_derived_relations_match(lm.bundle.plex, seed)
+
+
+@pytest.mark.parametrize("cones", [
+    # Triangle 11's edges share no vertex; triangle 12 closes.
+    [()] * 6 + [(0, 1), (2, 3), (4, 5), (1, 2), (0, 2), (6, 7, 8), (6, 9, 10)],
+    # Triangle 7 covers edge (1, 2) twice, so vertex 1 three times.
+    [()] * 3 + [(0, 1), (1, 2), (1, 2), (0, 2), (3, 4, 5), (3, 4, 6)],
+], ids=["open", "repeated-edge"])
+def test_vertex_tables_refuse_triangles_that_do_not_close(cones):
+    plex = plex_from_cones(2, cones)
+    assert plex._graded and plex._vertex_table(1) is not None
+    assert plex._vertex_table(2) is None
+    cells = plex.depth_stratum(2)
+    rows = [[int(v) for v in oracle.closure(plex, c) if plex.depths[v] == 0] for c in cells]
+    for c, row in zip(cells, rows):
+        assert plex.vertex_closures([c]).tolist() == [row]
+    if len({len(row) for row in rows}) > 1:
+        with pytest.raises(ValueError, match="differing vertex counts"):
+            plex.vertex_closures(cells)
+    else:
+        assert plex.vertex_closures(cells).tolist() == rows
+    assert_derived_relations_match(plex, 0)
+
+
+def test_vertex_tables_need_a_graded_plex():
+    # Cell 6 covers vertex 2 beside edges (0, 1) and (0, 2), so its closure
+    # meets vertex 2 a level before the others: the row does not ascend.
+    plex = plex_from_cones(2, [()] * 3 + [(0, 1), (0, 2), (1, 2), (3, 4, 2)])
+    assert not plex._graded and plex._vertex_table(1) is None
+    assert plex.vertex_closures([6]).tolist() == [[2, 0, 1]]
+    assert_derived_relations_match(plex, 0)
 
 
 @PROPERTY

@@ -104,6 +104,23 @@ class TestRcmOrdering:
         assert keys_in_new_order == sorted(keys_in_new_order)
 
 
+def test_empty_rank_through_the_rank_pipeline(two_triangle):
+    # Every cell on rank 0 leaves rank 1 an empty chart.
+    pmap = pm.PartitionMap(ranks=[0, 0], nparts=2)
+    locals_, sf, _ = pm.migrate(two_triangle, pmap, 2)
+    empty = locals_[1]
+    assert empty.bundle.plex.chart_size == 0
+    halo, halo_perm = pm.build_halo(empty, sf, empty.bundle.coordinates.section)
+    assert (halo.n_owned, halo.receives, len(halo_perm)) == (0, [], 0)
+    perm = rcm_ordering(empty.bundle.plex)
+    assert len(perm) == 0
+    reordered = apply_permutation(empty.bundle, perm)
+    assert p1_pattern(reordered).nnz == 0
+    raw = pm.bundle_to_raw(reordered)
+    assert raw.cells.shape == (0, 3) and raw.vertices.shape == (0, 2)
+    assert reordered.plex.vertex_closures([]).shape == (0, 0)
+
+
 class TestApplyPermutation:
     def test_identity_bit_identical(self, two_triangle):
         out = apply_permutation(two_triangle, Permutation.identity(11))
