@@ -202,7 +202,8 @@ class Plex:
         each of d + 1 vertices d times, as a simplex's facets do: it is then
         the closure's vertex set.  The cache is a tuple replaced whole.
         """
-        tables = vars(self).get("_vertex_tables") or (np.arange(self.num_vertices)[:, None],)
+        tables = (vars(self).get("_vertex_tables")
+                  or (np.arange(self.num_vertices, dtype=np.int64)[:, None],))
         while len(tables) <= d and tables[-1] is not None:
             tables += (self._union_rows(len(tables), tables[-1]),)
         self._vertex_tables = tables
@@ -221,9 +222,8 @@ class Plex:
         return rows[..., 0].copy()
 
     def _permuted(self, perm) -> "Plex":
-        """This plex renumbered by perm, carrying what the DAG fixes: strata,
-        grading and, once built, the vertex graph, relabelled.  The one way
-        relations enter a plex other than through __init__."""
+        """This plex renumbered by perm without __init__: it carries strata,
+        grading and, once built, the vertex graph, relabelled."""
         new = object.__new__(Plex)
         new.dim, new.chart_size, new._graded = self.dim, self.chart_size, self._graded
         offsets, targets = _csr_rows(self._cone_offsets, self._cone_targets, perm.inverse)

@@ -357,8 +357,9 @@ def count_graphs(monkeypatch) -> list[int]:
 
 
 def test_reorder_pipeline_derives_each_vertex_graph_once(corpus, monkeypatch):
-    # The permuted plex carries the graph relabelled, so p1_pattern of the
-    # reordered bundle derives nothing.
+    # The input plex derives its graph once, from its edge rows, not through
+    # _adjacency; the permuted plex carries it relabelled, so p1_pattern of
+    # the reordered bundle derives nothing.
     bundle = pm.raw_to_bundle(corpus["grid4"])
     derived = []
     derive = pm.Plex._vertex_graph.func
@@ -370,14 +371,14 @@ def test_reorder_pipeline_derives_each_vertex_graph_once(corpus, monkeypatch):
     prop = functools.cached_property(counted)
     prop.__set_name__(pm.Plex, "_vertex_graph")
     monkeypatch.setattr(pm.Plex, "_vertex_graph", prop)
+    calls = count_graphs(monkeypatch)
     before = pm.p1_pattern(bundle)
     reordered = pm.apply_permutation(bundle, pm.rcm_ordering(bundle.plex))
     plex = reordered.plex
     assert "_vertex_graph" in vars(plex)
     assert pm.p1_pattern(reordered).nnz == before.nnz
-    assert len(derived) == 1 and derived[0] is bundle.plex
-    fresh = pm.Plex(plex.dim, plex._cone_offsets, plex._cone_targets)._vertex_graph
-    assert_same_arrays(plex._vertex_graph, fresh)
+    assert [id(p) for p in derived] == [id(bundle.plex)] and not calls
+    assert_same_arrays(plex._vertex_graph, joined_vertex_graph(plex))
 
 
 def test_partition_overlap_reuses_the_cell_graph(corpus, monkeypatch):
@@ -454,9 +455,10 @@ def assert_derived_relations_match(plex: pm.Plex, seed: int) -> None:
     assert_same_arrays(plex._vertex_graph, joined_vertex_graph(plex))
     for perm in (pm.Permutation(rng.permutation(plex.chart_size)), pm.rcm_ordering(plex)):
         got, want = plex._permuted(perm), rebuilt(plex, perm)
+        # The stored fields of a constructed plex, and the carried graph.
+        assert vars(got).keys() == vars(want).keys() | {"_vertex_graph"}
         assert got == want and got._graded == want._graded
         assert_same_arrays([got.depths, got.heights], [want.depths, want.heights])
-        assert "_vertex_graph" in vars(got)
         assert_same_arrays(got._vertex_graph, joined_vertex_graph(want))
 
 
