@@ -212,8 +212,8 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
     # points, then bcast them back to every copy.
     owned = owner[msf.root_point] == msf.leaf_rank
     _, owner_point = msf.select(owned).reduce(
-        Section(np.ones(np.count_nonzero(owned))), msf.leaf_point[owned], chart)
-    _, owner_point = msf.bcast(Section(np.ones(chart)), owner_point)
+        Section(np.ones(np.count_nonzero(owned), dtype=np.int64)), msf.leaf_point[owned], chart)
+    _, owner_point = msf.bcast(Section(np.ones(chart, dtype=np.int64)), owner_point)
     ghost = ~owned
     sf = StarForest(nranks, msf.leaf_rank[ghost], msf.leaf_point[ghost],
                     owner[msf.root_point[ghost]], owner_point[ghost])

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmsh_io import MeshBundle
-from .plex import Plex, _row_ids
+from .plex import Plex, _row_ids, _whole_numbers
 
 
 @dataclass(eq=False)
@@ -32,7 +32,7 @@ class PartitionMap:
     nparts: int
 
     def __post_init__(self):
-        self.ranks = np.asarray(self.ranks, dtype=np.int64)
+        self.ranks = _whole_numbers("cell ranks", self.ranks)
         if self.ranks.size and (self.ranks.min() < 0 or self.ranks.max() >= self.nparts):
             raise ValueError("rank outside [0, nparts)")
 

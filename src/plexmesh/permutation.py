@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .plex import _whole_numbers
+
 
 class Permutation:
     """A bijection on [0, n) stored as forward (old -> new) and inverse maps."""
 
     def __init__(self, forward):
-        fwd = np.asarray(forward, dtype=np.int64)
+        fwd = _whole_numbers("permutation", forward)
         n = fwd.size
         if n and (fwd.min() < 0 or fwd.max() >= n):
             raise ValueError("permutation image outside [0, n)")

@@ -52,6 +52,22 @@ def _unique_sorted(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
+def _whole_numbers(what: str, values) -> np.ndarray:
+    """values as a 1-D int64 array; a ValueError naming what where they are
+    not 1-D or not whole numbers, which a cast would silently truncate."""
+    arr = np.asarray(values)
+    if arr.ndim != 1:
+        raise ValueError(f"{what} of shape {arr.shape}, not 1-D")
+    if arr.dtype.kind in "iu":
+        return arr.astype(np.int64, copy=False)
+    with np.errstate(invalid="ignore"):  # NaN and inf cast to junk, caught below
+        ints = arr.astype(np.int64)
+    bad = ints != arr
+    if bad.any():
+        raise ValueError(f"{what}: {arr[bad][0].item()!r} is not a whole number")
+    return ints
+
+
 def _lex_key(rows: np.ndarray) -> np.ndarray:
     """One int64 per row of a non-negative int64 table, in the rows' lexicographic
     order; a fold that could pass int64 first renumbers key and column densely."""
@@ -417,11 +433,12 @@ class Label:
     @classmethod
     def from_arrays(cls, name: str, points, values) -> "Label":
         """Label marking points[i] with values[i]."""
-        points = np.asarray(points, dtype=np.int64)
-        values = np.asarray(values, dtype=np.int64)
+        points, values = np.asarray(points), np.asarray(values)
         if points.ndim != 1 or values.ndim != 1:
             raise ValueError(f"label '{name}': points of shape {points.shape} and values "
                              f"of shape {values.shape}, not 1-D")
+        points = _whole_numbers(f"label '{name}': points", points)
+        values = _whole_numbers(f"label '{name}': values", values)
         if points.size != values.size:
             raise ValueError(f"label '{name}': {points.size} points but {values.size} values")
         order = np.lexsort((values, points))
@@ -436,12 +453,13 @@ class Label:
     def value_ids(self) -> list[int]:
         return _unique_sorted(self.values).tolist()
 
-    def relabeled(self, point_map: np.ndarray) -> "Label":
-        """New label with every point p mapped to point_map[p]; points mapped
-        to -1 are dropped (used for restriction to a submesh)."""
-        mapped = point_map[self.points]
-        keep = mapped >= 0
-        return Label.from_arrays(self.name, mapped[keep], self.values[keep])
+    def permuted(self, perm) -> "Label":
+        """The label with every point p moved to perm.forward[p].  A bijection
+        keeps the pairs distinct and each point's values ascending, so one
+        stable sort by new point puts the pairs in order."""
+        points = perm.forward[self.points]
+        order = points.argsort(kind="stable")
+        return Label(self.name, points[order], self.values[order])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Label):

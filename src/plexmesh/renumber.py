@@ -2,41 +2,45 @@
 
 from __future__ import annotations
 
-from itertools import takewhile
+from itertools import count
 
 import numpy as np
 
 from .gmsh_io import MeshBundle
 from .permutation import Permutation
-from .plex import Plex, _csr_rows, _row_ids
+from .plex import Plex, _row_ids
 from .section import permute_field
 
 
-def _cuthill_mckee(adj: list[list[int]], start: int) -> tuple[list[int], dict[int, int]]:
-    """Breadth-first walk from start over the sorted rows, and each vertex's level."""
-    order = [start]
-    level = {start: 0}
-    for u in order:
-        next_level = level[u] + 1
-        for v in adj[u]:
-            if v not in level:
-                level[v] = next_level
-                order.append(v)
-    return order, level
+def _cuthill_mckee(adj: list[list[int]], start: int, stamp: list[int],
+                   walk: int) -> tuple[list[int], int, int]:
+    """Breadth-first walk from start over the sorted rows, marking the vertices
+    it reaches with walk in stamp; the order, where its last level starts, and
+    the number of levels.  Each level is the range of order the one before added."""
+    order, lo, levels = [start], 0, 1
+    stamp[start] = walk
+    while True:
+        hi = len(order)
+        for u in order[lo:hi]:
+            for v in adj[u]:
+                if stamp[v] != walk:
+                    stamp[v] = walk
+                    order.append(v)
+        if len(order) == hi:
+            return order, lo, levels
+        lo, levels = hi, levels + 1
 
 
-def _component_order(adj: list[list[int]], v0: int) -> list[int]:
+def _component_order(adj: list[list[int]], v0: int, stamp: list[int], walks) -> list[int]:
     """Cuthill-McKee order of v0's component, restarting from the last level's
     lowest (degree, id) vertex while that reaches more levels."""
-    order, level = _cuthill_mckee(adj, v0)
+    order, lo, levels = _cuthill_mckee(adj, v0, stamp, next(walks))
     while True:
-        depth = level[order[-1]]
-        last = takewhile(lambda v: level[v] == depth, reversed(order))
-        cand_order, cand_level = _cuthill_mckee(
-            adj, min(last, key=lambda v: (len(adj[v]), v)))
-        if cand_level[cand_order[-1]] <= depth:
+        start = min(order[lo:], key=lambda v: (len(adj[v]), v))
+        cand_order, cand_lo, cand_levels = _cuthill_mckee(adj, start, stamp, next(walks))
+        if cand_levels <= levels:
             return order
-        order, level = cand_order, cand_level
+        order, lo, levels = cand_order, cand_lo, cand_levels
 
 
 def rcm_ordering(plex: Plex) -> Permutation:
@@ -60,28 +64,22 @@ def rcm_ordering(plex: Plex) -> Permutation:
     verts = plex.depth_stratum(0)
     nv = len(verts)
 
-    visited = np.zeros(nv, dtype=bool)
+    # Every walk of the call marks its vertices with its own id in one list,
+    # so a walk costs its component, and a vertex still at 0 starts the next.
+    stamp, walks = [0] * nv, count(1)
     vertex_order: list[int] = []
     for v0 in range(nv):
-        if visited[v0]:
-            continue
-        block = _component_order(adj, v0)
-        visited[block] = True
-        vertex_order.extend(reversed(block))
+        if not stamp[v0]:
+            vertex_order.extend(reversed(_component_order(adj, v0, stamp, walks)))
 
-    # Rank of each vertex (by index into verts) in the new ordering.
-    vrank_new = np.empty(nv, dtype=np.int64)
-    vrank_new[vertex_order] = np.arange(nv)
-
-    # A point's key is the minimum new vertex number in its closure, which is
-    # the minimum over its cone of their keys; strata go by ascending depth,
-    # so every cone point has its key already.
-    key = np.empty(plex.chart_size, dtype=np.int64)
-    key[verts] = vrank_new
-    for d in range(1, int(plex.depths.max(initial=0)) + 1):
-        stratum = plex.depth_stratum(d)
-        offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, stratum)
-        key[stratum] = np.minimum.reduceat(key[targets], offsets[:-1])
+    # A point's key is the minimum new vertex number in its closure: the minimum
+    # of its cone's keys.  Round d of whole-chart minima fixes depth d's keys.
+    key = np.zeros(plex.chart_size, dtype=np.int64)
+    key[verts[vertex_order]] = np.arange(nv)
+    coned = (plex._cone_offsets[1:] > plex._cone_offsets[:-1]).nonzero()[0]
+    starts = plex._cone_offsets[coned]
+    for _ in range(int(plex.depths.max(initial=0))):
+        key[coned] = np.minimum.reduceat(key[plex._cone_targets], starts)
     # The k-th point by (depth, key, id) takes the k-th id by (depth, id).
     forward = np.empty(plex.chart_size, dtype=np.int64)
     order = (plex.depths * plex.chart_size + key).argsort(kind="stable")
@@ -96,5 +94,5 @@ def apply_permutation(bundle: MeshBundle, perm: Permutation) -> MeshBundle:
         raise ValueError("permutation size does not match the chart")
     new_plex = plex._permuted(perm)
     coords = permute_field(bundle.coordinates, perm)
-    labels = {name: lab.relabeled(perm.forward) for name, lab in bundle.labels.items()}
+    labels = {name: lab.permuted(perm) for name, lab in bundle.labels.items()}
     return MeshBundle(new_plex, coords, labels)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permutation import Permutation
-from .plex import Plex, _csr_rows, _offsets
+from .plex import Plex, _csr_rows, _offsets, _whole_numbers
 
 
 class Section:
@@ -23,9 +23,9 @@ class Section:
     """
 
     def __init__(self, dofs):
-        self.dofs = np.asarray(dofs, dtype=np.int64)
-        if self.dofs.ndim != 1 or (self.dofs.size and self.dofs.min() < 0):
-            raise ValueError("dof counts must be a 1-D non-negative array")
+        self.dofs = _whole_numbers("dof counts", dofs)
+        if self.dofs.size and self.dofs.min() < 0:
+            raise ValueError("dof counts must be non-negative")
         self.offsets = _offsets(self.dofs)
 
     @property

@@ -1,0 +1,24 @@
+"""The CI workflow against the files it must follow, read as plain text."""
+
+from __future__ import annotations
+
+import json
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+
+
+def test_smoke_loop_names_the_benchmark_workloads():
+    loops = re.findall(r"^\s*for w in ([^;\n]*); do$", WORKFLOW, re.MULTILINE)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]
+    assert len(loops) == 1
+    assert sorted(loops[0].split()) == sorted(w["name"] for w in declared)
+
+
+def test_numpy_floor_matches_pyproject():
+    floors = re.findall(r'"numpy>=([0-9.]+)"', (ROOT / "pyproject.toml").read_text())
+    pins = re.findall(r'numpy: "numpy==([0-9.]+)\.\*"', WORKFLOW)
+    assert len(floors) == 1
+    assert pins == floors

@@ -536,6 +536,28 @@ def test_permutation_kernels_match_oracles(raw, seed):
 
 @PROPERTY
 @given(raw=meshes, seed=seeds)
+def test_permuted_labels_match_from_arrays(raw, seed):
+    """A label whose points carry 1-3 values each, moved by a random and the
+    RCM permutation, equals the label built from the moved pairs: each
+    point's values stay ascending."""
+    bundle = pm.raw_to_bundle(raw)
+    rng = np.random.default_rng(seed)
+    chart = bundle.plex.chart_size
+    points = rng.permutation(chart)[:rng.integers(1, chart + 1)]
+    counts = rng.integers(1, 4, points.size)
+    values = np.concatenate([rng.choice(np.arange(-3, 4), c, replace=False) for c in counts])
+    bundle.labels["marks"] = pm.Label.from_arrays("marks", points.repeat(counts), values)
+    for perm in (pm.Permutation(rng.permutation(chart)), pm.rcm_ordering(bundle.plex)):
+        got = pm.apply_permutation(bundle, perm).labels
+        assert got.keys() == bundle.labels.keys()
+        for name, lab in bundle.labels.items():
+            want = pm.Label.from_arrays(name, perm.forward[lab.points], lab.values)
+            assert_same_arrays([got[name].points, got[name].values],
+                               [want.points, want.values])
+
+
+@PROPERTY
+@given(raw=meshes, seed=seeds)
 def test_bundle_kernels_match_oracles(raw, seed):
     for bundle in (pm.raw_to_bundle(raw), scrambled(pm.raw_to_bundle(raw), seed)):
         plex = bundle.plex
@@ -584,6 +606,35 @@ def test_rcm_matches_oracle_on_rank_meshes(kind, size, seed, nparts):
     locals_, _, _ = pm.migrate(bundle, pmap, nparts)
     for lm in locals_:
         assert pm.rcm_ordering(lm.bundle.plex) == oracle.rcm_ordering(lm.bundle.plex)
+
+
+def assert_rank_rcm_matches_oracle(raw: pm.RawMesh, nparts: int) -> None:
+    """Every rank of raw bisected by coordinate into nparts ranks, as the
+    runtime benchmark workload splits its triangle grid."""
+    bundle = pm.raw_to_bundle(raw)
+    pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), nparts,
+                              "coordinate-bisection", coords=pm.cell_centroids(bundle))
+    locals_, _, _ = pm.migrate(bundle, pmap, nparts)
+    for lm in locals_:
+        assert pm.rcm_ordering(lm.bundle.plex) == oracle.rcm_ordering(lm.bundle.plex)
+
+
+@settings(PROPERTY, max_examples=10)
+@given(nx=st.integers(1, 12), ny=st.integers(1, 12), seed=seeds, nparts=st.integers(1, 32))
+def test_rcm_matches_oracle_on_bisected_rank_meshes(nx, ny, seed, nparts):
+    assert_rank_rcm_matches_oracle(relabel(pm.triangle_grid(nx, ny), seed),
+                                   min(nparts, 2 * nx * ny))
+
+
+def test_rcm_matches_oracle_on_the_runtime_workload_ranks():
+    assert_rank_rcm_matches_oracle(relabel(pm.triangle_grid(32, 32), 1), 32)
+
+
+@pytest.mark.parametrize("interleave", [False, True])
+def test_rcm_matches_oracle_on_hundreds_of_components(interleave):
+    sizes = np.random.default_rng(3).integers(1, 3, (300, 2)).tolist()
+    plex = joined_grids(sizes, 3, interleave)
+    assert pm.rcm_ordering(plex) == oracle.rcm_ordering(plex)
 
 
 def dual_rows(graph: pm.DualGraph) -> list[tuple[int, ...]]:

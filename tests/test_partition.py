@@ -176,6 +176,18 @@ class TestPartitionStats:
             assert stats.edge_cut == cut
             assert stats.imbalance == pytest.approx(imb)
 
+    @pytest.mark.parametrize("ranks, message", [
+        ([[0, 1], [1, 0]], r"cell ranks of shape \(2, 2\), not 1-D"),
+        ([0, 1.5], "cell ranks: 1.5 is not a whole number"),
+    ], ids=["2d", "fractional"])
+    def test_fractional_or_not_1d_ranks_rejected(self, ranks, message):
+        with pytest.raises(ValueError, match=message):
+            PartitionMap(ranks, 2)
+
+    def test_whole_float_and_empty_ranks_accepted(self):
+        assert PartitionMap([1.0, 0.0], 2) == PartitionMap([1, 0], 2)
+        assert PartitionMap([], 1).ranks.dtype == np.int64
+
     def test_size_mismatch(self, bundles):
         graph = build_dual_graph(bundles["grid4"].plex)
         with pytest.raises(ValueError, match="cover"):

@@ -272,3 +272,17 @@ class TestLabel:
     def test_not_1d_rejected(self, points, values, shapes):
         with pytest.raises(ValueError, match=f"label 'x': points of shape {shapes}, not 1-D"):
             Label.from_arrays("x", points, values)
+
+    @pytest.mark.parametrize("points, values, message", [
+        ([0.5, 1.9], [1, 2], "label 'x': points: 0.5 is not a whole number"),
+        ([0, 1], [1, 2.25], "label 'x': values: 2.25 is not a whole number"),
+    ], ids=["points", "values"])
+    def test_fractional_rejected(self, points, values, message):
+        with pytest.raises(ValueError, match=message):
+            Label.from_arrays("x", points, values)
+
+    def test_whole_float_and_empty_accepted(self):
+        assert Label.from_arrays("x", [1.0, 0.0], [3.0, 4]) == \
+            Label.from_arrays("x", [1, 0], [3, 4])
+        assert Label.from_arrays("x", [1.0], [3.0]).points.dtype == np.int64
+        assert Label.from_arrays("x", [], []) == Label("x")

@@ -59,6 +59,20 @@ class TestFromDepthDofs:
         with pytest.raises(ValueError):
             Section([1, -1])
 
+    @pytest.mark.parametrize("dofs, message", [
+        ([1.5, 2.7], "dof counts: 1.5 is not a whole number"),
+        ([[1, 2]], r"dof counts of shape \(1, 2\), not 1-D"),
+        ([1, np.nan], "dof counts: nan is not a whole number"),
+    ], ids=["fractional", "2d", "nan"])
+    def test_fractional_or_not_1d_dofs_rejected(self, dofs, message):
+        with pytest.raises(ValueError, match=message):
+            Section(dofs)
+
+    def test_whole_float_and_empty_dofs_accepted(self):
+        assert Section([2.0, 0.0]) == Section([2, 0])
+        assert Section([2.0, 0.0]).dofs.dtype == np.int64
+        assert Section([]).total_size == 0
+
 
 class TestPermute:
     def test_identity(self):
@@ -127,6 +141,22 @@ class TestPermutationType:
             Permutation([0, 0, 1])
         with pytest.raises(ValueError):
             Permutation([0, 3, 1])
+
+    @pytest.mark.parametrize("forward, message", [
+        ([1.7, 0.2], "permutation: 1.7 is not a whole number"),
+        ([[1, 0]], r"permutation of shape \(1, 2\), not 1-D"),
+        (np.int64(0), r"permutation of shape \(\), not 1-D"),
+    ], ids=["fractional", "2d", "scalar"])
+    def test_fractional_or_not_1d_rejected(self, forward, message):
+        with pytest.raises(ValueError, match=message):
+            Permutation(forward)
+        with pytest.raises(ValueError, match=message):
+            Permutation.from_new_order(forward)
+
+    def test_whole_float_and_empty_accepted(self):
+        assert Permutation([1.0, 0.0]) == Permutation([1, 0])
+        assert Permutation([1.0, 0.0]).forward.dtype == np.int64
+        assert len(Permutation([])) == 0
 
     def test_from_new_order(self):
         perm = Permutation.from_new_order([2, 0, 1])  # new pos 0 holds old 2
