@@ -18,7 +18,7 @@ import numpy as np
 from .gmsh_io import MeshBundle
 from .partition import PartitionMap
 from .permutation import Permutation
-from .plex import Label, Plex, _csr_rows, _offsets, _row_ids, _unique_sorted
+from .plex import Label, Plex, _csr_rows, _offsets, _row_ids, _unique_sorted, _whole_numbers
 from .section import Field, Section
 
 
@@ -33,8 +33,9 @@ class StarForest:
     """
 
     def __init__(self, nranks: int, leaf_rank, leaf_point, root_rank, root_point):
-        arrays = [np.asarray(a, dtype=np.int64)
-                  for a in (leaf_rank, leaf_point, root_rank, root_point)]
+        arrays = [_whole_numbers(what, a) for what, a in (
+            ("leaf ranks", leaf_rank), ("leaf points", leaf_point),
+            ("root ranks", root_rank), ("root points", root_point))]
         key = arrays[0] * (1 + int(arrays[1].max(initial=0))) + arrays[1]
         if (key[1:] < key[:-1]).any():
             arrays = [a[key.argsort(kind="stable")] for a in arrays]

@@ -84,7 +84,7 @@ def _lex_key(rows: np.ndarray) -> np.ndarray:
 def _offsets(sizes: np.ndarray) -> np.ndarray:
     """CSR offsets (exclusive prefix sum with the total appended) of row sizes."""
     out = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=out[1:])  # sizes may be a list
+    np.add.accumulate(sizes, dtype=np.int64, out=out[1:])  # a list, or bools to count
     return out
 
 

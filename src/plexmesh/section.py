@@ -84,7 +84,7 @@ def section_from_depth_dofs(plex: Plex, dofs_per_depth) -> Section:
 
     len(dofs_per_depth) must be plex.dim + 1.
     """
-    per_depth = np.asarray(dofs_per_depth, dtype=np.int64)
+    per_depth = _whole_numbers("per-depth dof counts", dofs_per_depth)
     if per_depth.size != plex.dim + 1:
         raise ValueError(
             f"need {plex.dim + 1} per-depth dof counts, got {per_depth.size}")

@@ -5,19 +5,21 @@ from __future__ import annotations
 import numpy as np
 
 from .gmsh_io import MeshBundle, _format_rows
-from .plex import _offsets, _pairs_to_csr, _row_ids
-
-# Entries from which CsrPattern inserts the diagonal into input already in
-# CSR order rather than sorting it: the insertion makes more numpy calls, so
-# below about 600-900 entries (some 100-150 vertices of a triangle mesh) the
-# sort is faster.
-_INSERT_MIN = 1024
+from .plex import _pairs_to_csr, _row_ids, _whole_numbers
 
 
-def _in_csr_order(n: int, rows: np.ndarray, cols: np.ndarray) -> bool:
-    """Entries strictly ascending by (row, col), none on the diagonal."""
-    keys = rows * max(n, 1) + cols
-    return bool((keys[1:] > keys[:-1]).all()) and not (rows == cols).any()
+def _with_diagonal(bounds: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal inserted into a CSR whose rows hold distinct, ascending,
+    off-diagonal columns: each entry moves up by its row number, plus one
+    past the diagonal, and the diagonal fills the gaps."""
+    n = bounds.size - 1
+    rows = _row_ids(bounds)
+    past = cols > rows
+    indptr = bounds + np.arange(n + 1)
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    indices[np.arange(cols.size) + rows + past] = cols
+    indices[indptr[:-1] + np.bincount(rows[~past], minlength=n)] = np.arange(n)
+    return indptr, indices
 
 
 class CsrPattern:
@@ -28,23 +30,21 @@ class CsrPattern:
     """
 
     def __init__(self, n: int, rows, cols):
-        rows, cols = (np.asarray(a, dtype=np.int64) for a in (rows, cols))
+        rows, cols = _whole_numbers("rows", rows), _whole_numbers("cols", cols)
         if rows.size != cols.size or rows.size and (
                 min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
             raise ValueError(f"rows and cols must be equal-length indices in [0, {n})")
+        off = rows != cols
         self.n = n
-        diag = np.arange(n, dtype=np.int64)
-        if rows.size >= _INSERT_MIN and _in_csr_order(n, rows, cols):
-            # As p1_pattern's vertex graph comes: each entry moves up by its
-            # row number, plus one past the diagonal, and the diagonal fills
-            # the gaps.
-            self.indptr = _offsets(np.bincount(rows, minlength=n) + 1)
-            self.indices = np.empty(self.indptr[-1], dtype=np.int64)
-            self.indices[np.arange(cols.size) + rows + (cols > rows)] = cols
-            self.indices[self.indptr[:-1] + np.bincount(rows[cols < rows], minlength=n)] = diag
-        else:
-            self.indptr, self.indices = _pairs_to_csr(
-                n, np.concatenate([rows, diag]), np.concatenate([cols, diag]))
+        self.indptr, self.indices = _with_diagonal(*_pairs_to_csr(n, rows[off], cols[off]))
+
+    @classmethod
+    def _of_graph(cls, bounds: np.ndarray, cols: np.ndarray) -> "CsrPattern":
+        """The pattern of a graph's CSR, which _with_diagonal takes as is."""
+        new = object.__new__(cls)
+        new.n = bounds.size - 1
+        new.indptr, new.indices = _with_diagonal(bounds, cols)
+        return new
 
     @property
     def nnz(self) -> int:
@@ -74,8 +74,7 @@ def p1_pattern(bundle: MeshBundle) -> CsrPattern:
     sizes, upper = plex._cone_offsets[1:] - plex._cone_offsets[:-1], plex.depths > 0
     if (sizes[upper] != plex.depths[upper] + 1).any():
         raise ValueError("pattern construction needs a simplicial plex")
-    bounds, cols = plex._vertex_graph
-    return CsrPattern(plex.num_vertices, _row_ids(bounds), cols)
+    return CsrPattern._of_graph(*plex._vertex_graph)
 
 
 def _row_reach(pattern: CsrPattern) -> np.ndarray:
@@ -85,9 +84,7 @@ def _row_reach(pattern: CsrPattern) -> np.ndarray:
 
 def bandwidth(pattern: CsrPattern) -> int:
     """Max distance from the diagonal to the leftmost entry of any row."""
-    if pattern.n == 0:
-        return 0
-    return int(_row_reach(pattern).max())
+    return int(_row_reach(pattern).max(initial=0))
 
 
 def profile(pattern: CsrPattern) -> int:

@@ -22,3 +22,10 @@ def test_numpy_floor_matches_pyproject():
     pins = re.findall(r'numpy: "numpy==([0-9.]+)\.\*"', WORKFLOW)
     assert len(floors) == 1
     assert pins == floors
+
+
+def test_pip_install_names_the_test_extras():
+    extras = re.findall(r'^test = \[(.*)\]$', (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
+    installs = re.findall(r'pip install "\$\{\{ matrix\.numpy \}\}" (.*)$', WORKFLOW, re.MULTILINE)
+    assert len(extras) == 1 and len(installs) == 1
+    assert sorted(installs[0].split()) == sorted(re.findall(r'"([^"]+)"', extras[0]))

@@ -23,6 +23,13 @@ def split_two_triangle(bundle):
     return migrate(bundle, pmap, 2)
 
 
+def test_fractional_star_forest_rejected():
+    with pytest.raises(ValueError, match="leaf ranks: 0.9 is not a whole number"):
+        StarForest(2, [0.9, 1.2], [0.5, 0.4], [0, 0], [1.5, 2.5])
+    with pytest.raises(ValueError, match="root points: 1.5 is not a whole number"):
+        StarForest(2, [0, 1], [0, 0], [0, 0], [1.5, 2.5])
+
+
 class TestClosePartition:
     def test_single_part_gets_everything(self, two_triangle):
         plex = two_triangle.plex

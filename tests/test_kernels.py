@@ -556,6 +556,15 @@ def test_permuted_labels_match_from_arrays(raw, seed):
                                [want.points, want.values])
 
 
+def assert_pattern_matches_graph_entries(bundle: pm.MeshBundle) -> None:
+    """p1_pattern, the diagonal inserted into the vertex graph as it is,
+    equals CsrPattern of the graph's entries, which sorts them."""
+    pattern = pm.p1_pattern(bundle)
+    bounds, cols = bundle.plex._vertex_graph
+    rows = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    assert pattern == pm.CsrPattern(len(bounds) - 1, rows, cols)
+
+
 @PROPERTY
 @given(raw=meshes, seed=seeds)
 def test_bundle_kernels_match_oracles(raw, seed):
@@ -563,6 +572,7 @@ def test_bundle_kernels_match_oracles(raw, seed):
         plex = bundle.plex
         pattern = pm.p1_pattern(bundle)
         assert pattern == oracle.p1_pattern(bundle)
+        assert_pattern_matches_graph_entries(bundle)
         assert pm.bandwidth(pattern) == oracle.bandwidth(pattern)
         assert pm.profile(pattern) == oracle.profile(pattern)
         assert pm.rcm_ordering(plex) == oracle.rcm_ordering(plex)
@@ -608,14 +618,17 @@ def test_rcm_matches_oracle_on_rank_meshes(kind, size, seed, nparts):
         assert pm.rcm_ordering(lm.bundle.plex) == oracle.rcm_ordering(lm.bundle.plex)
 
 
-def assert_rank_rcm_matches_oracle(raw: pm.RawMesh, nparts: int) -> None:
-    """Every rank of raw bisected by coordinate into nparts ranks, as the
+def bisected_ranks(raw: pm.RawMesh, nparts: int) -> list[pm.RankLocalMesh]:
+    """The ranks of raw bisected by coordinate into nparts ranks, as the
     runtime benchmark workload splits its triangle grid."""
     bundle = pm.raw_to_bundle(raw)
     pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), nparts,
                               "coordinate-bisection", coords=pm.cell_centroids(bundle))
-    locals_, _, _ = pm.migrate(bundle, pmap, nparts)
-    for lm in locals_:
+    return pm.migrate(bundle, pmap, nparts)[0]
+
+
+def assert_rank_rcm_matches_oracle(raw: pm.RawMesh, nparts: int) -> None:
+    for lm in bisected_ranks(raw, nparts):
         assert pm.rcm_ordering(lm.bundle.plex) == oracle.rcm_ordering(lm.bundle.plex)
 
 
@@ -635,6 +648,15 @@ def test_rcm_matches_oracle_on_hundreds_of_components(interleave):
     sizes = np.random.default_rng(3).integers(1, 3, (300, 2)).tolist()
     plex = joined_grids(sizes, 3, interleave)
     assert pm.rcm_ordering(plex) == oracle.rcm_ordering(plex)
+
+
+def test_p1_pattern_matches_sorted_graph_entries_on_the_runtime_workload_ranks():
+    # Each rank's RCM-permuted bundle carries its graph through the permutation.
+    for lm in bisected_ranks(relabel(pm.triangle_grid(32, 32), 1), 32):
+        assert_pattern_matches_graph_entries(lm.bundle)
+        permuted = pm.apply_permutation(lm.bundle, pm.rcm_ordering(lm.bundle.plex))
+        assert "_vertex_graph" in vars(permuted.plex)
+        assert_pattern_matches_graph_entries(permuted)
 
 
 def dual_rows(graph: pm.DualGraph) -> list[tuple[int, ...]]:

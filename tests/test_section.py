@@ -44,6 +44,10 @@ class TestFromDepthDofs:
         with pytest.raises(ValueError, match="per-depth"):
             section_from_depth_dofs(TET, [1, 0])
 
+    def test_fractional_counts_rejected(self):
+        with pytest.raises(ValueError, match="per-depth dof counts: 1.5 is not a whole number"):
+            section_from_depth_dofs(TWO_TRI, [1.5, 0, 0.9])
+
     def test_offsets_are_prefix_sums(self):
         sec = Section([2, 0, 3, 1])
         assert sec.offsets.tolist() == [0, 2, 2, 5, 6]

@@ -45,16 +45,13 @@ def permuted_pattern(pat: CsrPattern, rho) -> CsrPattern:
 
 
 def assert_matches_sorting_every_pair(n: int, rows, cols) -> None:
-    """CsrPattern holds what sorting the entries plus the diagonal gives,
-    whether or not it may insert the diagonal at this size."""
+    """CsrPattern holds what sorting the entries plus the diagonal gives."""
     diag = np.arange(n)
     want = _pairs_to_csr(n, np.concatenate([rows, diag]).astype(np.int64),
                          np.concatenate([cols, diag]).astype(np.int64))
-    for insert_min in (sparsity._INSERT_MIN, 0):
-        with mock.patch.object(sparsity, "_INSERT_MIN", insert_min):
-            pat = CsrPattern(n, rows, cols)
-        assert pat.indptr.tolist() == want[0].tolist()
-        assert pat.indices.tolist() == want[1].tolist()
+    pat = CsrPattern(n, rows, cols)
+    assert pat.indptr.tolist() == want[0].tolist()
+    assert pat.indices.tolist() == want[1].tolist()
 
 
 class TestP1Pattern:
@@ -185,6 +182,10 @@ class TestCsrPattern:
         with pytest.raises(ValueError, match=r"equal-length indices in \[0, 2\)"):
             CsrPattern(2, rows, cols)
 
+    def test_fractional_entries_rejected(self):
+        with pytest.raises(ValueError, match="rows: 0.5 is not a whole number"):
+            CsrPattern(3, [0.5, 2.9], [1.7, 0.2])
+
     def test_duplicate_entries_stored_once(self):
         pat = CsrPattern(3, [2, 0, 2, 2], [0, 2, 0, 1])
         assert pat.indptr.tolist() == [0, 2, 3, 6]
@@ -209,15 +210,17 @@ class TestCsrPattern:
         for _ in range(300):
             n = int(rng.integers(1, 9))
             rows, cols = rng.integers(0, n, (2, int(rng.integers(0, 3 * n))))
-            if rng.random() < 0.5:  # CSR order, no diagonal: inserted in place
+            if rng.random() < 0.5:  # CSR order, no diagonal, as a vertex graph comes
                 keep = rows != cols
                 rows, cols = np.divmod(np.unique(rows[keep] * n + cols[keep]), n)
             assert_matches_sorting_every_pair(n, rows, cols)
 
     def test_large_p1_pattern_sorts_nothing(self, bundles):
-        # The vertex graph comes in CSR order, so the diagonal is inserted.
-        bundle = bundles["grid32"]
-        assert bundle.plex._vertex_graph[1].size >= sparsity._INSERT_MIN
-        with mock.patch.object(sparsity, "_pairs_to_csr",
-                               side_effect=AssertionError("pairs sorted again")):
-            p1_pattern(bundle)
+        # The vertex graph comes in CSR order, so the diagonal is inserted,
+        # on a rank-sized mesh (112 graph entries) as on the 1,089-vertex grid.
+        for name in ("grid4", "grid32"):
+            graph_entries = bundles[name].plex._vertex_graph[1].size
+            with mock.patch.object(sparsity, "_pairs_to_csr",
+                                   side_effect=AssertionError("pairs sorted again")):
+                pat = p1_pattern(bundles[name])
+            assert pat.nnz == graph_entries + pat.n, name
