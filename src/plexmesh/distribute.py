@@ -92,10 +92,11 @@ def _layouts(bundle: MeshBundle, names) -> list[tuple[Section, np.ndarray]]:
               for lab in labels)]
 
 
-def _bundle(dim: int, names, moved) -> MeshBundle:
-    """The bundle of CSR (offsets, values) arrays in _layouts order."""
-    (offsets, cones), (coord_off, coords), *labels = moved
-    return MeshBundle(Plex(dim, offsets, cones),
+def _bundle(plex: Plex, names, moved) -> MeshBundle:
+    """The bundle of a plex and CSR (offsets, values) arrays in _layouts
+    order after the cones."""
+    (coord_off, coords), *labels = moved
+    return MeshBundle(plex,
                       Field("coordinates", Section(coord_off[1:] - coord_off[:-1]), coords),
                       {name: Label(name, _row_ids(label_offsets), values)
                        for name, (label_offsets, values) in zip(names, labels)})
@@ -219,21 +220,18 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
     sf = StarForest(nranks, msf.leaf_rank[ghost], msf.leaf_point[ghost],
                     owner[msf.root_point[ghost]], owner_point[ghost])
 
+    # Each rank's plex is cut from the global one over its leaves, which
+    # ascend by global point and number the rank's points in that order.
     owned_cell = owned & (plex.heights[msf.root_point] == 0)
-    local_of = np.empty(chart, dtype=np.int64)
-    locals_ = []
-    for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
-        rank_moved = [(o[lo:hi + 1] - o[lo], v[o[lo]:o[hi]]) for o, v in moved]
-        # Cones in rank-local ids.  Every cone point of a point the rank
-        # receives lies in a received closure, so local_of never serves an
-        # entry left by an earlier rank.
-        local_of[msf.root_point[lo:hi]] = msf.leaf_point[lo:hi]
-        rank_moved[0] = (rank_moved[0][0], local_of[rank_moved[0][1]])
-        locals_.append(RankLocalMesh(
-            rank=r, bundle=_bundle(plex.dim, names, rank_moved),
-            local_to_global=msf.root_point[lo:hi],
-            owned_cells=owned_cell[lo:hi].nonzero()[0],
-            ghost_points=ghost[lo:hi].nonzero()[0]))
+    locals_ = [RankLocalMesh(
+        rank=r,
+        bundle=_bundle(rank_plex, names, [(o[lo:hi + 1] - o[lo], v[o[lo]:o[hi]])
+                                          for o, v in moved[1:]]),
+        local_to_global=msf.root_point[lo:hi],
+        owned_cells=owned_cell[lo:hi].nonzero()[0],
+        ghost_points=ghost[lo:hi].nonzero()[0])
+        for r, (rank_plex, lo, hi) in enumerate(zip(
+            plex._cut(msf.root_point, bounds, moved[0]), bounds[:-1], bounds[1:]))]
 
     report = MigrationReport(
         bytes_topology=8 * (moved[0][1].size + msf.leaf_point.size),
@@ -302,4 +300,4 @@ def gather_to_root(locals_: Sequence[RankLocalMesh], sf: StarForest) -> MeshBund
                                  for lm, (_, v) in zip(locals_, parts)])
         offsets, values = _csr_rows(offsets, values, owned.nonzero()[0])
         moved.append(owned_sf.reduce(Section(offsets[1:] - offsets[:-1]), values, chart))
-    return _bundle(locals_[0].bundle.dim, names, moved)
+    return _bundle(Plex(locals_[0].bundle.dim, *moved[0]), names, moved[1:])

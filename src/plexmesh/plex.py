@@ -143,11 +143,13 @@ class Plex:
         if dim not in (1, 2, 3):
             raise ValueError(f"unsupported mesh dimension {dim}")
         self.dim = dim
-        offsets, targets = (np.asarray(a, dtype=np.int64) for a in (offsets, targets))
+        offsets, targets = np.asarray(offsets), np.asarray(targets)
         if (offsets.ndim != 1 or offsets.size == 0 or offsets[0] != 0
                 or (offsets[1:] < offsets[:-1]).any()
-                or targets.shape != (int(offsets[-1]),)):
+                or targets.ndim != 1 or targets.size != offsets[-1]):
             raise ValueError("malformed CSR cone arrays")
+        offsets = _whole_numbers("cone offsets", offsets)
+        targets = _whole_numbers("cone targets", targets)
         self.chart_size = offsets.size - 1
         self._cone_offsets = offsets
         self._cone_targets = targets
@@ -251,6 +253,53 @@ class Plex:
             vnum = ((new.depths == 0).cumsum() - 1)[perm.forward[self.depth_stratum(0)]]
             new._vertex_graph = _pairs_to_csr(vnum.size, vnum[_row_ids(bounds)], vnum[cols])
         return new
+
+    def _cut(self, points: np.ndarray, bounds: Sequence[int], cones) -> list["Plex"]:
+        """The sub-plexes on runs of points, run r points[bounds[r]:bounds[r + 1]]
+        renumbered 0, 1, ...: each run ascends and is the closure of some cells.
+        cones is the runs' cones as one CSR in this plex's numbers.
+
+        Each run's cones are localised by one scatter.  Graded with heights
+        top - depths, as every built mesh is, runs keep this plex's strata
+        and grading without __init__ (a run holds a cell, so its top), and
+        each depth's vertex table rows, gathered once for all runs, mapped
+        through the ascending run-vertex numbering so they stay sorted.
+        """
+        offsets, targets = cones
+        local_of = np.empty(self.chart_size, dtype=np.int64)
+        runs = []
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            # Every cone point of a run point lies in the run, so local_of
+            # never serves an entry left by an earlier run.
+            local_of[points[lo:hi]] = np.arange(hi - lo)
+            cone_points = targets[offsets[lo]:offsets[hi]]
+            runs.append((offsets[lo:hi + 1] - offsets[lo], local_of[cone_points]))
+        top = self.depths.max(initial=0)
+        if not (self._graded and (self.heights == top - self.depths).all()):
+            return [Plex(self.dim, *run) for run in runs]
+
+        self._vertex_table(int(top))
+        tables = [t for t in self._vertex_tables[:top + 1] if t is not None]
+        depths, heights = self.depths[points], self.heights[points]
+        # Per depth, the runs' table rows (depth 0: vertex numbers) and where
+        # each run's rows start.
+        rows = [t[((self.depths == d).cumsum() - 1)[points[depths == d]]]
+                for d, t in enumerate(tables)]
+        starts = [_offsets(depths == d)[bounds].tolist() for d in range(len(tables))]
+        vertex_of = np.empty(self.num_vertices, dtype=np.int64)
+        plexes = []
+        for r, ((run_offsets, run_targets), lo, hi) in enumerate(
+                zip(runs, bounds[:-1], bounds[1:])):
+            new = object.__new__(Plex)
+            new.dim, new.chart_size, new._graded = self.dim, hi - lo, True
+            new._cone_offsets, new._cone_targets = run_offsets, run_targets
+            new.depths, new.heights = depths[lo:hi], heights[lo:hi]
+            vertices = rows[0][starts[0][r]:starts[0][r + 1], 0]
+            vertex_of[vertices] = np.arange(vertices.size)
+            new._vertex_tables = (np.arange(vertices.size, dtype=np.int64)[:, None], *(
+                vertex_of[t[s[r]:s[r + 1]]] for t, s in zip(rows[1:], starts[1:])))
+            plexes.append(new)
+        return plexes
 
     def _longest_paths(self, tails, heads) -> np.ndarray:
         """Longest path length from each point along the arcs tails -> heads.
@@ -468,8 +517,10 @@ class Label:
                 and np.array_equal(self.values, other.values))
 
 
-def _cell_array(cell_vertex_lists, num_vertices: int, dim: int) -> np.ndarray:
-    """Validated (ncells, dim + 1) vertex-id array of a simplex cell list."""
+def _cell_array(cell_vertex_lists, num_vertices: int, dim: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (ncells, dim + 1) vertex-id array of a simplex cell list,
+    and the same with each row sorted."""
     if dim not in _CELL_ARITY:
         raise ValueError(f"unsupported mesh dimension {dim}")
     arity = _CELL_ARITY[dim]
@@ -482,7 +533,7 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int) -> np.ndarray:
         raise ValueError("mixed cell arities")
     if lengths != {arity}:
         raise ValueError(f"cell arity {lengths.pop()} inconsistent with dimension {dim}")
-    cells = np.asarray(cells, dtype=np.int64).reshape(-1, arity)
+    cells = _whole_numbers("cell vertex ids", np.asarray(cells).reshape(-1)).reshape(-1, arity)
     bad = (cells < 0) | (cells >= num_vertices)
     if bad.any():
         raise ValueError(f"vertex id {cells[bad][0]} out of range [0, {num_vertices})")
@@ -502,16 +553,17 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int) -> np.ndarray:
     unused = np.bincount(cells.ravel(), minlength=num_vertices) == 0
     if unused.any():
         raise ValueError(f"vertex {int(np.argmax(unused))} is used by no cell")
-    return cells
+    return cells, ordered
 
 
-def _first_encounter_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _first_encounter_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Number the distinct rows of `rows` (as vertex sets) in first-encounter order.
 
     Returns the number of every row and, per number, the index of the row
-    that first showed it.
+    that first showed it and that row sorted.
     """
-    key = _lex_key(np.sort(rows, axis=1))
+    ordered = np.sort(rows, axis=1)
+    key = _lex_key(ordered)
     order = key.argsort()            # groups equal rows, in no set order within
     key = key[order]
     new = np.ones(len(order), dtype=bool)
@@ -522,7 +574,8 @@ def _first_encounter_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank[by_encounter] = np.arange(first.size, dtype=np.int64)
     ids = np.empty(len(order), dtype=np.int64)
     ids[order] = rank[np.cumsum(new) - 1]
-    return ids, first[by_encounter]
+    first = first[by_encounter]
+    return ids, first, ordered[first]
 
 
 def build_from_cells(cell_vertex_lists: Sequence[Sequence[int]],
@@ -542,19 +595,25 @@ def build_from_cells(cell_vertex_lists: Sequence[Sequence[int]],
     Returns:
         An interpolated Plex numbered cells, vertices, facets, edges.
     """
-    cells = _cell_array(cell_vertex_lists, num_vertices, dim)
+    cells, ordered = _cell_array(cell_vertex_lists, num_vertices, dim)
     ncells = len(cells)
     verts_first = ncells  # vertex v is point ncells + v
+    # The vertex tables as interpolation finds them: depth 0 the vertex
+    # column, row k of depth d the sorted vertex ids of depth-d entity k.
+    column = np.arange(num_vertices, dtype=np.int64)[:, None]
 
     if dim == 1:
         sizes = np.repeat([2, 0], [ncells, num_vertices])
-        return Plex(dim, _offsets(sizes), verts_first + cells.reshape(-1))
+        plex = Plex(dim, _offsets(sizes), verts_first + cells.reshape(-1))
+        plex._vertex_tables = (column, ordered)
+        return plex
 
     # Facet pass (3D): deduplicate triangles shared between cells, keeping
     # the vertex tuple in first-encounter order for the edge pass below.
+    facet_rows = ()
     if dim == 3:
         tris = cells[:, _TET_FACETS].reshape(-1, 3)
-        cell_facets, first = _first_encounter_ids(tris)
+        cell_facets, first, *facet_rows = _first_encounter_ids(tris)
         triangles = tris[first]
     else:
         triangles = cells
@@ -562,7 +621,7 @@ def build_from_cells(cell_vertex_lists: Sequence[Sequence[int]],
     # Edge pass: every triangle (a cell in 2D, a facet in 3D) contributes its
     # three edges, deduplicated by sorted vertex pair.
     pairs = triangles[:, _TRI_EDGES].reshape(-1, 2)
-    tri_edges, first = _first_encounter_ids(pairs)
+    tri_edges, first, edge_rows = _first_encounter_ids(pairs)
     edge_verts = pairs[first]
 
     edge_pt0 = ncells + num_vertices + (len(triangles) if dim == 3 else 0)
@@ -575,4 +634,6 @@ def build_from_cells(cell_vertex_lists: Sequence[Sequence[int]],
         sizes = np.repeat([3, 0, 2], [ncells, num_vertices, len(edge_verts)])
         targets = [edge_pt0 + tri_edges]
     targets.append(verts_first + edge_verts.reshape(-1))
-    return Plex(dim, _offsets(sizes), np.concatenate(targets))
+    plex = Plex(dim, _offsets(sizes), np.concatenate(targets))
+    plex._vertex_tables = (column, edge_rows, *facet_rows, ordered)
+    return plex

@@ -582,11 +582,17 @@ class TupleStarForest:
         return self.leaves[rank]
 
 
+def rank_plex(plex: Plex, points: np.ndarray) -> Plex:
+    """The plex of a rank receiving the given ascending global points: its
+    cones localised, through the constructor Plex(dim, offsets, targets)."""
+    offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, points)
+    return Plex(plex.dim, offsets, np.searchsorted(points, targets))
+
+
 def _extract_rank(bundle: MeshBundle, rps: RankPointSet) -> RankLocalMesh:
     plex = bundle.plex
     l2g = rps.points
-    offsets, targets = _csr_rows(plex._cone_offsets, plex._cone_targets, l2g)
-    local_plex = Plex(plex.dim, offsets, np.searchsorted(l2g, targets))
+    local_plex = rank_plex(plex, l2g)
 
     local_verts = l2g[plex.depths[l2g] == 0]
     coords_global = bundle.vertex_coords()

@@ -270,12 +270,13 @@ class TestGather:
 class TestConcurrencyContract:
     @pytest.mark.parametrize("name,nparts", [("grid4", 4), ("cube", 4)])
     def test_rank_meshes_share_no_memory(self, bundles, name, nparts):
-        # no array of a rank's local mesh overlaps another rank's or the
-        # input bundle's, so ranks can be handed out and worked on
-        # independently
+        # no array of a rank's local mesh, the vertex tables migrate cuts
+        # included, overlaps another rank's or the input bundle's, so ranks
+        # can be handed out and worked on independently
         def arrays(bundle):
             plex, coords = bundle.plex, bundle.coordinates
             yield from (plex._cone_offsets, plex._cone_targets, plex.depths, plex.heights,
+                        *plex._vertex_tables,
                         coords.section.dofs, coords.section.offsets, coords.values)
             for label in bundle.labels.values():
                 yield from (label.points, label.values)

@@ -381,6 +381,29 @@ def test_reorder_pipeline_derives_each_vertex_graph_once(corpus, monkeypatch):
     assert_same_arrays(plex._vertex_graph, joined_vertex_graph(plex))
 
 
+def test_distribute_pipeline_constructs_only_the_global_plex(corpus, monkeypatch):
+    # Vertex tables are born in build_from_cells and cut by migrate with the
+    # strata, so no rank plex runs __init__ and no table is built by union.
+    calls = {"__init__": 0, "_union_rows": 0}
+
+    def counted(name):
+        method = getattr(pm.Plex, name)
+
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(pm.Plex, name, counted(name))
+    bundle = pm.raw_to_bundle(corpus["cube"])
+    pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), 4)
+    locals_, _, _ = pm.migrate(bundle, pmap, 4)
+    raws = [pm.bundle_to_raw(lm.bundle) for lm in locals_]
+    assert calls == {"__init__": 1, "_union_rows": 0}
+    assert sum(raw.num_cells for raw in raws) > bundle.plex.num_cells
+
+
 def test_partition_overlap_reuses_the_cell_graph(corpus, monkeypatch):
     plex = pm.raw_to_bundle(corpus["cube"]).plex
     calls = count_graphs(monkeypatch)
@@ -478,14 +501,58 @@ def test_derived_relations_match_oracles(raw, seed):
 
 
 @PROPERTY
+@given(raw=meshes)
+def test_built_vertex_tables_match_the_unions(raw):
+    # build_from_cells keeps the sorted rows it deduplicates by, which are
+    # the tables a constructed plex unions stratum by stratum.
+    plex = pm.build_from_cells(raw.cells, raw.num_vertices, raw.dim)
+    assert len(vars(plex)["_vertex_tables"]) == raw.dim + 1
+    fresh = pm.Plex(raw.dim, plex._cone_offsets, plex._cone_targets)
+    assert_same_arrays([plex._vertex_table(d) for d in range(raw.dim + 1)],
+                       [fresh._vertex_table(d) for d in range(raw.dim + 1)])
+
+
+def one_face_short(bundle: pm.MeshBundle) -> pm.MeshBundle:
+    """The bundle with a boundary facet dropped from its cell's cone: the
+    facet is left with no support, so its height is not top - depth."""
+    plex = bundle.plex
+    facet = next(int(f) for f in plex.height_stratum(1) if plex.support(f).size == 1)
+    cones = plex.cones()
+    cell = int(plex.support(facet)[0])
+    cones[cell] = tuple(q for q in cones[cell] if q != facet)
+    return pm.MeshBundle(plex_from_cones(plex.dim, cones), bundle.coordinates, bundle.labels)
+
+
+@PROPERTY
 @given(raw=meshes, seed=seeds, nparts=st.integers(1, 8))
 def test_derived_relations_match_oracles_on_rank_meshes(raw, seed, nparts):
-    bundle = scrambled(pm.raw_to_bundle(raw), seed)
+    # Rank plexes cut from a graded global plex equal the ones the
+    # constructor builds from their cones, vertex tables included; others
+    # go through the constructor and hold no table until one is asked for.
+    built = pm.raw_to_bundle(raw)
     nparts = min(nparts, raw.num_cells)
-    pmap = pm.partition_cells(pm.build_dual_graph(bundle.plex), nparts)
-    for lm in pm.migrate(bundle, pmap, nparts)[0]:
-        assert lm.bundle.plex._vertex_table(raw.dim) is not None
-        assert_derived_relations_match(lm.bundle.plex, seed)
+    built_map = pm.partition_cells(pm.build_dual_graph(built.plex), nparts)
+    shuffled = scrambled(built, seed)
+    for bundle, pmap, cut in (
+            (built, built_map, True),
+            (shuffled, pm.partition_cells(pm.build_dual_graph(shuffled.plex), nparts), True),
+            # The dropped facet is a cell of its own, the last, sent to rank 0.
+            (one_face_short(built), pm.PartitionMap(np.append(built_map.ranks, 0), nparts),
+             False)):
+        plex = bundle.plex
+        for lm in pm.migrate(bundle, pmap, nparts)[0]:
+            got, want = lm.bundle.plex, oracle.rank_plex(plex, lm.local_to_global)
+            assert vars(got).keys() - {"_vertex_tables"} == vars(want).keys()
+            assert ("_vertex_tables" in vars(got)) == cut
+            assert got == want and got._graded == want._graded
+            assert_same_arrays([got.depths, got.heights], [want.depths, want.heights])
+            for d in range(raw.dim + 1):
+                tables = [got._vertex_table(d), want._vertex_table(d)]
+                assert (tables[0] is None) == (tables[1] is None)
+                if tables[0] is not None:
+                    assert_same_arrays(*tables)
+            assert not cut or got._vertex_table(raw.dim) is not None
+            assert_derived_relations_match(got, seed)
 
 
 @pytest.mark.parametrize("cones", [

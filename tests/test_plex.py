@@ -89,6 +89,14 @@ class TestBuildFromCells:
         with pytest.raises(ValueError, match="vertex 3 is used by no cell"):
             build_from_cells([(0, 1, 2)], 4, 2)
 
+    def test_fractional_vertex_id_rejected(self):
+        with pytest.raises(ValueError, match=r"cell vertex ids: 2\.6 is not a whole number"):
+            build_from_cells([[0, 1, 2.6]], 3, 2)
+
+    def test_whole_float_vertex_ids_accepted(self):
+        assert build_from_cells(np.array([[0.0, 1.0, 2.0]]), 3, 2) == build_from_cells(
+            [(0, 1, 2)], 3, 2)
+
     def test_empty_cells(self):
         with pytest.raises(ValueError, match="empty"):
             build_from_cells([], 4, 2)
@@ -231,11 +239,21 @@ class TestConstructor:
         (1, [0, 1, 1], [1, 0], "malformed CSR cone arrays"),
         (1, [0, 1, 1], [-1], "cone target outside chart"),
         (1, [0, 1, 1], [2], "cone target outside chart"),
+        (1, [0, 2.0, 2, 2.7], [1, 2], "malformed CSR cone arrays"),
+        (1, [0, 1.5, 2], [1, 0], r"cone offsets: 1\.5 is not a whole number"),
+        (1, [0, 1, 1], [0.5], r"cone targets: 0\.5 is not a whole number"),
+        (1, [0, 1, 1], [np.nan], "cone targets: nan is not a whole number"),
     ], ids=["dim-0", "dim-4", "empty-offsets", "2d-offsets", "nonzero-start",
-            "decreasing", "targets-length", "negative-target", "target-at-chart-size"])
+            "decreasing", "targets-length", "negative-target", "target-at-chart-size",
+            "fractional-total", "fractional-offset", "fractional-target", "nan-target"])
     def test_bad_input_rejected(self, dim, offsets, targets, message):
         with pytest.raises(ValueError, match=message):
             Plex(dim, offsets, targets)
+
+    def test_whole_floats_accepted(self):
+        plex = Plex(1, [0, 2.0, 2, 2], [1.0, 2])
+        assert plex == Plex(1, [0, 2, 2, 2], [1, 2])
+        assert plex._cone_offsets.dtype == plex._cone_targets.dtype == np.int64
 
 
 class TestDuality:
