@@ -65,12 +65,19 @@ class StarForest:
                ) -> tuple[np.ndarray, np.ndarray]:
         """Inverse of bcast: each leaf's block of a Section-laid leaf array at
         its root, as CSR over roots [0, nroots), which must have one leaf each."""
-        claimed = np.bincount(self.root_point, minlength=nroots)
+        return _csr_rows(section.offsets, values, _leaf_of(self.root_point, nroots))
+
+
+def _leaf_of(root_point: np.ndarray, nroots: int) -> np.ndarray:
+    """The index of each root's leaf, where every root in [0, nroots) has one."""
+    claimed = np.bincount(root_point, minlength=nroots)
+    if (claimed != 1).any():
         if (claimed > 1).any():
             raise ValueError("inconsistent ownership: a point is claimed by two ranks")
-        if (claimed == 0).any():
-            raise ValueError("incomplete distribution: a point is owned by no rank")
-        return _csr_rows(section.offsets, values, self.root_point.argsort())
+        raise ValueError("incomplete distribution: a point is owned by no rank")
+    leaf_of = np.empty(nroots, dtype=np.int64)
+    leaf_of[root_point] = np.arange(nroots)
+    return leaf_of
 
 
 def _migration_sf(ranks: Sequence[int], points: Sequence[np.ndarray]) -> StarForest:
@@ -163,24 +170,31 @@ def close_partition(plex: Plex, pmap: PartitionMap) -> tuple[StarForest, np.ndar
         raise ValueError("partition map does not cover the cells")
     nparts = pmap.nparts
     chart = plex.chart_size
-    offsets, closure_pts = plex.closures(cells)
-    closure_cell = _row_ids(offsets)
 
-    # Lowest-rank ownership over the own-cell closures.
+    # Lowest-rank ownership, carried down from the cells one support round
+    # per height, the longest path up from a point to a cell.
     owner = np.full(chart, nparts, dtype=np.int64)
-    np.minimum.at(owner, closure_pts, pmap.ranks[closure_cell])
+    owner[cells] = pmap.ranks
+    supported = (plex.heights > 0).nonzero()[0]
+    for _ in range(plex.heights.max(initial=0)):
+        owner[supported] = np.minimum(owner[supported], np.minimum.reduceat(
+            owner[plex._support_targets], plex._support_offsets[supported]))
 
     # One layer of overlap through shared facets: every cell sharing a facet
     # with a cell of another rank goes to that rank too.
     graph_offsets, b = plex._cell_graph
     a = _row_ids(graph_offsets)
     foreign = pmap.ranks[a] != pmap.ranks[b]
-    sent_cell = np.concatenate([np.arange(len(cells), dtype=np.int64), a[foreign]])
-    sent_rank = np.concatenate([pmap.ranks, pmap.ranks[b[foreign]]])
+    sent = [_unique_sorted(np.concatenate([pmap.ranks, pmap.ranks[b[foreign]]]) * chart
+                           + cells[np.concatenate([np.arange(len(cells)), a[foreign]])])]
 
-    # Every (rank, point) pair the sent cells' closures cover, sorted by rank.
-    sent_offsets, pts = _csr_rows(offsets, closure_pts, sent_cell)
-    keys = _unique_sorted(sent_rank.repeat(sent_offsets[1:] - sent_offsets[:-1]) * chart + pts)
+    # Every (rank, point) pair the sent cells' closures cover, one cone round
+    # per depth, sorted by rank.
+    for _ in range(plex.depths.max(initial=0)):
+        ranks, pts = np.divmod(sent[-1], chart)
+        offsets, pts = _csr_rows(plex._cone_offsets, plex._cone_targets, pts)
+        sent.append(_unique_sorted(ranks.repeat(offsets[1:] - offsets[:-1]) * chart + pts))
+    keys = _unique_sorted(np.concatenate(sent))
     ranks, pts = np.divmod(keys, chart)
     leaf_point = np.arange(keys.size) - _offsets(np.bincount(ranks, minlength=nparts))[ranks]
     return StarForest(nparts, ranks, leaf_point, np.zeros_like(ranks), pts), owner
@@ -210,15 +224,14 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
     names = list(bundle.labels)
     moved = [msf.bcast(*layout) for layout in _layouts(bundle, names)]
 
-    # Point SF by composition: reduce the owners' local ids onto the global
-    # points, then bcast them back to every copy.
+    # Point SF: every global point takes the local id of its one owned leaf,
+    # and each ghost leaf reads it from there.
     owned = owner[msf.root_point] == msf.leaf_rank
-    _, owner_point = msf.select(owned).reduce(
-        Section(np.ones(np.count_nonzero(owned), dtype=np.int64)), msf.leaf_point[owned], chart)
-    _, owner_point = msf.bcast(Section(np.ones(chart, dtype=np.int64)), owner_point)
+    owner_point = msf.leaf_point[owned][_leaf_of(msf.root_point[owned], chart)]
     ghost = ~owned
+    root = msf.root_point[ghost]
     sf = StarForest(nranks, msf.leaf_rank[ghost], msf.leaf_point[ghost],
-                    owner[msf.root_point[ghost]], owner_point[ghost])
+                    owner[root], owner_point[root])
 
     # Each rank's plex is cut from the global one over its leaves, which
     # ascend by global point and number the rank's points in that order.

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmsh_io import MeshBundle
-from .plex import Plex, _row_ids, _whole_numbers
+from .plex import Plex, _offsets, _row_ids, _whole_numbers
 
 
 @dataclass(eq=False)
@@ -65,7 +65,7 @@ def partition_cells(graph: DualGraph, nparts: int, method: str = "greedy-bfs",
     greedy-bfs grows one part at a time by breadth-first traversal seeded at
     the lowest unassigned cell id; coordinate-bisection recursively splits
     cell centroids along the widest axis at the (lower) median and needs
-    coords of shape (ncells, dim).
+    finite coords of shape (ncells, k), k >= 1.
     """
     if nparts < 1:
         raise ValueError("nparts must be >= 1")
@@ -77,11 +77,14 @@ def partition_cells(graph: DualGraph, nparts: int, method: str = "greedy-bfs",
         if coords is None:
             raise ValueError("coordinate-bisection requires cell centroids")
         coords = np.asarray(coords, dtype=np.float64)
-        if coords.ndim != 2 or len(coords) != graph.num_cells:
-            raise ValueError(f"one centroid per cell required: coords of shape "
-                             f"({graph.num_cells}, k), got {coords.shape}")
-        ranks = np.empty(graph.num_cells, dtype=np.int64)
-        _bisect(np.arange(graph.num_cells), coords, nparts, 0, ranks)
+        if coords.ndim != 2 or len(coords) != graph.num_cells or coords.shape[1] == 0:
+            raise ValueError(f"one centroid of one or more coordinates per cell required: "
+                             f"coords of shape ({graph.num_cells}, k), got {coords.shape}")
+        finite = np.isfinite(coords).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"cell {finite.argmin()} has a non-finite centroid "
+                             f"{coords[finite.argmin()].tolist()}")
+        ranks = _bisect(coords, nparts)
     else:
         raise ValueError(f"unknown partition method '{method}'")
     return PartitionMap(ranks, nparts)
@@ -115,18 +118,27 @@ def _greedy_bfs(graph: DualGraph, nparts: int) -> np.ndarray:
     return np.array(ranks, dtype=np.int64)
 
 
-def _bisect(idx: np.ndarray, coords: np.ndarray, nparts: int, rank0: int,
-            out: np.ndarray) -> None:
-    if nparts == 1:
-        out[idx] = rank0
-        return
-    nleft = -(-nparts // 2)
-    spread = coords[idx].max(axis=0) - coords[idx].min(axis=0)
-    axis = int(np.argmax(spread))  # argmax takes the lowest axis on ties
-    order = idx[np.lexsort((idx, coords[idx, axis]))]
-    h = -(-len(order) * nleft // nparts)
-    _bisect(order[:h], coords, nleft, rank0, out)
-    _bisect(order[h:], coords, nparts - nleft, rank0 + nleft, out)
+def _bisect(coords: np.ndarray, nparts: int) -> np.ndarray:
+    # Level by level, cells grouped by segment: each segment sorts along its
+    # widest axis (the lowest on ties) by (coordinate, cell id) rank, and its
+    # lower h cells take its lower ceil(parts / 2) ranks.
+    n, dim = coords.shape
+    ids = np.arange(n, dtype=np.int64)
+    axis_rank = np.empty((dim, n), dtype=np.int64)
+    for a in range(dim):
+        axis_rank[a, np.lexsort((ids, coords[:, a]))] = ids
+    order, sizes, parts = ids, np.array([n]), np.array([nparts])
+    while parts.max() > 1:
+        c, starts = coords[order], _offsets(sizes)[:-1]
+        axis = (np.maximum.reduceat(c, starts) - np.minimum.reduceat(c, starts)).argmax(axis=1)
+        segment = np.arange(sizes.size).repeat(sizes)
+        order = order[(segment * n + axis_rank[axis[segment], order]).argsort()]
+        halves = np.column_stack([-(-parts // 2), parts // 2])
+        h = -(-sizes * halves[:, 0] // parts)
+        sizes, parts = np.column_stack([h, sizes - h])[halves > 0], halves[halves > 0]
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[order] = _offsets(parts)[:-1].repeat(sizes)
+    return ranks
 
 
 def partition_stats(graph: DualGraph, pmap: PartitionMap) -> PartitionStats:

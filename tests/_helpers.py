@@ -53,3 +53,18 @@ def reordered_bandwidth(pattern, rho) -> int:
 def valid_nparts(ncells: int, wanted=(1, 2, 3, 4, 8)):
     """The acceptance nparts sweep, restricted to what partition_cells accepts."""
     return [n for n in wanted if n <= ncells]
+
+
+def relabel(mesh: pm.RawMesh, seed: int) -> pm.RawMesh:
+    """The same mesh with vertex ids, cells and boundary facets shuffled."""
+    rng = np.random.default_rng(seed)
+    new_id = rng.permutation(mesh.num_vertices)
+    cell_order = rng.permutation(mesh.num_cells)
+    facet_order = rng.permutation(len(mesh.boundary_facets))
+    vertices = np.empty_like(mesh.vertices)
+    vertices[new_id] = mesh.vertices
+    return pm.RawMesh(dim=mesh.dim, vertices=vertices,
+                      cells=new_id[mesh.cells][cell_order],
+                      cell_region_ids=np.arange(mesh.num_cells)[cell_order] % 3,
+                      boundary_facets=new_id[mesh.boundary_facets][facet_order],
+                      boundary_markers=mesh.boundary_markers[facet_order])

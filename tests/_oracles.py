@@ -9,7 +9,10 @@ public API, and the lines that build types whose representation changed
 since) as test oracles: every array kernel must give exactly their results.
 Boundary-facet matching has a dict-based brute force written for the tests.
 Row grouping and the duplicate-cell check keep their multi-key np.lexsort
-versions: the one-key sorts must give exactly their results.
+versions: the one-key sorts must give exactly their results.  Coordinate
+bisection keeps its one-call-per-sub-domain recursion, close_partition its
+array version over per-cell closures, and migrate its point SF composed of
+select, reduce and bcast: the whole-array rounds must give exactly theirs.
 """
 
 from __future__ import annotations
@@ -22,9 +25,10 @@ import numpy as np
 
 from plexmesh import (CsrPattern, Field, GmshParseError, Halo, Label,
                       MeshBundle, MigrationReport, PartitionMap, Permutation,
-                      Plex, RankLocalMesh, RawMesh, Section, permute_section,
-                      section_from_depth_dofs)
-from plexmesh.plex import _CELL_ARITY, _TET_FACETS, _TRI_EDGES, _csr_rows, _offsets
+                      Plex, RankLocalMesh, RawMesh, Section, StarForest,
+                      permute_section, section_from_depth_dofs)
+from plexmesh.plex import (_CELL_ARITY, _TET_FACETS, _TRI_EDGES, _csr_rows, _offsets,
+                           _row_ids, _unique_sorted)
 
 from _helpers import plex_from_cones
 
@@ -393,6 +397,27 @@ def edge_cut(graph: ListDualGraph, pmap: PartitionMap) -> int:
     return sum(1 for a, b in graph.edges() if pmap.ranks[a] != pmap.ranks[b])
 
 
+def bisect(coords: np.ndarray, nparts: int) -> np.ndarray:
+    """Coordinate bisection as one recursive call per sub-domain."""
+    ranks = np.empty(len(coords), dtype=np.int64)
+    _bisect(np.arange(len(coords)), coords, nparts, 0, ranks)
+    return ranks
+
+
+def _bisect(idx: np.ndarray, coords: np.ndarray, nparts: int, rank0: int,
+            out: np.ndarray) -> None:
+    if nparts == 1:
+        out[idx] = rank0
+        return
+    nleft = -(-nparts // 2)
+    spread = coords[idx].max(axis=0) - coords[idx].min(axis=0)
+    axis = int(np.argmax(spread))  # argmax takes the lowest axis on ties
+    order = idx[np.lexsort((idx, coords[idx, axis]))]
+    h = -(-len(order) * nleft // nparts)
+    _bisect(order[:h], coords, nleft, rank0, out)
+    _bisect(order[h:], coords, nparts - nleft, rank0 + nleft, out)
+
+
 def cell_centroids(bundle: MeshBundle) -> np.ndarray:
     plex = bundle.plex
     coords = bundle.vertex_coords()
@@ -507,6 +532,50 @@ def close_partition(plex: Plex, pmap: PartitionMap) -> list[RankPointSet]:
         owned = pts[owner[pts] == r]
         out.append(RankPointSet(rank=r, points=pts, owned=owned))
     return out
+
+
+def close_partition_by_closures(plex: Plex, pmap: PartitionMap
+                                ) -> tuple[StarForest, np.ndarray]:
+    """close_partition over every cell's closure, as Plex.closures lists it."""
+    cells = plex.height_stratum(0)
+    if len(pmap.ranks) != len(cells):
+        raise ValueError("partition map does not cover the cells")
+    nparts = pmap.nparts
+    chart = plex.chart_size
+    offsets, closure_pts = plex.closures(cells)
+    closure_cell = _row_ids(offsets)
+
+    # Lowest-rank ownership over the own-cell closures.
+    owner = np.full(chart, nparts, dtype=np.int64)
+    np.minimum.at(owner, closure_pts, pmap.ranks[closure_cell])
+
+    # One layer of overlap through shared facets: every cell sharing a facet
+    # with a cell of another rank goes to that rank too.
+    graph_offsets, b = plex._cell_graph
+    a = _row_ids(graph_offsets)
+    foreign = pmap.ranks[a] != pmap.ranks[b]
+    sent_cell = np.concatenate([np.arange(len(cells), dtype=np.int64), a[foreign]])
+    sent_rank = np.concatenate([pmap.ranks, pmap.ranks[b[foreign]]])
+
+    # Every (rank, point) pair the sent cells' closures cover, sorted by rank.
+    sent_offsets, pts = _csr_rows(offsets, closure_pts, sent_cell)
+    keys = _unique_sorted(sent_rank.repeat(sent_offsets[1:] - sent_offsets[:-1]) * chart + pts)
+    ranks, pts = np.divmod(keys, chart)
+    leaf_point = np.arange(keys.size) - _offsets(np.bincount(ranks, minlength=nparts))[ranks]
+    return StarForest(nparts, ranks, leaf_point, np.zeros_like(ranks), pts), owner
+
+
+def point_sf_by_composition(msf: StarForest, owner: np.ndarray, nranks: int) -> StarForest:
+    """migrate's point SF by composition: reduce the owners' local ids onto
+    the global points, then bcast them back to every copy."""
+    chart = owner.size
+    owned = owner[msf.root_point] == msf.leaf_rank
+    _, owner_point = msf.select(owned).reduce(
+        Section(np.ones(np.count_nonzero(owned), dtype=np.int64)), msf.leaf_point[owned], chart)
+    _, owner_point = msf.bcast(Section(np.ones(chart, dtype=np.int64)), owner_point)
+    ghost = ~owned
+    return StarForest(nranks, msf.leaf_rank[ghost], msf.leaf_point[ghost],
+                      owner[msf.root_point[ghost]], owner_point[ghost])
 
 
 # -- distribution: tuple-list star forest and dict-of-sets labels ---------------

@@ -267,6 +267,37 @@ class TestGather:
             gather_to_root(locals_, sf)
 
 
+class TestPlantedOwnership:
+    """migrate refuses a closure whose owners leave a point unowned or let
+    two leaves own one point."""
+
+    def planted(self, monkeypatch, plant):
+        def close(plex, pmap):
+            msf, owner = close_partition(plex, pmap)
+            return plant(msf, owner.copy())
+        monkeypatch.setattr(pm.distribute, "close_partition", close)
+
+    def test_unowned_point(self, two_triangle, monkeypatch):
+        def unown(msf, owner):
+            owner[6] = 2  # the shared edge, received by ranks 0 and 1
+            return msf, owner
+        self.planted(monkeypatch, unown)
+        with pytest.raises(ValueError, match="incomplete distribution: a point is owned by no rank"):
+            split_two_triangle(two_triangle)
+
+    def test_point_claimed_twice(self, two_triangle, monkeypatch):
+        def claim_twice(msf, owner):
+            # Rank 0 lists its copy of the shared edge twice.
+            twice = (msf.leaf_rank == 0) & (msf.root_point == 6)
+            leaf_point = np.append(msf.leaf_point, msf.leaf_point[msf.leaf_rank == 0].max() + 1)
+            return StarForest(2, np.append(msf.leaf_rank, 0), leaf_point,
+                              np.append(msf.root_rank, 0),
+                              np.append(msf.root_point, msf.root_point[twice])), owner
+        self.planted(monkeypatch, claim_twice)
+        with pytest.raises(ValueError, match="inconsistent ownership: a point is claimed by two"):
+            split_two_triangle(two_triangle)
+
+
 class TestConcurrencyContract:
     @pytest.mark.parametrize("name,nparts", [("grid4", 4), ("cube", 4)])
     def test_rank_meshes_share_no_memory(self, bundles, name, nparts):

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _oracles as oracle
-from _helpers import plex_from_cones, rank_points
+from _helpers import plex_from_cones, rank_points, relabel
 import plexmesh as pm
 from plexmesh import gmsh_io
 
@@ -39,21 +39,6 @@ MESHES = {
     "triangles": lambda size: pm.triangle_grid(1 + size, 2),
     "tets": lambda size: pm.tet_box(1 + size % 2, 1, 2),
 }
-
-
-def relabel(mesh: pm.RawMesh, seed: int) -> pm.RawMesh:
-    """The same mesh with vertex ids, cells and boundary facets shuffled."""
-    rng = np.random.default_rng(seed)
-    new_id = rng.permutation(mesh.num_vertices)
-    cell_order = rng.permutation(mesh.num_cells)
-    facet_order = rng.permutation(len(mesh.boundary_facets))
-    vertices = np.empty_like(mesh.vertices)
-    vertices[new_id] = mesh.vertices
-    return pm.RawMesh(dim=mesh.dim, vertices=vertices,
-                      cells=new_id[mesh.cells][cell_order],
-                      cell_region_ids=np.arange(mesh.num_cells)[cell_order] % 3,
-                      boundary_facets=new_id[mesh.boundary_facets][facet_order],
-                      boundary_markers=mesh.boundary_markers[facet_order])
 
 
 meshes = st.builds(lambda kind, size, seed: relabel(MESHES[kind](size), seed),
@@ -788,6 +773,89 @@ def test_close_partition_matches_oracle(raw, seed, nparts):
         assert not msf.root_rank.any()
         locals_, sf, _ = pm.migrate(bundle, pmap, nparts)
         assert pm.gather_to_root(locals_, sf) == bundle
+
+
+def assert_same_forest(sf: pm.StarForest, want: pm.StarForest) -> None:
+    assert sf.nranks == want.nranks
+    for name in ("leaf_rank", "leaf_point", "root_rank", "root_point"):
+        a, b = getattr(sf, name), getattr(want, name)
+        assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), name
+
+
+def assert_distribution_matches_oracles(bundle: pm.MeshBundle, pmap: pm.PartitionMap) -> None:
+    """close_partition and migrate's point SF equal their closure-based and
+    select/reduce/bcast compositions."""
+    msf, owner = pm.close_partition(bundle.plex, pmap)
+    want_msf, want_owner = oracle.close_partition_by_closures(bundle.plex, pmap)
+    assert_same_forest(msf, want_msf)
+    assert owner.tolist() == want_owner.tolist()
+    _, sf, _ = pm.migrate(bundle, pmap, pmap.nparts)
+    assert_same_forest(sf, oracle.point_sf_by_composition(msf, owner, pmap.nparts))
+
+
+def partitions(bundle: pm.MeshBundle, nparts: int, seed: int) -> list[pm.PartitionMap]:
+    """Both partitioners' maps, and random ranks, some possibly empty."""
+    graph = pm.build_dual_graph(bundle.plex)
+    coords = pm.cell_centroids(bundle)
+    ranks = np.random.default_rng(seed).integers(0, nparts, graph.num_cells)
+    return [pm.partition_cells(graph, nparts), pm.PartitionMap(ranks, nparts),
+            pm.partition_cells(graph, nparts, "coordinate-bisection", coords=coords)]
+
+
+@PROPERTY
+@given(kind=st.sampled_from(sorted(MESHES)), size=st.integers(0, 2), shuffled=st.booleans(),
+       seed=seeds, nparts=st.integers(1, 8))
+def test_partition_and_distribution_match_the_oracles(kind, size, shuffled, seed, nparts):
+    # Unshuffled, the generators' grids give many tied centroids.
+    raw = MESHES[kind](size)
+    bundle = pm.raw_to_bundle(relabel(raw, seed) if shuffled else raw)
+    nparts = min(nparts, bundle.plex.num_cells)
+    pmaps = partitions(bundle, nparts, seed)
+    assert pmaps[2].ranks.tolist() == oracle.bisect(pm.cell_centroids(bundle), nparts).tolist()
+    for built in (bundle, scrambled(bundle, seed)):
+        for pmap in pmaps:
+            assert_distribution_matches_oracles(built, pmap)
+
+
+@PROPERTY
+@given(ncells=st.integers(1, 40), dim=st.integers(1, 3), span=st.integers(1, 4), seed=seeds,
+       nparts=st.integers(1, 8))
+def test_bisection_matches_the_recursive_oracle_on_tied_coordinates(ncells, dim, span, seed,
+                                                                    nparts):
+    # Integer coordinates on a few values: tied coordinates, tied spreads
+    # across axes and repeated centroids.
+    coords = np.random.default_rng(seed).integers(0, span, (ncells, dim)).astype(float)
+    graph = pm.DualGraph(ncells, np.zeros(ncells + 1, dtype=np.int64), np.zeros(0, dtype=np.int64))
+    nparts = min(nparts, ncells)
+    ranks = pm.partition_cells(graph, nparts, "coordinate-bisection", coords=coords).ranks
+    assert ranks.tolist() == oracle.bisect(coords, nparts).tolist()
+
+
+@pytest.mark.parametrize("nparts", [1, 2, 3, 5, 7, 8, 32, 64, 100])
+@pytest.mark.parametrize("raw", [pm.triangle_grid(32, 32), pm.tet_box(6, 6, 6)],
+                         ids=["runtime-tri2d", "tet3d"])
+def test_partition_and_distribution_match_the_oracles_on_the_benchmark_meshes(raw, nparts):
+    # The benchmark meshes, shuffled as their seed-1 inputs are.
+    bundle = pm.raw_to_bundle(relabel(raw, 1))
+    pmaps = partitions(bundle, nparts, 1)
+    assert pmaps[2].ranks.tolist() == oracle.bisect(pm.cell_centroids(bundle), nparts).tolist()
+    for pmap in pmaps:
+        assert_distribution_matches_oracles(bundle, pmap)
+
+
+@PROPERTY
+@given(seed=seeds, nparts=st.integers(1, 8))
+def test_close_partition_matches_the_closures_on_non_graded_dags(seed, nparts):
+    # Skip arcs: a point's closures meet it on two levels, and the longest
+    # paths set how many support and cone rounds reach it.
+    plex = plex_from_cones(3, layered_dag(seed))
+    assert not plex._graded
+    ranks = np.random.default_rng(seed).integers(0, nparts, plex.num_cells)
+    pmap = pm.PartitionMap(ranks, nparts)
+    msf, owner = pm.close_partition(plex, pmap)
+    want_msf, want_owner = oracle.close_partition_by_closures(plex, pmap)
+    assert_same_forest(msf, want_msf)
+    assert owner.tolist() == want_owner.tolist()
 
 
 def sets_of(labels: dict) -> dict:

@@ -150,6 +150,23 @@ class TestPartitionCells:
             partition_cells(graph, 2, method="coordinate-bisection",
                             coords=np.zeros(graph.num_cells))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_bisection_refuses_non_finite_centroids(self, bundles, bad):
+        bundle = bundles["grid4"]
+        coords = pm.cell_centroids(bundle)
+        coords[[5, 9], [0, 1]] = bad
+        with pytest.raises(ValueError, match=rf"cell 5 has a non-finite centroid \[{bad}, "):
+            partition_cells(build_dual_graph(bundle.plex), 2, method="coordinate-bisection",
+                            coords=coords)
+
+    @pytest.mark.parametrize("nparts", [1, 2])
+    def test_bisection_refuses_zero_width_centroids(self, bundles, nparts):
+        graph = build_dual_graph(bundles["grid4"].plex)
+        with pytest.raises(ValueError, match=r"one or more coordinates per cell required: "
+                                             r"coords of shape \(32, k\), got \(32, 0\)"):
+            partition_cells(graph, nparts, method="coordinate-bisection",
+                            coords=np.zeros((32, 0)))
+
     def test_unknown_method(self, bundles):
         graph = build_dual_graph(bundles["grid4"].plex)
         with pytest.raises(ValueError, match="unknown"):
