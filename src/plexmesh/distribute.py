@@ -18,7 +18,8 @@ import numpy as np
 from .gmsh_io import MeshBundle
 from .partition import PartitionMap
 from .permutation import Permutation
-from .plex import Label, Plex, _csr_rows, _offsets, _row_ids, _unique_sorted, _whole_numbers
+from .plex import (Label, Plex, _csr_rows, _offsets, _row_ids, _stable_order, _unique_sorted,
+                   _whole_numbers)
 from .section import Field, Section
 
 
@@ -29,16 +30,23 @@ class StarForest:
     Flat int64 arrays sorted by (leaf_rank, leaf_point), the PetscSF
     ilocal/iremote layout.  bcast and reduce address roots by root_point, so
     they move data of one root chart: the migration SF's, whose roots are the
-    points of the undistributed mesh.
+    points of the undistributed mesh.  Ranks lie in [0, nranks) and points
+    are non-negative, which bounds every (rank, point) sort key.
     """
 
     def __init__(self, nranks: int, leaf_rank, leaf_point, root_rank, root_point):
-        arrays = [_whole_numbers(what, a) for what, a in (
-            ("leaf ranks", leaf_rank), ("leaf points", leaf_point),
-            ("root ranks", root_rank), ("root points", root_point))]
-        key = arrays[0] * (1 + int(arrays[1].max(initial=0))) + arrays[1]
+        names = ("leaf ranks", "leaf points", "root ranks", "root points")
+        arrays = [_whole_numbers(what, a)
+                  for what, a in zip(names, (leaf_rank, leaf_point, root_rank, root_point))]
+        if len({a.size for a in arrays}) > 1:
+            raise ValueError(f"{', '.join(names)} of unequal lengths {[a.size for a in arrays]}")
+        for what, a, top in zip(names, arrays, (nranks, np.inf, nranks, np.inf)):
+            if ((a < 0) | (a >= top)).any():
+                raise ValueError(f"{what}: {a[(a < 0) | (a >= top)][0]} not in [0, {top})")
+        base = 1 + int(arrays[1].max(initial=0))
+        key = arrays[0] * base + arrays[1]
         if (key[1:] < key[:-1]).any():
-            arrays = [a[key.argsort(kind="stable")] for a in arrays]
+            arrays = [a[_stable_order(key, nranks * base)] for a in arrays]
         self.nranks = nranks
         self.leaf_rank, self.leaf_point, self.root_rank, self.root_point = arrays
 
@@ -271,8 +279,10 @@ def build_halo(local: RankLocalMesh, sf: StarForest, section: Section,
     if not np.array_equal(sf.leaf_point[s], local.ghost_points):
         raise ValueError("star forest leaves do not match the ghost point set")
 
+    # The star forest holds ranks in [0, nranks) and non-negative points.
     root_rank, root_point = sf.root_rank[s], sf.root_point[s]
-    order = (root_rank * (1 + root_point.max(initial=0)) + root_point).argsort(kind="stable")
+    base = 1 + int(root_point.max(initial=0))
+    order = _stable_order(root_rank * base + root_point, sf.nranks * base)
     ghosts = sf.leaf_point[s][order]
     owned = np.ones(n, dtype=bool)
     owned[ghosts] = False

@@ -25,7 +25,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .plex import Label, Plex, _first_encounter_ids, _offsets, build_from_cells
+from .plex import Label, Plex, _first_encounter_ids, _offsets, _sorted_rows, build_from_cells
 from .section import Field, section_from_depth_dofs
 
 # Gmsh element type -> (topological dimension, node count)
@@ -395,10 +395,9 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
         if repeated.any():
             # The first node whose tag a later node repeats.
             raise GmshParseError(f"duplicate node tag {tags[order[:-1][repeated].min()]}")
-    finite = np.isfinite(xyz).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(xyz).all():
         raise GmshParseError(
-            f"node {tags[np.argmin(finite)]} has a non-finite coordinate")
+            f"node {tags[np.argmin(np.isfinite(xyz).all(axis=1))]} has a non-finite coordinate")
 
     point = etype == _GMSH_POINT
     edim = _TYPE_DIM[etype]
@@ -556,6 +555,6 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
         vertices=coords,
         cells=cells,
         cell_region_ids=regions,
-        boundary_facets=np.sort(plex.vertex_closures(boundary.points[by_value]), axis=1),
+        boundary_facets=_sorted_rows(plex.vertex_closures(boundary.points[by_value])),
         boundary_markers=boundary.values[by_value],
     )

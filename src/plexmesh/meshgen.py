@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gmsh_io import RawMesh
+from .plex import _sorted_rows
 
 # The two triangles of a quad (a, b, c, d) split along its a-c diagonal.
 _QUAD_TRIS = np.array([(0, 1, 2), (0, 2, 3)])
@@ -83,7 +84,7 @@ def tet_box(nx: int, ny: int, nz: int) -> RawMesh:
     sides = ((ids[:, :, 0], ids[:, :, -1]), (ids[:, 0], ids[:, -1]), (ids[0], ids[-1]))
     for axis, (low, high) in enumerate(sides):
         quads = np.stack([_quads(low), _quads(high)], axis=1)
-        bfacets.append(np.sort(quads[:, :, _QUAD_TRIS].reshape(-1, 3), axis=1))
+        bfacets.append(_sorted_rows(quads[:, :, _QUAD_TRIS].reshape(-1, 3)))
         markers.append(np.tile(np.repeat([2 * axis + 1, 2 * axis + 2], 2), len(quads)))
     return RawMesh(dim=3, vertices=verts, cells=cells,
                    cell_region_ids=np.zeros(len(cells), dtype=np.int64),

@@ -80,10 +80,9 @@ def partition_cells(graph: DualGraph, nparts: int, method: str = "greedy-bfs",
         if coords.ndim != 2 or len(coords) != graph.num_cells or coords.shape[1] == 0:
             raise ValueError(f"one centroid of one or more coordinates per cell required: "
                              f"coords of shape ({graph.num_cells}, k), got {coords.shape}")
-        finite = np.isfinite(coords).all(axis=1)
-        if not finite.all():
-            raise ValueError(f"cell {finite.argmin()} has a non-finite centroid "
-                             f"{coords[finite.argmin()].tolist()}")
+        if not np.isfinite(coords).all():
+            bad = np.isfinite(coords).all(axis=1).argmin()
+            raise ValueError(f"cell {bad} has a non-finite centroid {coords[bad].tolist()}")
         ranks = _bisect(coords, nparts)
     else:
         raise ValueError(f"unknown partition method '{method}'")

@@ -32,6 +32,10 @@ _TRI_EDGES = ((1, 2), (0, 2), (0, 1))
 
 _CELL_ARITY = {1: 2, 2: 3, 3: 4}
 
+# Compare-exchange networks that sort rows of 1 to 4 columns.
+_NETWORKS = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
+             4: ((0, 1), (2, 3), (0, 2), (1, 3), (1, 2))}
+
 
 # -- CSR helpers shared by the array kernels ----------------------------------
 #
@@ -50,6 +54,26 @@ def _unique_sorted(values: np.ndarray) -> np.ndarray:
     keep[0] = True
     np.not_equal(values[1:], values[:-1], out=keep[1:])
     return values[keep]
+
+
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """keys.argsort(kind="stable") for int64 keys in [0, bound), by one stable pass
+    per 16-bit digit: numpy radix-sorts 16-bit keys where int64 gets timsort."""
+    order = keys.astype(np.uint16).argsort(kind="stable")
+    for shift in range(16, (int(bound) - 1).bit_length(), 16):
+        order = order[(keys[order] >> shift).astype(np.uint16).argsort(kind="stable")]
+    return order
+
+
+def _sorted_rows(table: np.ndarray) -> np.ndarray:
+    """np.sort(table, axis=1), which costs one call per row: up to four
+    columns go through a sorting network of whole-column min/max instead."""
+    if table.shape[1] not in _NETWORKS:
+        return np.sort(table, axis=1)
+    cols = list(table.T)
+    for i, j in _NETWORKS[table.shape[1]]:
+        cols[i], cols[j] = np.minimum(cols[i], cols[j]), np.maximum(cols[i], cols[j])
+    return np.column_stack(cols)
 
 
 def _whole_numbers(what: str, values) -> np.ndarray:
@@ -182,11 +206,11 @@ class Plex:
 
     @cached_property
     def _support(self) -> tuple[np.ndarray, np.ndarray]:
-        # The cone transpose, built on first use (stable, so supports ascend);
-        # __init__ keeps none of it, so most plexes hold no arc-sized copy.
+        # The cone transpose, a stable sort of targets in the chart (so supports
+        # ascend) built on first use: most plexes never hold an arc-sized copy.
         targets = self._cone_targets
         return (_offsets(np.bincount(targets, minlength=self.chart_size)),
-                _row_ids(self._cone_offsets)[targets.argsort(kind="stable")])
+                _row_ids(self._cone_offsets)[_stable_order(targets, self.chart_size)])
 
     _support_offsets = property(lambda self: self._support[0])
     _support_targets = property(lambda self: self._support[1])
@@ -234,7 +258,7 @@ class Plex:
             return None
         below_row = (self.depths == d - 1).cumsum() - 1
         cones = below_row[self._cone_targets[starts[:, None] + np.arange(d + 1)]]
-        rows = np.sort(below[cones].reshape(-1, (d + 1) * d), axis=1).reshape(-1, d + 1, d)
+        rows = _sorted_rows(below[cones].reshape(-1, (d + 1) * d)).reshape(-1, d + 1, d)
         if (rows[..., 1:] != rows[..., :1]).any() or (rows[:, 1:, 0] <= rows[:, :-1, 0]).any():
             return None
         return rows[..., 0].copy()
@@ -414,12 +438,12 @@ class Plex:
         rows, pts = (np.concatenate(a) for a in zip(*levels))
         if not self._graded:
             keys = rows * n + pts
-            order = keys.argsort(kind="stable")
+            order = _stable_order(keys, m * n)  # rows < m, points < n
             first = np.ones(keys.size, dtype=bool)
             first[order[1:]] = keys[order[1:]] != keys[order[:-1]]
             rows, pts = rows[first], pts[first]
         return (_offsets(np.bincount(rows, minlength=m)),
-                pts[rows.argsort(kind="stable")])
+                pts[_stable_order(rows, m)])
 
     # -- strata ----------------------------------------------------------------
 
@@ -505,9 +529,9 @@ class Label:
     def permuted(self, perm) -> "Label":
         """The label with every point p moved to perm.forward[p].  A bijection
         keeps the pairs distinct and each point's values ascending, so one
-        stable sort by new point puts the pairs in order."""
+        stable sort by new point, in [0, len(perm)), puts the pairs in order."""
         points = perm.forward[self.points]
-        order = points.argsort(kind="stable")
+        order = _stable_order(points, len(perm))
         return Label(self.name, points[order], self.values[order])
 
     def __eq__(self, other) -> bool:
@@ -537,8 +561,8 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int
     bad = (cells < 0) | (cells >= num_vertices)
     if bad.any():
         raise ValueError(f"vertex id {cells[bad][0]} out of range [0, {num_vertices})")
-    ordered = np.sort(cells, axis=1)
-    repeated = np.flatnonzero(np.any(ordered[:, 1:] == ordered[:, :-1], axis=1))
+    ordered = _sorted_rows(cells)
+    repeated = np.flatnonzero(np.logical_or.reduce((ordered[:, 1:] == ordered[:, :-1]).T))
     if repeated.size:
         i = int(repeated[0])
         raise ValueError(f"degenerate cell {i} {tuple(cells[i].tolist())}: "
@@ -562,7 +586,7 @@ def _first_encounter_ids(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     Returns the number of every row and, per number, the index of the row
     that first showed it and that row sorted.
     """
-    ordered = np.sort(rows, axis=1)
+    ordered = _sorted_rows(rows)
     key = _lex_key(ordered)
     order = key.argsort()            # groups equal rows, in no set order within
     key = key[order]

@@ -8,7 +8,7 @@ import numpy as np
 
 from .gmsh_io import MeshBundle
 from .permutation import Permutation
-from .plex import Plex, _row_ids
+from .plex import Plex, _row_ids, _stable_order
 from .section import permute_field
 
 
@@ -55,7 +55,7 @@ def rcm_ordering(plex: Plex) -> Permutation:
     single permutation covers the whole chart.
     """
     # The vertex graph, each row sorted by ascending (degree, id): columns ascend
-    # within a row, so one stable sort by row * nv + degree (degree < nv) does it.
+    # within a row, so one timsort of row * nv + degree (< nv), rows ascending, does it.
     bounds, flat = plex._vertex_graph
     degree = bounds[1:] - bounds[:-1]
     order = (_row_ids(bounds) * degree.size + degree[flat]).argsort(kind="stable")
@@ -78,11 +78,13 @@ def rcm_ordering(plex: Plex) -> Permutation:
     key[verts[vertex_order]] = np.arange(nv)
     coned = (plex._cone_offsets[1:] > plex._cone_offsets[:-1]).nonzero()[0]
     starts = plex._cone_offsets[coned]
-    for _ in range(int(plex.depths.max(initial=0))):
+    top = int(plex.depths.max(initial=0))
+    for _ in range(top):
         key[coned] = np.minimum.reduceat(key[plex._cone_targets], starts)
-    # The k-th point by (depth, key, id) takes the k-th id by (depth, id).
+    # The k-th point by (depth, key, id; keys are vertex numbers) takes the k-th
+    # id by (depth, id), which timsort finds fastest in the few runs of depths.
     forward = np.empty(plex.chart_size, dtype=np.int64)
-    order = (plex.depths * plex.chart_size + key).argsort(kind="stable")
+    order = _stable_order(plex.depths * plex.chart_size + key, (top + 1) * plex.chart_size)
     forward[order] = plex.depths.argsort(kind="stable")
     return Permutation(forward)
 

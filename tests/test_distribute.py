@@ -30,6 +30,21 @@ def test_fractional_star_forest_rejected():
         StarForest(2, [0, 1], [0, 0], [0, 0], [1.5, 2.5])
 
 
+@pytest.mark.parametrize("arrays, message", [
+    (([0, 1], [0, 0], [0], [5, 6, 7]),
+     r"leaf ranks, leaf points, root ranks, root points of unequal lengths \[2, 2, 1, 3\]"),
+    (([0, 1], [0, 0], [-1, 3], [-4, 0]), r"root ranks: -1 not in \[0, 2\)"),
+    (([1, 2], [0, 0], [0, 0], [4, 0]), r"leaf ranks: 2 not in \[0, 2\)"),
+    (([0, 1], [0, -3], [0, 0], [4, 0]), r"leaf points: -3 not in \[0, inf\)"),
+    (([0, 1], [0, 0], [1, 0], [0, -4]), r"root points: -4 not in \[0, inf\)"),
+])
+def test_malformed_star_forest_rejected(arrays, message):
+    # Sort keys rank * base + point wrap in the 16-bit passes unless ranks
+    # lie in [0, nranks) and points are non-negative.
+    with pytest.raises(ValueError, match=message):
+        StarForest(2, *arrays)
+
+
 class TestClosePartition:
     def test_single_part_gets_everything(self, two_triangle):
         plex = two_triangle.plex

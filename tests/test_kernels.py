@@ -10,13 +10,17 @@ error message, on text with one defect.
 
 from __future__ import annotations
 
+import ast
 import functools
 import io
+import itertools
 import json
 import os
 import re
 import subprocess
 import sys
+import textwrap
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -136,6 +140,56 @@ def test_row_keys_of_no_rows(ncols):
     assert pm.plex._lex_key(rows).argsort().tolist() == np.lexsort(rows.T[::-1]).tolist() == []
     for got, want in zip(pm.plex._first_encounter_ids(rows), oracle.first_encounter_ids(rows)):
         assert got.tolist() == want.tolist() == []
+
+
+@pytest.mark.parametrize("bound", [1, 2**16 - 1, 2**16, 2**16 + 1, 2**32, 2**48])
+@pytest.mark.parametrize("size", [0, 1, 2, 700])
+@pytest.mark.parametrize("seed", range(4))
+def test_stable_order_matches_the_stable_argsort(bound, size, seed):
+    # Heavy ties: at most 10 distinct keys, among them 0, bound - 1 and the
+    # keys either side of each 16-bit digit boundary below bound.
+    rng = np.random.default_rng(seed)
+    edges = [0, bound - 1, bound // 2, 2**16 - 1, 2**16, 2**32 - 1, 2**32 + 5]
+    values = [v for v in edges if v < bound] + rng.integers(0, bound, 3).tolist()
+    keys = rng.choice(np.array(values[:rng.integers(1, len(values) + 1)]), size)
+    assert keys.dtype == np.int64
+    assert (pm.plex._stable_order(keys, bound).tolist()
+            == keys.argsort(kind="stable").tolist())
+
+
+@pytest.mark.parametrize("width", range(7))
+@pytest.mark.parametrize("seed", range(4))
+def test_sorted_rows_match_np_sort(width, seed):
+    # Every order of distinct values, rows over a 5-value alphabet reaching
+    # both ends of int64 (ties), repeats of those rows, and no rows at all.
+    rng = np.random.default_rng(seed)
+    alphabet = np.array([-2**63, -1, 0, 1, 2**63 - 1])
+    rows = rng.choice(alphabet, (80, width))
+    orders = list(itertools.permutations(range(width)))
+    orders = np.array(orders, dtype=np.int64).reshape(len(orders), width)
+    for table in (orders, rows, rows[rng.integers(0, 80, 40)], rows[:0]):
+        got = pm.plex._sorted_rows(table)
+        assert got.dtype == np.int64
+        assert got.shape == table.shape
+        assert got.tolist() == np.sort(table, axis=1).tolist()
+
+
+@pytest.mark.parametrize("kind", ["interval", "triangles", "tets"])
+@pytest.mark.parametrize("seed", range(8))
+def test_degenerate_cell_named_first(kind, seed):
+    """Three cells each repeat a vertex: the error names the first."""
+    rng = np.random.default_rng(seed)
+    raw = MESHES[kind](2)
+    cells = raw.cells.copy()
+    planted = np.sort(rng.choice(raw.num_cells, 3, replace=False))
+    for i in planted:
+        a, b = rng.choice(cells.shape[1], 2, replace=False)
+        cells[i, a] = cells[i, b]
+    i = planted[0]
+    with pytest.raises(ValueError) as err:
+        pm.plex._cell_array(cells, raw.num_vertices, raw.dim)
+    assert str(err.value) == (f"degenerate cell {i} {tuple(cells[i].tolist())}: "
+                              "repeated vertex id")
 
 
 @pytest.mark.parametrize("kind", ["interval", "triangles", "tets"])
@@ -940,6 +994,65 @@ print("numpy.ma" in sys.modules)
                           text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().lower()) is False
+
+
+# The stable sorts and row sorts of src/plexmesh that stay off the two kernels,
+# plex._stable_order and plex._sorted_rows: one reason per call.
+SORTS_OFF_THE_KERNELS = {
+    ("gmsh_io.py", "read_gmsh", "stable"): ["node tags may be negative"],
+    ("gmsh_io.py", "bundle_to_raw", "stable"): ["boundary markers may be negative"],
+    ("plex.py", "_cell_array", "stable"): [
+        "lex keys reach 2**63, where radix measured no faster on tet3d (27 -> 30 us)"],
+    # Keys already in a few ascending runs, which timsort merges and radix
+    # passes cannot exploit.
+    ("renumber.py", "rcm_ordering", "stable"): [
+        "row * nv + degree ascends by row: timsort 14 us against radix 47-99 us on tri2d",
+        "depths ascend stratum by stratum: timsort 9 us against radix 37 us on tri2d"],
+}
+
+
+def sort_sites(name: str, source: str) -> list[tuple[str, str, str]]:
+    """(file name, enclosing function, "stable" or "rows") of every call with
+    kind="stable" and every np.sort(..., axis=1) in a file's source."""
+    sites = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                args = {k.arg: k.value for k in child.keywords}
+                if len(child.args) > 1:
+                    args.setdefault("axis", child.args[1])
+                kind, axis = args.get("kind"), args.get("axis")
+                if isinstance(kind, ast.Constant) and kind.value == "stable":
+                    sites.append((name, func, "stable"))
+                if (ast.unparse(child.func) == "np.sort" and axis is not None
+                        and ast.unparse(axis) in ("1", "-1")):
+                    sites.append((name, func, "rows"))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    visit(ast.parse(source), "<module>")
+    return sites
+
+
+def test_stable_and_row_sorts_go_through_the_kernels():
+    # numpy timsorts int64 where _stable_order radix-sorts 16-bit digits, and
+    # sorts rows one call each where _sorted_rows compares whole columns.
+    sites = [site for path in sorted(Path(pm.__file__).parent.glob("*.py"))
+             for site in sort_sites(path.name, path.read_text())
+             if site[:2] not in {("plex.py", "_stable_order"), ("plex.py", "_sorted_rows")}]
+    assert Counter(sites) == {site: len(why) for site, why in SORTS_OFF_THE_KERNELS.items()}
+
+
+def test_sort_sites_are_found():
+    source = textwrap.dedent("""
+        import numpy as np
+        def f(a):
+            a.argsort(kind="stable"), np.sort(a, 1), np.sort(a, axis=-1)
+            def g():
+                return np.argsort(a, kind="stable"), np.sort(a, axis=0), a.argsort()
+        """)
+    assert sort_sites("x.py", source) == [("x.py", "f", "stable"), ("x.py", "f", "rows"),
+                                          ("x.py", "f", "rows"), ("x.py", "g", "stable")]
 
 
 @PROPERTY
