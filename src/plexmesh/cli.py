@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .distribute import migrate
-from .gmsh_io import (GmshParseError, MeshBundle, _format_rows, bundle_to_raw,
+from .gmsh_io import (GmshParseError, MeshBundle, _int_rows, bundle_to_raw,
                       raw_to_bundle, read_gmsh_file, write_gmsh_file)
 from .partition import (build_dual_graph, cell_centroids, partition_cells,
                         partition_stats)
@@ -73,8 +73,8 @@ def _cmd_partition(args) -> int:
     graph, pmap = _partition(bundle, args.nparts, args.method)
     stats = partition_stats(graph, pmap)
     if args.csv:
-        Path(args.csv).write_text("cell,rank\n" + _format_rows(
-            "%d,%d\n", np.column_stack([np.arange(graph.num_cells), pmap.ranks])))
+        Path(args.csv).write_text("cell,rank\n" + _int_rows(
+            np.vstack([np.arange(graph.num_cells), pmap.ranks]).T, ","))
     _emit({
         "method": args.method,
         "nparts": args.nparts,

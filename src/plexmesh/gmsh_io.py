@@ -11,9 +11,11 @@ elements, once the bytes show numbers both read exactly as int() and
 float() do.  A slice of other text (a '+', a 19-digit tag, a control or
 non-ASCII character), or one that fails a check, is read again one line
 at a time, and that pass names the first bad line.  Node tags that fill
-one range index a map; other tags are searched.  The writer fills one
-%-template repeated per row, so its text is byte-identical to formatting
-each line on its own.
+one range index a map; other tags are searched.  The writer's text is
+byte-identical to formatting each line on its own: node lines fill one
+%-template repeated per row, and integer tables (element blocks, and the
+spy and partition CSVs elsewhere) are written by _int_rows, one digit
+pass per byte column over the whole table.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .plex import Label, Plex, _first_encounter_ids, _offsets, _sorted_rows, build_from_cells
+from .plex import (Label, Plex, _first_encounter_ids, _offsets, _sorted_rows, _whole_numbers,
+                   build_from_cells)
 from .section import Field, section_from_depth_dofs
 
 # Gmsh element type -> (topological dimension, node count)
@@ -42,13 +45,15 @@ class GmshParseError(ValueError):
     """Raised for malformed or unsupported MSH input."""
 
 
-def _shaped(arr, width: int, dtype, what: str) -> np.ndarray:
-    out = np.asarray(arr, dtype=dtype)
+def _shaped(arr, width: int, what: str, whole: bool = True) -> np.ndarray:
+    """arr as an (n, width) table: of int64 whole numbers, or else of float64."""
+    out = np.asarray(arr)
     if out.size == 0:
-        return out.reshape(0, width)
-    if out.ndim != 2 or out.shape[1] != width:
+        out = out.reshape(0, width)
+    elif out.ndim != 2 or out.shape[1] != width:
         raise ValueError(f"{what} must have shape (n, {width}), got {out.shape}")
-    return out
+    return (_whole_numbers(what, out.ravel()).reshape(-1, width) if whole
+            else out.astype(np.float64, copy=False))
 
 
 @dataclass(eq=False)
@@ -63,12 +68,11 @@ class RawMesh:
     boundary_markers: np.ndarray  # (nb,) int64
 
     def __post_init__(self):
-        self.vertices = _shaped(self.vertices, self.dim, np.float64, "vertices")
-        self.cells = _shaped(self.cells, self.dim + 1, np.int64, "cells")
-        self.cell_region_ids = np.asarray(self.cell_region_ids, dtype=np.int64)
-        self.boundary_facets = _shaped(self.boundary_facets, max(self.dim, 1),
-                                       np.int64, "boundary_facets")
-        self.boundary_markers = np.asarray(self.boundary_markers, dtype=np.int64)
+        self.vertices = _shaped(self.vertices, self.dim, "vertices", whole=False)
+        self.cells = _shaped(self.cells, self.dim + 1, "cells")
+        self.cell_region_ids = _whole_numbers("cell_region_ids", self.cell_region_ids)
+        self.boundary_facets = _shaped(self.boundary_facets, max(self.dim, 1), "boundary_facets")
+        self.boundary_markers = _whole_numbers("boundary_markers", self.boundary_markers)
         nv = len(self.vertices)
         for arr in (self.cells, self.boundary_facets):
             if arr.size and (arr.min() < 0 or arr.max() >= nv):
@@ -442,17 +446,41 @@ def read_gmsh_file(path) -> RawMesh:
 # -- writing -------------------------------------------------------------------
 
 
-def _format_rows(row: str, table: np.ndarray) -> str:
-    """The %-template `row` filled in for every row of a 2D table, in one step."""
-    return (row * len(table)) % tuple(table.ravel().tolist())
+# 10**k for the digit k places left of the units, 0 for the units digit.
+_DIGIT_FLOORS = np.array([0] + [10 ** k for k in range(1, 20)], dtype=np.uint64)
+
+
+def _int_rows(table: np.ndarray, sep: str) -> str:
+    """The rows of an int64 table as text, entries joined by sep, each row
+    ended by a newline, as printf-style decimals.  One uint8 row per output
+    byte column (sign, digits right to left, separator), NUL for absent signs
+    and leading zeros: rows all NUL are dropped, and translate drops the rest."""
+    columns = np.ascontiguousarray(table.T)
+    mags = np.abs(columns).view(np.uint64)  # |-2**63| wraps to 2**63 as uint64
+    tops = mags.max(axis=1, initial=0)
+    top = int(tops.max(initial=0))
+    floors = _DIGIT_FLOORS[len(str(top)) - 1::-1]
+    mag = mags = mags.astype(np.min_scalar_type(top))
+    text = np.empty((len(columns), len(floors) + 2, len(table)), dtype=np.uint8)
+    np.multiply(columns < 0, ord("-"), out=text[:, 0], casting="unsafe")
+    for k in range(len(floors), 1, -1):
+        q = mag // 10
+        np.subtract(mag, q * 10, out=text[:, k], casting="unsafe")
+        mag = q
+    text[:, 1], text[:, -1], text[-1, -1] = mag, ord(sep), ord("\n")
+    digits = text[:, 1:-1]
+    digits += ord("0")
+    digits *= mags[:, None] >= floors[:, None].astype(mag.dtype)
+    keep = np.ones(text.shape[:2], dtype=bool)
+    keep[:, 0], keep[:, 1:-1] = columns.min(axis=1, initial=0) < 0, tops[:, None] >= floors
+    return text[keep].T.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _element_lines(first_id: int, etype: int, tags: np.ndarray, nodes: np.ndarray) -> str:
     """Element lines numbered from first_id, each tag in both tag slots."""
     n = len(nodes)
-    table = np.column_stack([np.arange(first_id, first_id + n), np.full(n, etype),
-                             np.full(n, 2), tags, tags, nodes + 1])
-    return _format_rows(" ".join(["%d"] * table.shape[1]) + "\n", table)
+    return _int_rows(np.vstack([np.arange(first_id, first_id + n), np.full(n, etype),
+                                np.full(n, 2), tags, tags, nodes.T + 1]).T, " ")
 
 
 def write_gmsh(mesh: RawMesh) -> str:
@@ -460,19 +488,21 @@ def write_gmsh(mesh: RawMesh) -> str:
 
     Boundary facets are emitted before cells (points, type 15, in 1D), each
     with its marker (or region id) duplicated into the two conventional tag
-    slots.  Coordinates are written with 16 significant digits, zero-padded
-    to three components: a double needing 17 (1/6, say) reads back rounded,
-    and a mesh read from a file writes back to the same bytes.
+    slots.  Coordinates, which must be finite, are written with 16 significant
+    digits, zero-padded to three components: a double needing 17 (1/6, say)
+    reads back rounded, and a mesh read from a file writes back to the same bytes.
     """
     if mesh.num_vertices == 0:
         raise ValueError("refusing to write a mesh with no vertices")
+    if not np.isfinite(mesh.vertices).all():
+        i = int(np.argmin(np.isfinite(mesh.vertices).all(axis=1)))
+        raise ValueError(f"vertex {i} (node {i + 1}) has a non-finite coordinate")
     nv, nf = mesh.num_vertices, len(mesh.boundary_facets)
-    nodes = np.zeros((nv, 4), dtype=np.float64)
-    nodes[:, 0] = np.arange(1, nv + 1)  # exact in float64, written with %d
-    nodes[:, 1:1 + mesh.dim] = mesh.vertices
+    nodes = np.column_stack([np.arange(1.0, nv + 1), mesh.vertices])  # tags exact in float64
+    row = "%d" + " %.16g" * mesh.dim + " 0" * (3 - mesh.dim) + "\n"  # padding: +0.0 -> 0
     return "".join([
         f"$MeshFormat\n2.2 0 8\n$EndMeshFormat\n$Nodes\n{nv}\n",
-        _format_rows("%d %.16g %.16g %.16g\n", nodes),
+        (row * nv) % tuple(nodes.ravel().tolist()),
         f"$EndNodes\n$Elements\n{nf + mesh.num_cells}\n",
         _element_lines(1, _TYPE_FOR_DIM[mesh.dim - 1], mesh.boundary_markers,
                        mesh.boundary_facets),

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .gmsh_io import MeshBundle, _format_rows
+from .gmsh_io import MeshBundle, _int_rows
 from .plex import _pairs_to_csr, _row_ids, _whole_numbers
 
 
@@ -94,5 +94,5 @@ def profile(pattern: CsrPattern) -> int:
 
 def spy_export(pattern: CsrPattern) -> str:
     """CSV of stored entries, row-major: header 'row,col' then one line each."""
-    return "row,col\n" + _format_rows(
-        "%d,%d\n", np.column_stack([_row_ids(pattern.indptr), pattern.indices]))
+    return "row,col\n" + _int_rows(
+        np.vstack([_row_ids(pattern.indptr), pattern.indices]).T, ",")

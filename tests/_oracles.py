@@ -17,6 +17,7 @@ select, reduce and bcast: the whole-array rounds must give exactly theirs.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
@@ -988,10 +989,14 @@ def write_gmsh(mesh: RawMesh) -> str:
 
     Boundary facets are emitted before cells, each with its marker (or region
     id) duplicated into the two conventional tag slots.  Coordinates are
-    written with 16 significant digits and zero-padded to three components.
+    written with 16 significant digits and zero-padded to three components;
+    the first vertex with a NaN or infinite coordinate is refused.
     """
     if mesh.num_vertices == 0:
         raise ValueError("refusing to write a mesh with no vertices")
+    for i, row in enumerate(mesh.vertices.tolist()):
+        if not all(math.isfinite(x) for x in row):
+            raise ValueError(f"vertex {i} (node {i + 1}) has a non-finite coordinate")
     out = ["$MeshFormat", "2.2 0 8", "$EndMeshFormat"]
 
     out.append("$Nodes")

@@ -608,6 +608,33 @@ class TestRawToBundle:
                        cell_region_ids=mesh.cell_region_ids,
                        boundary_facets=[(1, 2, 9)], boundary_markers=[1])
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("cells", [[0, 1, 2, 3.5]], "cells: 3.5 is not a whole number"),
+        ("boundary_facets", [[0, 1, 2], [0.25, 1, 3]],
+         "boundary_facets: 0.25 is not a whole number"),
+        ("cell_region_ids", [0.5], "cell_region_ids: 0.5 is not a whole number"),
+        ("boundary_markers", [1, np.nan], "boundary_markers: nan is not a whole number"),
+        ("cell_region_ids", [[7, 8]], "cell_region_ids of shape (1, 2), not 1-D"),
+        ("boundary_markers", [[1], [2]], "boundary_markers of shape (2, 1), not 1-D"),
+    ])
+    def test_integer_fields_refuse_what_a_cast_would_change(self, field, value, message):
+        # A cast would truncate 0.5 to 0, and two region ids per cell would
+        # be written as a line that read_gmsh refuses.
+        fields = dict(dim=3, vertices=np.eye(4, 3), cells=[[0, 1, 2, 3]], cell_region_ids=[7],
+                      boundary_facets=[[0, 1, 2], [0, 1, 3]], boundary_markers=[1, 2])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pm.RawMesh(**{**fields, field: value})
+
+    def test_whole_float_fields_accepted(self):
+        mesh = pm.RawMesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0.0, 1.0, 2.0]],
+                          cell_region_ids=np.array([4.0]), boundary_facets=[[0.0, 1.0]],
+                          boundary_markers=[-3.0])
+        assert mesh == pm.RawMesh(dim=2, vertices=[[0, 0], [1, 0], [0, 1]], cells=[[0, 1, 2]],
+                                  cell_region_ids=[4], boundary_facets=[[0, 1]],
+                                  boundary_markers=[-3])
+        assert mesh.cells.dtype == mesh.boundary_markers.dtype == np.int64
+        assert parse(pm.write_gmsh(mesh)) == mesh
+
     def test_counts_preserved_through_bundle_and_back(self, corpus):
         for name, mesh in corpus.items():
             out = pm.bundle_to_raw(pm.raw_to_bundle(mesh))

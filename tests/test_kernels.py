@@ -1011,26 +1011,32 @@ SORTS_OFF_THE_KERNELS = {
 }
 
 
+def enclosed_nodes(source: str):
+    """(enclosing function, node) for every node of a source, "<module>" for
+    the module's own, in the order a depth-first walk meets them."""
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            yield func, child
+            yield from visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
+
+    return visit(ast.parse(source), "<module>")
+
+
 def sort_sites(name: str, source: str) -> list[tuple[str, str, str]]:
     """(file name, enclosing function, "stable" or "rows") of every call with
     kind="stable" and every np.sort(..., axis=1) in a file's source."""
     sites = []
-
-    def visit(node, func):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, ast.Call):
-                args = {k.arg: k.value for k in child.keywords}
-                if len(child.args) > 1:
-                    args.setdefault("axis", child.args[1])
-                kind, axis = args.get("kind"), args.get("axis")
-                if isinstance(kind, ast.Constant) and kind.value == "stable":
-                    sites.append((name, func, "stable"))
-                if (ast.unparse(child.func) == "np.sort" and axis is not None
-                        and ast.unparse(axis) in ("1", "-1")):
-                    sites.append((name, func, "rows"))
-            visit(child, child.name if isinstance(child, ast.FunctionDef) else func)
-
-    visit(ast.parse(source), "<module>")
+    for func, node in enclosed_nodes(source):
+        if isinstance(node, ast.Call):
+            args = {k.arg: k.value for k in node.keywords}
+            if len(node.args) > 1:
+                args.setdefault("axis", node.args[1])
+            kind, axis = args.get("kind"), args.get("axis")
+            if isinstance(kind, ast.Constant) and kind.value == "stable":
+                sites.append((name, func, "stable"))
+            if (ast.unparse(node.func) == "np.sort" and axis is not None
+                    and ast.unparse(axis) in ("1", "-1")):
+                sites.append((name, func, "rows"))
     return sites
 
 
@@ -1053,6 +1059,41 @@ def test_sort_sites_are_found():
         """)
     assert sort_sites("x.py", source) == [("x.py", "f", "stable"), ("x.py", "f", "rows"),
                                           ("x.py", "f", "rows"), ("x.py", "g", "stable")]
+
+
+# The string constants of src/plexmesh holding a %d conversion, which integer
+# tables leave to gmsh_io._int_rows's whole-column digit passes: one reason each.
+PERCENT_D_OFF_THE_KERNEL = {
+    ("gmsh_io.py", "write_gmsh"): [
+        "node tags share their lines with %.16g coordinates, and float text is at its floor"],
+}
+
+
+def percent_d_sites(name: str, source: str) -> list[tuple[str, str]]:
+    """(file name, enclosing function) of every string constant holding %d,
+    docstrings and f-string parts included."""
+    return [(name, func) for func, node in enclosed_nodes(source)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and "%d" in node.value]
+
+
+def test_integer_tables_go_through_the_kernel():
+    sites = [site for path in sorted(Path(pm.__file__).parent.glob("*.py"))
+             for site in percent_d_sites(path.name, path.read_text())]
+    assert Counter(sites) == {site: len(why) for site, why in PERCENT_D_OFF_THE_KERNEL.items()}
+
+
+def test_percent_d_sites_are_found():
+    source = textwrap.dedent('''
+        """Module %d."""
+        def f(a):
+            return "%d,%d" % a, "%s" % a
+        def g(a):
+            """%.16g"""
+            return f"{a} %d", "%.16g %i" % a
+        ''')
+    assert percent_d_sites("x.py", source) == [("x.py", "<module>"), ("x.py", "f"),
+                                               ("x.py", "g")]
 
 
 @PROPERTY
@@ -1103,7 +1144,8 @@ SPECIAL_FLOATS = [1 / 3, -0.0, 5e-324, 1e300, -2.5e-310, 0.1, 123456789.00000001
 
 @PROPERTY
 @given(raw=meshes, seed=seeds,
-       values=st.lists(st.sampled_from(SPECIAL_FLOATS) | st.floats(), max_size=8))
+       values=st.lists(st.sampled_from(SPECIAL_FLOATS)
+                       | st.floats(allow_nan=False, allow_infinity=False), max_size=8))
 def test_write_gmsh_matches_oracle(raw, seed, values):
     rng = np.random.default_rng(seed)
     vertices = raw.vertices.copy()
@@ -1113,6 +1155,74 @@ def test_write_gmsh_matches_oracle(raw, seed, values):
                       boundary_facets=raw.boundary_facets,
                       boundary_markers=rng.integers(-9, 10**6, len(raw.boundary_facets)))
     assert pm.write_gmsh(mesh) == oracle.write_gmsh(mesh)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_write_gmsh_refuses_non_finite_coordinates(value):
+    # read_gmsh refuses such a file, so write_gmsh must not write one.
+    mesh = pm.tet_box(1, 1, 1)
+    mesh.vertices[5, 2] = mesh.vertices[7, 0] = value
+    for write in (pm.write_gmsh, oracle.write_gmsh):
+        with pytest.raises(ValueError, match=re.escape(
+                "vertex 5 (node 6) has a non-finite coordinate")):
+            write(mesh)
+
+
+@pytest.mark.parametrize("mesh", [pm.interval_mesh(7), pm.triangle_grid(3, 2)],
+                         ids=["1d", "2d"])
+def test_node_padding_is_written_as_percent_g_of_zero(mesh):
+    # The node lines write their +0.0 padding as the literal 0.
+    mesh.vertices[:2] = -0.0
+    xyz = np.zeros((mesh.num_vertices, 3))
+    xyz[:, :mesh.dim] = mesh.vertices
+    want = "".join("%d %.16g %.16g %.16g\n" % (i + 1, *row) for i, row in enumerate(xyz))
+    assert msh_sections(pm.write_gmsh(mesh))[1][2:-1] == want.splitlines()
+
+
+def percent_d(table: np.ndarray, sep: str) -> str:
+    return "".join(sep.join("%d" % v for v in row) + "\n" for row in table.tolist())
+
+
+# Both sides of every int64 extreme, unsigned dtype boundary and power of ten.
+EDGE_INTS = sorted({-2**63, 2**63 - 1, *(2**b + d for b in (8, 16, 32) for d in (-1, 0)),
+                    *(10**k + d for k in range(1, 19) for d in (-1, 0))})
+
+
+@st.composite
+def edge_tables(draw) -> np.ndarray:
+    """0-6 rows of 1-5 columns, each column of edge values, their
+    complements (~v == -v - 1), small numbers or any int64; some columns
+    all negative."""
+    shape = (draw(st.integers(0, 6)), draw(st.integers(1, 5)))
+    values = st.sampled_from(EDGE_INTS) | st.integers(-10, 10) | st.integers(-2**63, 2**63 - 1)
+    table = np.array(draw(st.lists(values, min_size=shape[0] * shape[1],
+                                   max_size=shape[0] * shape[1])), dtype=np.int64)
+    table = table.reshape(shape)
+    negative = np.array(draw(st.lists(st.booleans(), min_size=shape[1], max_size=shape[1])))
+    table[:, negative] = np.minimum(table[:, negative], ~table[:, negative])
+    return table
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(table=edge_tables(), sep=st.sampled_from([" ", ","]))
+def test_int_rows_match_percent_d(table, sep):
+    assert gmsh_io._int_rows(table, sep) == percent_d(table, sep)
+
+
+@pytest.mark.parametrize("sep", [" ", ","])
+@pytest.mark.parametrize("value", EDGE_INTS)
+def test_int_rows_match_percent_d_at_each_edge(value, sep):
+    # The edge alone in one column sets that column's width, and its
+    # complement is the matching negative edge.
+    for table in ([[value]], [[~value]], [[value, ~value, 0], [0, -1, value // 7]],
+                  [[~value], [-1], [~(value // 3)]]):
+        table = np.array(table, dtype=np.int64)
+        assert gmsh_io._int_rows(table, sep) == percent_d(table, sep)
+
+
+@pytest.mark.parametrize("ncols", [1, 2, 8])
+def test_int_rows_of_no_rows(ncols):
+    assert gmsh_io._int_rows(np.empty((0, ncols), dtype=np.int64), ",") == ""
 
 
 def msh_sections(text: str) -> list[list[str]]:
