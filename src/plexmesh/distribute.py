@@ -28,10 +28,10 @@ class StarForest:
     (root_rank, root_point).
 
     Flat int64 arrays sorted by (leaf_rank, leaf_point), the PetscSF
-    ilocal/iremote layout.  bcast and reduce address roots by root_point, so
-    they move data of one root chart: the migration SF's, whose roots are the
-    points of the undistributed mesh.  Ranks lie in [0, nranks) and points
-    are non-negative, which bounds every (rank, point) sort key.
+    ilocal/iremote layout.  bcast addresses roots by root_point, so it moves
+    data of one root chart: the migration SF's, whose roots are the points of
+    the undistributed mesh.  Ranks lie in [0, nranks) and points are
+    non-negative, which bounds every (rank, point) sort key.
     """
 
     def __init__(self, nranks: int, leaf_rank, leaf_point, root_rank, root_point):
@@ -59,41 +59,23 @@ class StarForest:
         return list(zip(self.leaf_point[s].tolist(), self.root_rank[s].tolist(),
                         self.root_point[s].tolist()))
 
-    def select(self, mask: np.ndarray) -> "StarForest":
-        """The star forest of the leaves where mask is true."""
-        return StarForest(self.nranks, self.leaf_rank[mask], self.leaf_point[mask],
-                          self.root_rank[mask], self.root_point[mask])
-
     def bcast(self, section: Section, values: np.ndarray
               ) -> tuple[np.ndarray, np.ndarray]:
         """Each leaf's root block of a Section-laid root array, as CSR in leaf order."""
         return _csr_rows(section.offsets, values, self.root_point)
 
-    def reduce(self, section: Section, values: np.ndarray, nroots: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Inverse of bcast: each leaf's block of a Section-laid leaf array at
-        its root, as CSR over roots [0, nroots), which must have one leaf each."""
-        return _csr_rows(section.offsets, values, _leaf_of(self.root_point, nroots))
 
-
-def _leaf_of(root_point: np.ndarray, nroots: int) -> np.ndarray:
-    """The index of each root's leaf, where every root in [0, nroots) has one."""
-    claimed = np.bincount(root_point, minlength=nroots)
+def _owned_leaf(root_point: np.ndarray, owned: np.ndarray, nroots: int) -> np.ndarray:
+    """Each global point's leaf: the leaves where owned holds copy [0, nroots) once each."""
+    leaves = owned.nonzero()[0]
+    claimed = np.bincount(root_point[leaves], minlength=nroots)
     if (claimed != 1).any():
         if (claimed > 1).any():
             raise ValueError("inconsistent ownership: a point is claimed by two ranks")
         raise ValueError("incomplete distribution: a point is owned by no rank")
-    leaf_of = np.empty(nroots, dtype=np.int64)
-    leaf_of[root_point] = np.arange(nroots)
-    return leaf_of
-
-
-def _migration_sf(ranks: Sequence[int], points: Sequence[np.ndarray]) -> StarForest:
-    """Leaf i of rank ranks[k] copies global point points[k][i], a root on rank 0."""
-    leaf_rank = np.repeat(np.asarray(ranks, dtype=np.int64), [p.size for p in points])
-    return StarForest(1 + max(ranks), leaf_rank,
-                      np.concatenate([np.arange(p.size) for p in points]),
-                      np.zeros_like(leaf_rank), np.concatenate(points))
+    leaf = np.empty(nroots, dtype=np.int64)
+    leaf[root_point[leaves]] = leaves
+    return leaf
 
 
 def _layouts(bundle: MeshBundle, names) -> list[tuple[Section, np.ndarray]]:
@@ -147,9 +129,8 @@ class Halo:
 class MigrationReport:
     """Byte accounting of what migration ships to the ranks.
 
-    Each count is 8 bytes per word the migration SF's bcasts moved: topology
-    one per cone entry plus one per point of metadata, coordinates and fields
-    one per dof.
+    Each count is 8 bytes per word a bcast over the migration SF moves: one
+    per cone entry and per point for topology, one per dof for the rest.
     """
 
     bytes_topology: int
@@ -215,9 +196,9 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
 
     One bcast over the migration SF (rank-local point -> global point) moves
     the topology, the coordinates and each label to every rank.  Fields,
-    when supplied, are moved through the same SF only to be counted in the
-    migration bytes (the fully allocated state a preprocessor-style start-up
-    would ship), not kept; omitting them models the topology-only start-up.
+    when supplied, only add the dofs such a bcast would ship to the migration
+    bytes (the fully allocated state of a preprocessor-style start-up), and
+    omitting them models the topology-only start-up.
     The returned point SF links every ghost point to its owner's copy.
     """
     if nranks != pmap.nparts:
@@ -235,7 +216,7 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
     # Point SF: every global point takes the local id of its one owned leaf,
     # and each ghost leaf reads it from there.
     owned = owner[msf.root_point] == msf.leaf_rank
-    owner_point = msf.leaf_point[owned][_leaf_of(msf.root_point[owned], chart)]
+    owner_point = msf.leaf_point[_owned_leaf(msf.root_point, owned, chart)]
     ghost = ~owned
     root = msf.root_point[ghost]
     sf = StarForest(nranks, msf.leaf_rank[ghost], msf.leaf_point[ghost],
@@ -257,7 +238,7 @@ def migrate(bundle: MeshBundle, pmap: PartitionMap, nranks: int,
     report = MigrationReport(
         bytes_topology=8 * (moved[0][1].size + msf.leaf_point.size),
         bytes_coordinates=8 * moved[1][1].size,
-        bytes_fields=8 * sum(msf.bcast(f.section, f.values)[1].size for f in fields or ()),
+        bytes_fields=8 * sum(int(f.section.dofs[msf.root_point].sum()) for f in fields or ()),
         points_per_rank=np.diff(bounds).tolist(),
     )
     return locals_, sf, report
@@ -301,26 +282,25 @@ def gather_to_root(locals_: Sequence[RankLocalMesh], sf: StarForest) -> MeshBund
     """Reassemble the original bundle from a complete distribution.
 
     Each rank owns the points it does not list in ``ghost_points`` (``sf``
-    is not read), and every global point must have exactly one owner: the
-    owned leaves of the migration SF rebuilt from ``local_to_global`` are
-    reduced onto the global chart, so cones, coordinates and labels come
-    from the owners in the pre-migration numbering exactly.
+    is not read), and every global point must have exactly one owner, whose
+    leaf each datum is gathered from: cones, coordinates and labels come from
+    the owners in the pre-migration numbering exactly.
     """
-    locals_ = sorted(locals_, key=lambda lm: lm.rank)
+    if not locals_:
+        raise ValueError("no rank-local meshes to gather")
     names = sorted({name for lm in locals_ for name in lm.bundle.labels})
-    chart = 1 + max(int(lm.local_to_global.max(initial=-1)) for lm in locals_)
-    msf = _migration_sf([lm.rank for lm in locals_], [lm.local_to_global for lm in locals_])
-    owned = np.ones(msf.leaf_point.size, dtype=bool)
-    for lm, start in zip(locals_, _offsets([lm.local_to_global.size for lm in locals_])):
-        owned[start + lm.ghost_points] = False
-    owned_sf = msf.select(owned)
+    root_point = _whole_numbers("local_to_global",
+                                np.concatenate([lm.local_to_global for lm in locals_]))
+    if (root_point < 0).any():
+        raise ValueError(f"local_to_global: {root_point[root_point < 0][0]} not in [0, inf)")
+    starts = _offsets([len(lm.local_to_global) for lm in locals_])
+    owned = np.ones(root_point.size, dtype=bool)
+    owned[np.concatenate([start + lm.ghost_points for lm, start in zip(locals_, starts)])] = False
+    leaf = _owned_leaf(root_point, owned, 1 + int(root_point.max(initial=-1)))
 
-    moved = []
-    for k, parts in enumerate(zip(*(_layouts(lm.bundle, names) for lm in locals_))):
-        offsets = _offsets(np.concatenate([sec.dofs for sec, _ in parts]))
-        # Cones (k == 0) in global ids.
-        values = np.concatenate([lm.local_to_global[v] if k == 0 else v
-                                 for lm, (_, v) in zip(locals_, parts)])
-        offsets, values = _csr_rows(offsets, values, owned.nonzero()[0])
-        moved.append(owned_sf.reduce(Section(offsets[1:] - offsets[:-1]), values, chart))
+    # Each datum concatenated over the ranks, cones (k == 0) in global ids.
+    moved = [_csr_rows(_offsets(np.concatenate([sec.dofs for sec, _ in parts])),
+                       np.concatenate([root_point[start + v] if k == 0 else v
+                                       for start, (_, v) in zip(starts, parts)]), leaf)
+             for k, parts in enumerate(zip(*(_layouts(lm.bundle, names) for lm in locals_)))]
     return _bundle(Plex(locals_[0].bundle.dim, *moved[0]), names, moved[1:])

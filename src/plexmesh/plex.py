@@ -77,13 +77,16 @@ def _sorted_rows(table: np.ndarray) -> np.ndarray:
 
 
 def _whole_numbers(what: str, values) -> np.ndarray:
-    """values as a 1-D int64 array; a ValueError naming what where they are
-    not 1-D or not whole numbers, which a cast would silently truncate."""
+    """values as a 1-D int64 array; a ValueError naming what where they are not
+    1-D, not whole or above int64, which a cast would truncate or wrap."""
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"{what} of shape {arr.shape}, not 1-D")
     if arr.dtype.kind in "iu":
-        return arr.astype(np.int64, copy=False)
+        ints = arr.astype(np.int64, copy=False)
+        if arr.dtype.kind == "u" and (ints < 0).any():  # uint64 from 2**63 wraps
+            raise ValueError(f"{what}: {arr[ints < 0][0].item()} does not fit in int64")
+        return ints
     with np.errstate(invalid="ignore"):  # NaN and inf cast to junk, caught below
         ints = arr.astype(np.int64)
     bad = ints != arr
@@ -549,6 +552,8 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int
         raise ValueError(f"unsupported mesh dimension {dim}")
     arity = _CELL_ARITY[dim]
     cells = cell_vertex_lists
+    if isinstance(cells, np.ndarray) and cells.ndim != 2:
+        raise ValueError(f"cell vertex ids of shape {cells.shape}, not 2-D")
     if not len(cells):
         raise ValueError("cell list is empty")
     lengths = ({cells.shape[1]} if isinstance(cells, np.ndarray)

@@ -12,7 +12,7 @@ Row grouping and the duplicate-cell check keep their multi-key np.lexsort
 versions: the one-key sorts must give exactly their results.  Coordinate
 bisection keeps its one-call-per-sub-domain recursion, close_partition its
 array version over per-cell closures, and migrate its point SF composed of
-select, reduce and bcast: the whole-array rounds must give exactly theirs.
+a select, a reduce and a bcast: the whole-array rounds must give exactly theirs.
 """
 
 from __future__ import annotations
@@ -567,12 +567,15 @@ def close_partition_by_closures(plex: Plex, pmap: PartitionMap
 
 
 def point_sf_by_composition(msf: StarForest, owner: np.ndarray, nranks: int) -> StarForest:
-    """migrate's point SF by composition: reduce the owners' local ids onto
-    the global points, then bcast them back to every copy."""
+    """migrate's point SF by composition: select the owned leaves, reduce
+    their local ids onto the global points, then bcast them back to every copy."""
     chart = owner.size
     owned = owner[msf.root_point] == msf.leaf_rank
-    _, owner_point = msf.select(owned).reduce(
-        Section(np.ones(np.count_nonzero(owned), dtype=np.int64)), msf.leaf_point[owned], chart)
+    # The reduce: every global point has one owned leaf, whose local id it takes.
+    root = msf.root_point[owned]
+    assert np.array_equal(np.sort(root), np.arange(chart)), "points without one owned leaf"
+    owner_point = np.empty(chart, dtype=np.int64)
+    owner_point[root] = msf.leaf_point[owned]
     _, owner_point = msf.bcast(Section(np.ones(chart, dtype=np.int64)), owner_point)
     ghost = ~owned
     return StarForest(nranks, msf.leaf_rank[ghost], msf.leaf_point[ghost],

@@ -281,6 +281,41 @@ class TestGather:
         with pytest.raises(ValueError, match="no rank"):
             gather_to_root(locals_, sf)
 
+    @pytest.mark.parametrize("planted, message", [
+        (-100, r"local_to_global: -100 not in \[0, inf\)"),
+        (0.5, "local_to_global: 0.5 is not a whole number"),
+    ], ids=["negative", "fractional"])
+    def test_bad_local_to_global_rejected(self, two_triangle, planted, message):
+        locals_, sf, _ = split_two_triangle(two_triangle)
+        l2g = locals_[1].local_to_global.astype(type(planted))
+        l2g[1] = planted
+        locals_[1].local_to_global = l2g
+        with pytest.raises(ValueError, match=message):
+            gather_to_root(locals_, sf)
+
+    def test_no_ranks_rejected(self, two_triangle):
+        _, sf, _ = split_two_triangle(two_triangle)
+        with pytest.raises(ValueError, match="no rank-local meshes to gather"):
+            gather_to_root([], sf)
+
+    def test_star_forests_made(self, two_triangle, monkeypatch):
+        # migrate makes the migration SF and the point SF; gather-back reads
+        # the ranks' local_to_global and ghost_points and makes none.
+        made = []
+        init = StarForest.__init__
+
+        def counted(self, *args):
+            made.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(StarForest, "__init__", counted)
+        fld = pm.Field("u", pm.Section(np.ones(11, dtype=np.int64)), np.arange(11.0))
+        locals_, sf, _ = migrate(two_triangle, PartitionMap(np.array([0, 1]), 2), 2,
+                                 fields=[fld])
+        assert len(made) == 2
+        assert gather_to_root(locals_, sf) == two_triangle
+        assert len(made) == 2
+
 
 class TestPlantedOwnership:
     """migrate refuses a closure whose owners leave a point unowned or let

@@ -616,10 +616,12 @@ class TestRawToBundle:
         ("boundary_markers", [1, np.nan], "boundary_markers: nan is not a whole number"),
         ("cell_region_ids", [[7, 8]], "cell_region_ids of shape (1, 2), not 1-D"),
         ("boundary_markers", [[1], [2]], "boundary_markers of shape (2, 1), not 1-D"),
+        ("cell_region_ids", np.array([2**64 - 1], dtype=np.uint64),
+         "cell_region_ids: 18446744073709551615 does not fit in int64"),
     ])
     def test_integer_fields_refuse_what_a_cast_would_change(self, field, value, message):
-        # A cast would truncate 0.5 to 0, and two region ids per cell would
-        # be written as a line that read_gmsh refuses.
+        # A cast would truncate 0.5 to 0 and wrap 2**64 - 1 to -1, and two
+        # region ids per cell would be written as a line that read_gmsh refuses.
         fields = dict(dim=3, vertices=np.eye(4, 3), cells=[[0, 1, 2, 3]], cell_region_ids=[7],
                       boundary_facets=[[0, 1, 2], [0, 1, 3]], boundary_markers=[1, 2])
         with pytest.raises(ValueError, match=re.escape(message)):

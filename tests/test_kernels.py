@@ -1096,6 +1096,69 @@ def test_percent_d_sites_are_found():
                                                ("x.py", "g")]
 
 
+def private_definitions(tree: ast.Module):
+    """(name, node) of each private module-level function and constant and
+    each private method of a module-level class."""
+    methods = [node for cls in tree.body if isinstance(cls, ast.ClassDef) for node in cls.body]
+    for node in tree.body + methods:
+        if isinstance(node, ast.FunctionDef):
+            names = [node.name]
+        elif isinstance(node, ast.Assign) and node in tree.body:
+            names = [n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names
+                    if name.startswith("_") and not name.endswith("__"))
+
+
+def references(node: ast.AST) -> Counter:
+    """How often each name is read under a node, as a name or an attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load))
+
+
+def unreferenced_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(file name, name) of every private definition of the sources that no
+    code outside the definition itself reads."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = sum((references(tree) for tree in trees.values()), Counter())
+    return [(file, name) for file, tree in trees.items()
+            for name, node in private_definitions(tree)
+            if read[name] == references(node)[name]]
+
+
+def test_private_names_have_a_reader():
+    # A deleted caller must not leave its helper behind.
+    sources = {path.name: path.read_text()
+               for path in sorted(Path(pm.__file__).parent.glob("*.py"))}
+    assert unreferenced_private_names(sources) == []
+
+
+def test_unreferenced_private_names_are_found():
+    sources = {"a.py": textwrap.dedent("""
+        _USED, _UNUSED = 1, 2
+        def _helper(n):
+            return _helper(n - 1) if n else _USED
+        def _orphan():
+            return _orphan()
+        class C:
+            __slots__ = ()
+            def __init__(self):
+                self._field = 0
+            def _kept(self):
+                return self._field
+            def _dropped(self):
+                return C()._kept()
+            @property
+            def _prop(self):
+                return 0
+        def public():
+            return _helper(1)
+        """), "b.py": "from a import C\nC()._prop\n"}
+    assert unreferenced_private_names(sources) == [("a.py", "_UNUSED"), ("a.py", "_orphan"),
+                                                   ("a.py", "_dropped")]
+
+
 @PROPERTY
 @given(raw=meshes, seed=seeds)
 def test_boundary_matching_matches_oracle(raw, seed):

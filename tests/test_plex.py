@@ -101,6 +101,14 @@ class TestBuildFromCells:
         with pytest.raises(ValueError, match="empty"):
             build_from_cells([], 4, 2)
 
+    @pytest.mark.parametrize("cells, shape", [
+        (np.array([0, 1, 2]), r"\(3,\)"),
+        (np.array([[[0], [1], [2]]]), r"\(1, 3, 1\)"),
+    ], ids=["1-D", "3-D"])
+    def test_cell_array_not_2d_rejected(self, cells, shape):
+        with pytest.raises(ValueError, match=f"cell vertex ids of shape {shape}, not 2-D"):
+            build_from_cells(cells, 3, 2)
+
     @pytest.mark.parametrize("dim,cells", [
         (1, [(0, 1), (2, 2)]),
         (2, [(0, 1, 2), (0, 0, 1)]),
@@ -243,15 +251,23 @@ class TestConstructor:
         (1, [0, 1.5, 2], [1, 0], r"cone offsets: 1\.5 is not a whole number"),
         (1, [0, 1, 1], [0.5], r"cone targets: 0\.5 is not a whole number"),
         (1, [0, 1, 1], [np.nan], "cone targets: nan is not a whole number"),
+        (1, [0, 1, 1], np.array([2**64 - 1], dtype=np.uint64),
+         "cone targets: 18446744073709551615 does not fit in int64"),
     ], ids=["dim-0", "dim-4", "empty-offsets", "2d-offsets", "nonzero-start",
             "decreasing", "targets-length", "negative-target", "target-at-chart-size",
-            "fractional-total", "fractional-offset", "fractional-target", "nan-target"])
+            "fractional-total", "fractional-offset", "fractional-target", "nan-target",
+            "uint64-target"])
     def test_bad_input_rejected(self, dim, offsets, targets, message):
         with pytest.raises(ValueError, match=message):
             Plex(dim, offsets, targets)
 
     def test_whole_floats_accepted(self):
         plex = Plex(1, [0, 2.0, 2, 2], [1.0, 2])
+        assert plex == Plex(1, [0, 2, 2, 2], [1, 2])
+        assert plex._cone_offsets.dtype == plex._cone_targets.dtype == np.int64
+
+    def test_unsigned_arrays_accepted(self):
+        plex = Plex(1, np.array([0, 2, 2, 2], dtype=np.uint64), np.array([1, 2], dtype=np.uint8))
         assert plex == Plex(1, [0, 2, 2, 2], [1, 2])
         assert plex._cone_offsets.dtype == plex._cone_targets.dtype == np.int64
 
@@ -298,6 +314,12 @@ class TestLabel:
     def test_fractional_rejected(self, points, values, message):
         with pytest.raises(ValueError, match=message):
             Label.from_arrays("x", points, values)
+
+    def test_unsigned_above_int64_rejected(self):
+        # A cast would store the point -2**63.
+        with pytest.raises(ValueError,
+                           match="label 'x': points: 9223372036854775808 does not fit in int64"):
+            Label.from_arrays("x", np.array([2**63], dtype=np.uint64), [1])
 
     def test_whole_float_and_empty_accepted(self):
         assert Label.from_arrays("x", [1.0, 0.0], [3.0, 4]) == \
