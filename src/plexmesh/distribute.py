@@ -18,8 +18,8 @@ import numpy as np
 from .gmsh_io import MeshBundle
 from .partition import PartitionMap
 from .permutation import Permutation
-from .plex import (Label, Plex, _csr_rows, _offsets, _row_ids, _stable_order, _unique_sorted,
-                   _whole_numbers)
+from .plex import (Label, Plex, _csr_rows, _indices, _offsets, _row_ids, _stable_order,
+                   _unique_sorted)
 from .section import Field, Section
 
 
@@ -36,13 +36,11 @@ class StarForest:
 
     def __init__(self, nranks: int, leaf_rank, leaf_point, root_rank, root_point):
         names = ("leaf ranks", "leaf points", "root ranks", "root points")
-        arrays = [_whole_numbers(what, a)
-                  for what, a in zip(names, (leaf_rank, leaf_point, root_rank, root_point))]
+        arrays = [_indices(what, a, bound) for what, a, bound in
+                  zip(names, (leaf_rank, leaf_point, root_rank, root_point),
+                      (nranks, None, nranks, None))]
         if len({a.size for a in arrays}) > 1:
             raise ValueError(f"{', '.join(names)} of unequal lengths {[a.size for a in arrays]}")
-        for what, a, top in zip(names, arrays, (nranks, np.inf, nranks, np.inf)):
-            if ((a < 0) | (a >= top)).any():
-                raise ValueError(f"{what}: {a[(a < 0) | (a >= top)][0]} not in [0, {top})")
         base = 1 + int(arrays[1].max(initial=0))
         key = arrays[0] * base + arrays[1]
         if (key[1:] < key[:-1]).any():
@@ -289,13 +287,17 @@ def gather_to_root(locals_: Sequence[RankLocalMesh], sf: StarForest) -> MeshBund
     if not locals_:
         raise ValueError("no rank-local meshes to gather")
     names = sorted({name for lm in locals_ for name in lm.bundle.labels})
-    root_point = _whole_numbers("local_to_global",
-                                np.concatenate([lm.local_to_global for lm in locals_]))
-    if (root_point < 0).any():
-        raise ValueError(f"local_to_global: {root_point[root_point < 0][0]} not in [0, inf)")
-    starts = _offsets([len(lm.local_to_global) for lm in locals_])
+    charts = [lm.bundle.plex.chart_size for lm in locals_]
+    for lm, chart in zip(locals_, charts):
+        if len(lm.local_to_global) != chart:
+            raise ValueError(f"rank {lm.rank}: local_to_global of length "
+                             f"{len(lm.local_to_global)} for a chart of {chart} points")
+    root_point = _indices("local_to_global",
+                          np.concatenate([lm.local_to_global for lm in locals_]))
+    starts = _offsets(charts)
     owned = np.ones(root_point.size, dtype=bool)
-    owned[np.concatenate([start + lm.ghost_points for lm, start in zip(locals_, starts)])] = False
+    owned[np.concatenate([start + _indices(f"rank {lm.rank} ghost points", lm.ghost_points, chart)
+                          for lm, start, chart in zip(locals_, starts, charts)])] = False
     leaf = _owned_leaf(root_point, owned, 1 + int(root_point.max(initial=-1)))
 
     # Each datum concatenated over the ranks, cones (k == 0) in global ids.

@@ -27,8 +27,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .plex import (Label, Plex, _first_encounter_ids, _offsets, _sorted_rows, _whole_numbers,
-                   build_from_cells)
+from .plex import (Label, Plex, _first_encounter_ids, _indices, _offsets, _sorted_rows,
+                   _whole_numbers, build_from_cells)
 from .section import Field, section_from_depth_dofs
 
 # Gmsh element type -> (topological dimension, node count)
@@ -45,15 +45,16 @@ class GmshParseError(ValueError):
     """Raised for malformed or unsupported MSH input."""
 
 
-def _shaped(arr, width: int, what: str, whole: bool = True) -> np.ndarray:
-    """arr as an (n, width) table: of int64 whole numbers, or else of float64."""
+def _shaped(arr, width: int, what: str, bound=None) -> np.ndarray:
+    """arr as an (n, width) table: of int64 indices in [0, bound), or of
+    float64 without a bound."""
     out = np.asarray(arr)
     if out.size == 0:
         out = out.reshape(0, width)
     elif out.ndim != 2 or out.shape[1] != width:
         raise ValueError(f"{what} must have shape (n, {width}), got {out.shape}")
-    return (_whole_numbers(what, out.ravel()).reshape(-1, width) if whole
-            else out.astype(np.float64, copy=False))
+    return (out.astype(np.float64, copy=False) if bound is None
+            else _indices(what, out.ravel(), bound).reshape(-1, width))
 
 
 @dataclass(eq=False)
@@ -68,15 +69,12 @@ class RawMesh:
     boundary_markers: np.ndarray  # (nb,) int64
 
     def __post_init__(self):
-        self.vertices = _shaped(self.vertices, self.dim, "vertices", whole=False)
-        self.cells = _shaped(self.cells, self.dim + 1, "cells")
-        self.cell_region_ids = _whole_numbers("cell_region_ids", self.cell_region_ids)
-        self.boundary_facets = _shaped(self.boundary_facets, max(self.dim, 1), "boundary_facets")
-        self.boundary_markers = _whole_numbers("boundary_markers", self.boundary_markers)
+        self.vertices = _shaped(self.vertices, self.dim, "vertices")
         nv = len(self.vertices)
-        for arr in (self.cells, self.boundary_facets):
-            if arr.size and (arr.min() < 0 or arr.max() >= nv):
-                raise ValueError("vertex id out of range")
+        self.cells = _shaped(self.cells, self.dim + 1, "cells", nv)
+        self.cell_region_ids = _whole_numbers("cell_region_ids", self.cell_region_ids)
+        self.boundary_facets = _shaped(self.boundary_facets, max(self.dim, 1), "boundary_facets", nv)
+        self.boundary_markers = _whole_numbers("boundary_markers", self.boundary_markers)
         if len(self.cell_region_ids) != len(self.cells):
             raise ValueError("one region id per cell required")
         if len(self.boundary_markers) != len(self.boundary_facets):

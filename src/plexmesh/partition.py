@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gmsh_io import MeshBundle
-from .plex import Plex, _offsets, _row_ids, _whole_numbers
+from .plex import Plex, _indices, _offsets, _row_ids
 
 
 @dataclass(eq=False)
@@ -32,9 +32,7 @@ class PartitionMap:
     nparts: int
 
     def __post_init__(self):
-        self.ranks = _whole_numbers("cell ranks", self.ranks)
-        if self.ranks.size and (self.ranks.min() < 0 or self.ranks.max() >= self.nparts):
-            raise ValueError("rank outside [0, nparts)")
+        self.ranks = _indices("cell ranks", self.ranks, self.nparts)
 
     def cells_of(self, rank: int) -> np.ndarray:
         return np.flatnonzero(self.ranks == rank).astype(np.int64)

@@ -4,19 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from .plex import _whole_numbers
+from .plex import _indices
 
 
 class Permutation:
     """A bijection on [0, n) stored as forward (old -> new) and inverse maps."""
 
     def __init__(self, forward):
-        fwd = _whole_numbers("permutation", forward)
-        n = fwd.size
-        if n and (fwd.min() < 0 or fwd.max() >= n):
-            raise ValueError("permutation image outside [0, n)")
-        inv = np.full(n, -1, dtype=np.int64)
-        inv[fwd] = np.arange(n, dtype=np.int64)
+        fwd = _indices("permutation", forward, np.size(forward))
+        inv = np.full(fwd.size, -1, dtype=np.int64)
+        inv[fwd] = np.arange(fwd.size, dtype=np.int64)
         if (inv < 0).any():
             raise ValueError("permutation is not a bijection")
         self.forward = fwd

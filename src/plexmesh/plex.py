@@ -95,6 +95,16 @@ def _whole_numbers(what: str, values) -> np.ndarray:
     return ints
 
 
+def _indices(what: str, values, bound=None) -> np.ndarray:
+    """_whole_numbers(what, values), each in [0, bound), or [0, inf) without a
+    bound; a ValueError naming the first value outside.  Only a bound costs a max."""
+    arr = _whole_numbers(what, values)
+    if arr.min(initial=0) < 0 or bound is not None and arr.max(initial=-1) >= bound:
+        top = np.inf if bound is None else bound
+        raise ValueError(f"{what}: {arr[(arr < 0) | (arr >= top)][0]} not in [0, {top})")
+    return arr
+
+
 def _lex_key(rows: np.ndarray) -> np.ndarray:
     """One int64 per row of a non-negative int64 table, in the rows' lexicographic
     order; a fold that could pass int64 first renumbers key and column densely."""
@@ -176,12 +186,10 @@ class Plex:
                 or targets.ndim != 1 or targets.size != offsets[-1]):
             raise ValueError("malformed CSR cone arrays")
         offsets = _whole_numbers("cone offsets", offsets)
-        targets = _whole_numbers("cone targets", targets)
+        targets = _indices("cone targets", targets, offsets.size - 1)
         self.chart_size = offsets.size - 1
         self._cone_offsets = offsets
         self._cone_targets = targets
-        if targets.size and (targets.min() < 0 or targets.max() >= self.chart_size):
-            raise ValueError("cone target outside chart")
 
         # Graded: every cone arc drops exactly one depth, so closures meet a
         # point on one BFS level only.  The simplex guess, cone size - 1, is
@@ -348,27 +356,23 @@ class Plex:
 
     # -- incidence queries -----------------------------------------------------
 
-    def _check(self, p: int) -> int:
-        p = int(p)
-        if not 0 <= p < self.chart_size:
-            raise IndexError(f"point {p} outside chart [0, {self.chart_size})")
-        return p
-
     def _points(self, points) -> np.ndarray:
-        """points as a flat int64 array, each checked to lie in the chart."""
-        pts = np.asarray(points, dtype=np.int64).reshape(-1)
-        if pts.size and (pts.min() < 0 or pts.max() >= self.chart_size):
-            self._check(pts[(pts < 0) | (pts >= self.chart_size)][0])
+        """points as a 1-D int64 array of whole numbers; an IndexError, the
+        query contract, for the first outside the chart."""
+        pts = _whole_numbers("points", points)
+        if pts.min(initial=0) < 0 or pts.max(initial=-1) >= self.chart_size:
+            p = pts[(pts < 0) | (pts >= self.chart_size)][0]
+            raise IndexError(f"point {p} outside chart [0, {self.chart_size})")
         return pts
 
     def cone(self, p: PointId) -> np.ndarray:
         """Points directly covered by p (its boundary one level down)."""
-        p = self._check(p)
+        p = self._points([p])[0]
         return self._cone_targets[self._cone_offsets[p]:self._cone_offsets[p + 1]]
 
     def support(self, p: PointId) -> np.ndarray:
         """Points directly covering p, ascending."""
-        p = self._check(p)
+        p = self._points([p])[0]
         return self._support_targets[self._support_offsets[p]:self._support_offsets[p + 1]]
 
     def closure(self, p: PointId) -> np.ndarray:
@@ -377,12 +381,11 @@ class Plex:
         Each BFS level is appended in ascending point order, so the result is
         deterministic and each point appears exactly once.
         """
-        return self.closures([self._check(p)])[1]
+        return self.closures([p])[1]
 
     def star(self, p: PointId) -> np.ndarray:
         """p plus everything reachable through supports, breadth first."""
-        return self._traverse([self._check(p)], self._support_offsets,
-                              self._support_targets)[1]
+        return self._traverse([p], self._support_offsets, self._support_targets)[1]
 
     def closures(self, points) -> tuple[np.ndarray, np.ndarray]:
         """Closures of many points at once, as CSR (offsets, targets).
@@ -451,10 +454,10 @@ class Plex:
     # -- strata ----------------------------------------------------------------
 
     def depth(self, p: PointId) -> int:
-        return int(self.depths[self._check(p)])
+        return int(self.depths[self._points([p])[0]])
 
     def height(self, p: PointId) -> int:
-        return int(self.heights[self._check(p)])
+        return int(self.heights[self._points([p])[0]])
 
     def depth_stratum(self, d: int) -> np.ndarray:
         """Points at depth d (distance from the vertex stratum), ascending."""
@@ -479,7 +482,8 @@ class Plex:
 
     def cones(self) -> list[tuple[int, ...]]:
         """All cones as tuples, indexed by point."""
-        return [tuple(int(q) for q in self.cone(p)) for p in range(self.chart_size)]
+        targets, offsets = self._cone_targets.tolist(), self._cone_offsets.tolist()
+        return [tuple(targets[a:b]) for a, b in zip(offsets, offsets[1:])]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Plex):
@@ -509,10 +513,6 @@ class Label:
     @classmethod
     def from_arrays(cls, name: str, points, values) -> "Label":
         """Label marking points[i] with values[i]."""
-        points, values = np.asarray(points), np.asarray(values)
-        if points.ndim != 1 or values.ndim != 1:
-            raise ValueError(f"label '{name}': points of shape {points.shape} and values "
-                             f"of shape {values.shape}, not 1-D")
         points = _whole_numbers(f"label '{name}': points", points)
         values = _whole_numbers(f"label '{name}': values", values)
         if points.size != values.size:
@@ -562,10 +562,8 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int
         raise ValueError("mixed cell arities")
     if lengths != {arity}:
         raise ValueError(f"cell arity {lengths.pop()} inconsistent with dimension {dim}")
-    cells = _whole_numbers("cell vertex ids", np.asarray(cells).reshape(-1)).reshape(-1, arity)
-    bad = (cells < 0) | (cells >= num_vertices)
-    if bad.any():
-        raise ValueError(f"vertex id {cells[bad][0]} out of range [0, {num_vertices})")
+    cells = _indices("cell vertex ids", np.asarray(cells).reshape(-1), num_vertices
+                     ).reshape(-1, arity)
     ordered = _sorted_rows(cells)
     repeated = np.flatnonzero(np.logical_or.reduce((ordered[:, 1:] == ordered[:, :-1]).T))
     if repeated.size:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .permutation import Permutation
-from .plex import Plex, _csr_rows, _offsets, _whole_numbers
+from .plex import Plex, _csr_rows, _indices, _offsets
 
 
 class Section:
@@ -23,9 +23,7 @@ class Section:
     """
 
     def __init__(self, dofs):
-        self.dofs = _whole_numbers("dof counts", dofs)
-        if self.dofs.size and self.dofs.min() < 0:
-            raise ValueError("dof counts must be non-negative")
+        self.dofs = _indices("dof counts", dofs)
         self.offsets = _offsets(self.dofs)
 
     @property
@@ -84,7 +82,7 @@ def section_from_depth_dofs(plex: Plex, dofs_per_depth) -> Section:
 
     len(dofs_per_depth) must be plex.dim + 1.
     """
-    per_depth = _whole_numbers("per-depth dof counts", dofs_per_depth)
+    per_depth = _indices("per-depth dof counts", dofs_per_depth)
     if per_depth.size != plex.dim + 1:
         raise ValueError(
             f"need {plex.dim + 1} per-depth dof counts, got {per_depth.size}")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gmsh_io import MeshBundle, _int_rows
-from .plex import _pairs_to_csr, _row_ids, _whole_numbers
+from .plex import _indices, _pairs_to_csr, _row_ids
 
 
 def _with_diagonal(bounds: np.ndarray, cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -30,10 +30,9 @@ class CsrPattern:
     """
 
     def __init__(self, n: int, rows, cols):
-        rows, cols = _whole_numbers("rows", rows), _whole_numbers("cols", cols)
-        if rows.size != cols.size or rows.size and (
-                min(rows.min(), cols.min()) < 0 or max(rows.max(), cols.max()) >= n):
-            raise ValueError(f"rows and cols must be equal-length indices in [0, {n})")
+        rows, cols = _indices("rows", rows, n), _indices("cols", cols, n)
+        if rows.size != cols.size:
+            raise ValueError(f"rows and cols of unequal lengths {rows.size} and {cols.size}")
         off = rows != cols
         self.n = n
         self.indptr, self.indices = _with_diagonal(*_pairs_to_csr(n, rows[off], cols[off]))

@@ -36,7 +36,9 @@ from _helpers import plex_from_cones
 
 def traverse(plex: Plex, p, step) -> np.ndarray:
     """BFS closure (step=plex.cone) or star (step=plex.support) of one point."""
-    p = plex._check(p)
+    p = int(p)
+    if not 0 <= p < plex.chart_size:
+        raise IndexError(f"point {p} outside chart [0, {plex.chart_size})")
     seen = {p}
     out = [p]
     frontier = [p]
@@ -99,7 +101,7 @@ def build_from_cells(cell_vertex_lists, num_vertices: int, dim: int) -> Plex:
                 f"cell arity {len(c)} inconsistent with dimension {dim}")
         for v in c:
             if not 0 <= v < num_vertices:
-                raise ValueError(f"vertex id {v} out of range [0, {num_vertices})")
+                raise ValueError(f"cell vertex ids: {v} not in [0, {num_vertices})")
 
     ncells = len(cells)
     vert_pt = lambda v: ncells + v

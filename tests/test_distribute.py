@@ -293,6 +293,24 @@ class TestGather:
         with pytest.raises(ValueError, match=message):
             gather_to_root(locals_, sf)
 
+    @pytest.mark.parametrize("plant, message", [
+        (lambda lm: setattr(lm, "ghost_points", np.append(lm.ghost_points, 10**6)),
+         r"rank 1 ghost points: 1000000 not in \[0, {chart}\)"),
+        (lambda lm: setattr(lm, "ghost_points", np.append(lm.ghost_points, 0.5)),
+         r"rank 1 ghost points: 0\.5 is not a whole number"),
+        (lambda lm: setattr(lm, "local_to_global", lm.local_to_global[:-1]),
+         r"rank 1: local_to_global of length {short} for a chart of {chart} points"),
+    ], ids=["ghost-past-chart", "fractional-ghost", "short-local-to-global"])
+    def test_rank_checked_against_its_chart(self, plant, message):
+        # Each names the rank and its fault; indexing with them would raise a
+        # bare numpy IndexError, and a short map would leave points unowned.
+        bundle = pm.raw_to_bundle(pm.triangle_grid(3, 3))
+        locals_, sf, _ = migrate(bundle, PartitionMap(np.arange(18) // 9, 2), 2)
+        chart = locals_[1].bundle.plex.chart_size
+        plant(locals_[1])
+        with pytest.raises(ValueError, match=f"^{message.format(chart=chart, short=chart - 1)}$"):
+            gather_to_root(locals_, sf)
+
     def test_no_ranks_rejected(self, two_triangle):
         _, sf, _ = split_two_triangle(two_triangle)
         with pytest.raises(ValueError, match="no rank-local meshes to gather"):

@@ -603,7 +603,7 @@ class TestRawToBundle:
 
     def test_vertex_id_out_of_range(self):
         mesh = parse(MINIMAL_TET)
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"boundary_facets: 9 not in \[0, 4\)"):
             pm.RawMesh(dim=3, vertices=mesh.vertices, cells=mesh.cells,
                        cell_region_ids=mesh.cell_region_ids,
                        boundary_facets=[(1, 2, 9)], boundary_markers=[1])

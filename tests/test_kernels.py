@@ -1096,6 +1096,106 @@ def test_percent_d_sites_are_found():
                                                ("x.py", "g")]
 
 
+def planted_gather(field: str, value) -> pm.MeshBundle:
+    """gather_to_root of two triangles split over two ranks, with the first
+    entry of rank 1's field (of an 11-point chart) set to value."""
+    locals_, sf, _ = pm.migrate(pm.raw_to_bundle(pm.triangle_grid(1, 1)),
+                                pm.PartitionMap([0, 1], 2), 2)
+    array = getattr(locals_[1], field).copy()
+    array[0] = value
+    setattr(locals_[1], field, array)
+    return pm.gather_to_root(locals_, sf)
+
+
+# One planted value per plex._indices call site, with the refusal's exact text.
+INDEX_SITES = {
+    "cone-targets": (lambda: pm.Plex(1, [0, 1, 1], [5]), "cone targets: 5 not in [0, 2)"),
+    "cell-vertex-ids": (lambda: pm.build_from_cells([(0, 1, 7)], 4, 2),
+                        "cell vertex ids: 7 not in [0, 4)"),
+    "raw-cells": (lambda: pm.RawMesh(2, np.eye(3, 2), [[0, 1, 3]], [0], np.empty((0, 2)), []),
+                  "cells: 3 not in [0, 3)"),
+    "raw-boundary-facets": (lambda: pm.RawMesh(2, np.eye(3, 2), [[0, 1, 2]], [0], [[0, -1]], [1]),
+                            "boundary_facets: -1 not in [0, 3)"),
+    "star-forest-ranks": (lambda: pm.StarForest(2, [0], [0], [2], [0]),
+                          "root ranks: 2 not in [0, 2)"),
+    "star-forest-points": (lambda: pm.StarForest(2, [0], [-1], [0], [0]),
+                           "leaf points: -1 not in [0, inf)"),
+    "local-to-global": (lambda: planted_gather("local_to_global", -5),
+                        "local_to_global: -5 not in [0, inf)"),
+    "ghost-points": (lambda: planted_gather("ghost_points", 11),
+                     "rank 1 ghost points: 11 not in [0, 11)"),
+    "partition-map": (lambda: pm.PartitionMap([0, 2], 2), "cell ranks: 2 not in [0, 2)"),
+    "permutation": (lambda: pm.Permutation([0, 3, 1]), "permutation: 3 not in [0, 3)"),
+    "section": (lambda: pm.Section([1, -2]), "dof counts: -2 not in [0, inf)"),
+    "depth-dofs": (lambda: pm.section_from_depth_dofs(pm.build_from_cells([(0, 1, 2)], 3, 2),
+                                                      [1, -1, 0]),
+                   "per-depth dof counts: -1 not in [0, inf)"),
+    "pattern-rows": (lambda: pm.CsrPattern(3, [3], [0]), "rows: 3 not in [0, 3)"),
+    "pattern-cols": (lambda: pm.CsrPattern(3, [0], [-1]), "cols: -1 not in [0, 3)"),
+}
+
+
+@pytest.mark.parametrize("site", INDEX_SITES)
+def test_index_refusals_name_the_array_the_value_and_the_range(site):
+    make, message = INDEX_SITES[site]
+    with pytest.raises(ValueError) as err:
+        make()
+    assert str(err.value) == message
+
+
+def test_indices_name_the_first_value_outside():
+    assert str(pytest.raises(ValueError, pm.plex._indices, "x", [1, 5, -1, 9], 4).value) == \
+        "x: 5 not in [0, 4)"
+    assert str(pytest.raises(ValueError, pm.plex._indices, "x", [9, -1]).value) == \
+        "x: -1 not in [0, inf)"
+    for bound in (None, 0, 3):
+        out = pm.plex._indices("x", np.empty(0), bound)
+        assert out.dtype == np.int64 and out.size == 0
+    assert pm.plex._indices("x", [2.0, 0], 3).tolist() == [2, 0]
+
+
+# The comparisons of a .min() with < 0 in src/plexmesh besides the two range
+# checks, plex._indices and Plex._points' IndexError: one reason each.
+NEGATIVE_MIN_OFF_THE_CHECK = {
+    ("plex.py", "_indices"): ["the range check"],
+    ("plex.py", "_points"): ["the query contract's IndexError for a point outside the chart"],
+    ("gmsh_io.py", "_int_rows"): ["each row's sign column of the digit table, not a range check"],
+}
+
+
+def negative_min_sites(name: str, source: str) -> list[tuple[str, str]]:
+    """(file name, enclosing function) of every comparison with < 0 of an
+    operand that calls .min(), such as a.min() < 0 or min(a.min(), b.min()) < 0."""
+    sites = []
+    for func, node in enclosed_nodes(source):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            sites += [(name, func) for left, op, right in zip(operands, node.ops, operands[1:])
+                      if isinstance(op, ast.Lt) and isinstance(right, ast.Constant)
+                      and right.value == 0
+                      and any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                              and n.func.attr == "min" for n in ast.walk(left))]
+    return sites
+
+
+def test_range_checks_go_through_indices():
+    # plex._indices range-checks index arrays and names the array, the value
+    # and the range, where a hand-written check need not.
+    sites = [site for path in sorted(Path(pm.__file__).parent.glob("*.py"))
+             for site in negative_min_sites(path.name, path.read_text())]
+    assert Counter(sites) == {site: len(why) for site, why in NEGATIVE_MIN_OFF_THE_CHECK.items()}
+
+
+def test_negative_min_sites_are_found():
+    source = textwrap.dedent("""
+        def f(a, b):
+            return a.min() < 0, min(a.min(), b.min()) < 0, 0 <= a.min(initial=0) < 0
+        def g(a):
+            return a.max() < 0, a.min() < 1, (a < 0).any(), a.min() > 0, min(a) < 0
+        """)
+    assert negative_min_sites("x.py", source) == [("x.py", "f")] * 3
+
+
 def private_definitions(tree: ast.Module):
     """(name, node) of each private module-level function and constant and
     each private method of a module-level class."""

@@ -74,7 +74,7 @@ class TestBuildFromCells:
         assert a == b and a.cones() == b.cones()
 
     def test_vertex_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"cell vertex ids: 4 not in \[0, 4\)"):
             build_from_cells([(0, 1, 4)], 4, 2)
 
     def test_mixed_arities(self):
@@ -180,11 +180,41 @@ class TestQueries:
             tet.vertex_closures([0, 5])
 
     def test_out_of_chart(self, tet):
-        for op in (tet.cone, tet.support, tet.closure, tet.star):
-            with pytest.raises(IndexError):
+        for op in (tet.cone, tet.support, tet.closure, tet.star, tet.depth, tet.height):
+            with pytest.raises(IndexError, match=r"point 15 outside chart \[0, 15\)"):
                 op(15)
-            with pytest.raises(IndexError):
+            with pytest.raises(IndexError, match=r"point -1 outside chart \[0, 15\)"):
                 op(-1)
+
+
+# Each query once with a point p: the one-point queries take p, the
+# many-point ones [p].
+QUERIES = {"cone": lambda plex, p: plex.cone(p),
+           "support": lambda plex, p: plex.support(p),
+           "closure": lambda plex, p: plex.closure(p),
+           "star": lambda plex, p: plex.star(p),
+           "depth": lambda plex, p: plex.depth(p),
+           "height": lambda plex, p: plex.height(p),
+           "closures": lambda plex, p: plex.closures([p])[1],
+           "vertex_closures": lambda plex, p: plex.vertex_closures([p])}
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_fractional_point_rejected(tet, query):
+    # A cast would truncate 0.5 and answer for point 0.
+    with pytest.raises(ValueError, match=r"^points: 0\.5 is not a whole number$"):
+        QUERIES[query](tet, 0.5)
+
+
+@pytest.mark.parametrize("query", ["cone", "support", "closure", "star", "depth", "height"])
+def test_one_point_queries_refuse_a_list(tet, query):
+    with pytest.raises(ValueError, match=r"^points of shape \(1, 2\), not 1-D$"):
+        QUERIES[query](tet, [1, 2])
+
+
+@pytest.mark.parametrize("query", QUERIES)
+def test_whole_float_point_accepted(tet, query):
+    assert np.array_equal(QUERIES[query](tet, 5.0), QUERIES[query](tet, 5))
 
 
 class TestStrata:
@@ -245,8 +275,8 @@ class TestConstructor:
         (1, [1, 2, 2], [1, 1], "malformed CSR cone arrays"),
         (1, [0, 2, 1], [1], "malformed CSR cone arrays"),
         (1, [0, 1, 1], [1, 0], "malformed CSR cone arrays"),
-        (1, [0, 1, 1], [-1], "cone target outside chart"),
-        (1, [0, 1, 1], [2], "cone target outside chart"),
+        (1, [0, 1, 1], [-1], r"cone targets: -1 not in \[0, 2\)"),
+        (1, [0, 1, 1], [2], r"cone targets: 2 not in \[0, 2\)"),
         (1, [0, 2.0, 2, 2.7], [1, 2], "malformed CSR cone arrays"),
         (1, [0, 1.5, 2], [1, 0], r"cone offsets: 1\.5 is not a whole number"),
         (1, [0, 1, 1], [0.5], r"cone targets: 0\.5 is not a whole number"),
@@ -298,13 +328,14 @@ class TestLabel:
         with pytest.raises(ValueError, match="label 'x': 2 points but 1 values"):
             Label.from_arrays("x", [0, 1], [1])
 
-    @pytest.mark.parametrize("points, values, shapes", [
-        ([[0, 1], [2, 3]], [[1, 2], [3, 4]], r"\(2, 2\) and values of shape \(2, 2\)"),
-        ([[0, 1]], [1, 2], r"\(1, 2\) and values of shape \(2,\)"),
-        (5, 6, r"\(\) and values of shape \(\)"),
-    ], ids=["both-2d", "2d-points", "scalars"])
-    def test_not_1d_rejected(self, points, values, shapes):
-        with pytest.raises(ValueError, match=f"label 'x': points of shape {shapes}, not 1-D"):
+    @pytest.mark.parametrize("points, values, message", [
+        ([[0, 1], [2, 3]], [[1, 2], [3, 4]], r"points of shape \(2, 2\), not 1-D"),
+        ([[0, 1]], [1, 2], r"points of shape \(1, 2\), not 1-D"),
+        ([0, 1], [[1], [2]], r"values of shape \(2, 1\), not 1-D"),
+        (5, 6, r"points of shape \(\), not 1-D"),
+    ], ids=["both-2d", "2d-points", "2d-values", "scalars"])
+    def test_not_1d_rejected(self, points, values, message):
+        with pytest.raises(ValueError, match=f"label 'x': {message}"):
             Label.from_arrays("x", points, values)
 
     @pytest.mark.parametrize("points, values, message", [

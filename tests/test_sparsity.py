@@ -176,10 +176,13 @@ class TestCsrPattern:
         with pytest.raises(ValueError):
             CsrPattern(2, [0], [2])
 
-    @pytest.mark.parametrize("rows,cols", [([2], [0]), ([-1], [0]), ([0, 1], [0])],
-                             ids=["row-too-high", "negative-row", "length-mismatch"])
-    def test_bad_entries_rejected(self, rows, cols):
-        with pytest.raises(ValueError, match=r"equal-length indices in \[0, 2\)"):
+    @pytest.mark.parametrize("rows,cols,message", [
+        ([2], [0], r"rows: 2 not in \[0, 2\)"),
+        ([-1], [0], r"rows: -1 not in \[0, 2\)"),
+        ([0, 1], [0], "rows and cols of unequal lengths 2 and 1"),
+    ], ids=["row-too-high", "negative-row", "length-mismatch"])
+    def test_bad_entries_rejected(self, rows, cols, message):
+        with pytest.raises(ValueError, match=message):
             CsrPattern(2, rows, cols)
 
     def test_fractional_entries_rejected(self):
