@@ -4,31 +4,28 @@ Only the legacy 2.2 ASCII flavour is handled; anything else (4.x headers,
 binary flag) is rejected with a clear error.  Node ids are 1-based in the
 file and 0-based everywhere else.
 
-$Nodes and $Elements blocks are parsed and formatted as arrays with numpy.
-The reader reads lines from the stream as it needs them and parses up to
-512 lines of a block with one call, loadtxt for nodes and fromstring for
-elements, once the bytes show numbers both read exactly as int() and
-float() do.  A slice of other text (a '+', a 19-digit tag, a control or
-non-ASCII character), or one that fails a check, is read again one line
-at a time, and that pass names the first bad line.  Node tags that fill
-one range index a map; other tags are searched.  The writer's text is
-byte-identical to formatting each line on its own: node lines fill one
-%-template repeated per row, and integer tables (element blocks, and the
-spy and partition CSVs elsewhere) are written by _int_rows, one digit
-pass per byte column over the whole table.
-"""
+The reader takes the whole text as bytes and parses each $Nodes and
+$Elements block from them in chunks of whole lines, 64 KiB at most, with
+one numpy call each (loadtxt for nodes, fromstring for elements) once the
+bytes show numbers both read exactly as int() and float() do.  A chunk of
+other text (a blank or indented line, a '+', a 19-digit tag, a control or
+non-ASCII byte), or one that fails a check, is read again line by line,
+naming the first bad line.  Node tags that fill one range index a map;
+others are searched.  The writer's text is byte-identical to formatting
+each line on its own: node lines fill one %-template repeated per row, and
+integer tables (element blocks, and the spy and partition CSVs elsewhere)
+are written by _int_rows, one digit pass per byte column."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import IO, Iterator
+from typing import IO
 
 import numpy as np
 
-from .plex import (Label, Plex, _first_encounter_ids, _indices, _offsets, _sorted_rows,
-                   _whole_numbers, build_from_cells)
+from .plex import (Label, Plex, _indices, _lex_key, _offsets, _sorted_rows, _whole_numbers,
+                   build_from_cells)
 from .section import Field, section_from_depth_dofs
 
 # Gmsh element type -> (topological dimension, node count)
@@ -137,11 +134,33 @@ class MeshBundle:
 # -- reading -------------------------------------------------------------------
 
 
-def _line(lines: Iterator[str], context: str) -> str:
-    line = next(lines, None)
-    if line is None:
-        raise GmshParseError(f"unexpected end of file while reading {context}")
-    return line
+class _Text:
+    """MSH text as bytes under a cursor, read a stripped line or a chunk of
+    whole lines at a time; lines read as text are decoded as `encoding`."""
+
+    def __init__(self, buf: bytes, encoding: str):
+        self.buf = buf if buf.endswith(b"\n") else buf + b"\n"
+        self.encoding, self.pos = encoding, 0
+
+    def line(self, context: str | None = None) -> str | None:
+        """The next stripped non-blank line; at the end, None, or an error naming context."""
+        while self.pos < len(self.buf):
+            end = self.buf.index(b"\n", self.pos)
+            line = self.buf[self.pos:end].decode(self.encoding, "surrogatepass").strip()
+            self.pos = end + 1
+            if line:
+                return line
+        if context is not None:
+            raise GmshParseError(f"unexpected end of file while reading {context}")
+
+    def lines(self, n: int, context: str) -> bytes:
+        """Up to n next lines: as many as fit in _CHUNK_BYTES, or one longer."""
+        if self.pos == len(self.buf):
+            raise GmshParseError(f"unexpected end of file while reading {context}")
+        size = max(_CHUNK_BYTES, self.buf.index(b"\n", self.pos) + 1 - self.pos)
+        ends = np.flatnonzero(np.frombuffer(self.buf[self.pos:self.pos + size], np.uint8) == 10)
+        start, self.pos = self.pos, self.pos + int(ends[min(n, len(ends)) - 1]) + 1
+        return self.buf[start:self.pos]
 
 
 def _ints(fields: list[str], context: str) -> list[int]:
@@ -152,18 +171,11 @@ def _ints(fields: list[str], context: str) -> list[int]:
             f"non-integer field in {context} '{' '.join(fields)}'") from None
 
 
-def _count(line: str, section: str) -> int:
-    n = _ints([line], f"{section} count")[0]
-    if n < 0:
-        raise GmshParseError(f"negative {section} count {n}")
-    return n
-
-
-def _split_nodes(block: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tags and (n, 3) coordinates of n lines of a $Nodes block, one line
+def _split_nodes(block: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Tags and (n, 3) coordinates of the lines of a $Nodes block, one line
     at a time: the path for text that _parse_nodes refuses, which names the
     first bad line."""
-    tags, xyz = np.empty(n, dtype=np.int64), np.empty((n, 3))
+    tags, xyz = np.empty(len(block), dtype=np.int64), np.empty((len(block), 3))
     for k, line in enumerate(block):
         r = line.split()
         try:
@@ -173,8 +185,6 @@ def _split_nodes(block: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
             xyz[k] = np.array(r[1:], dtype=np.float64)
         except (ValueError, OverflowError):
             raise GmshParseError(f"malformed node line '{line}'") from None
-    if len(block) != n:
-        raise GmshParseError("unexpected end of file while reading $Nodes")
     return tags, xyz
 
 
@@ -198,8 +208,8 @@ def _element_arrays(fields: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, 
     return etype, first, nnodes, fields[at]
 
 
-def _split_elements(block: list[str], n: int) -> tuple[np.ndarray, ...]:
-    """_parse_elements' arrays for n lines of an $Elements block, one line
+def _split_elements(block: list[str]) -> tuple[np.ndarray, ...]:
+    """_parse_elements' arrays for the lines of an $Elements block, one line
     at a time: the path for text that _parse_elements refuses, which names
     the first bad line."""
     fields, sizes = [], []
@@ -217,8 +227,6 @@ def _split_elements(block: list[str], n: int) -> tuple[np.ndarray, ...]:
                     f"type-{etype} element needs {nnodes} nodes, got {len(parts[3 + ntags:])}")
         fields += parts
         sizes.append(len(parts))
-    if len(block) != n:
-        raise GmshParseError("unexpected end of file while reading $Elements")
     return _element_arrays(np.array(fields, dtype=np.int64), np.array(sizes, dtype=np.int64))
 
 
@@ -232,99 +240,76 @@ _INT_CHARS = 18
 _NODE_ROW = np.dtype([("tag", np.int64), ("xyz", np.float64, 3)])
 
 
-def _plain_bytes(block: list[str], n: int, allowed: bytes) -> bytes | None:
-    """The n lines of a block, each ended by a newline, as ASCII bytes; None
-    if there are none, lines are missing or a byte is not in `allowed`."""
-    if len(block) != n or not n:
+def _plain_lines(raw: bytes, allowed: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Newline-ended lines as uint8 bytes and the offset of each line; None
+    if a byte is not in `allowed` or a line is blank or indented."""
+    if raw.translate(None, allowed):
         return None
-    text = "\n".join(block) + "\n"
-    if not text.isascii():
-        return None
-    raw = text.encode("ascii")
-    return None if raw.translate(None, allowed) else raw
-
-
-def _line_starts(b: np.ndarray) -> np.ndarray:
-    """Offset of every line in newline-ended text bytes."""
-    starts = (b == 10).nonzero()[0]
-    starts[1:] = starts[:-1] + 1
-    starts[0] = 0
-    return starts
-
-
-def _parse_nodes(block: list[str], n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tags and (n, 3) coordinates of n lines of a $Nodes block.
-
-    One loadtxt call parses the lines, which it does as float() and int()
-    do, once every tag is checked to be an optional '-' and digits, at most
-    _INT_CHARS bytes in all (older numpy reads a float as an int with only
-    a warning).  Other text, and any bad line, go to _split_nodes.
-    """
-    raw = _plain_bytes(block, n, _TEXT_BYTES)
-    if raw is not None:
-        b = np.frombuffer(raw, dtype=np.uint8)
-        # The first _INT_CHARS + 1 bytes of each line (lines are stripped,
-        # so a tag starts each one and a newline ends it): digits, then a gap.
-        head = b[np.minimum(_line_starts(b)[:, None] + np.arange(_INT_CHARS + 1), len(b) - 1)]
-        sign = head[:, 0] == 45
-        other = (head < 48) | (head > 57)
-        other[:, 0] &= ~sign
-        # The first byte past a leading '-' that is no digit: a gap, after
-        # at least one digit.
-        stop = other.argmax(axis=1)
-        if (head[np.arange(n), stop] <= 32).all() and (stop > sign).all():
-            try:
-                rows = np.loadtxt(block, dtype=_NODE_ROW, comments=None, ndmin=1)
-            except ValueError:
-                pass
-            else:
-                return rows["tag"], rows["xyz"]
-    return _split_nodes(block, n)
-
-
-def _int_fields(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """The integers of newline-ended lines of integer bytes, end to end, and
-    the number on each line; None unless every token is an optional '-' and
-    digits, at most _INT_CHARS bytes in all."""
     b = np.frombuffer(raw, dtype=np.uint8)
+    starts = np.concatenate(([0], np.flatnonzero(b[:-1] == 10) + 1))
+    return None if (b[starts] <= 32).any() else (b, starts)
+
+
+def _parse_nodes(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """Tags and (n, 3) coordinates of newline-ended $Nodes lines, by one
+    loadtxt call, which reads them as float() and int() do once every tag
+    is checked to be an optional '-' and digits, at most _INT_CHARS bytes in
+    all (older numpy reads a float as an int with only a warning); None for
+    text that _split_nodes must read."""
+    plain = _plain_lines(raw, _TEXT_BYTES)
+    if plain is None:
+        return None
+    b, starts = plain
+    # The first _INT_CHARS + 1 bytes of each line (a tag starts each one and
+    # a newline ends it): digits, then a gap.
+    head = b[np.minimum(starts[:, None] + np.arange(_INT_CHARS + 1), len(b) - 1)]
+    sign = head[:, 0] == 45
+    other = (head < 48) | (head > 57)
+    other[:, 0] &= ~sign
+    # The first non-digit past a leading '-': a gap, after at least one digit.
+    stop = other.argmax(axis=1)
+    if not ((head[np.arange(len(starts)), stop] <= 32).all() and (stop > sign).all()):
+        return None
+    try:
+        rows = np.loadtxt(raw.decode("ascii").split("\n")[:-1], dtype=_NODE_ROW,
+                          comments=None, ndmin=1)
+    except ValueError:
+        return None
+    return rows["tag"], rows["xyz"]
+
+
+def _parse_elements(raw: bytes) -> tuple[np.ndarray, ...] | None:
+    """Type, first tag (0 if none) and node count of each newline-ended
+    $Elements line, plus all their node tags end to end, by one fromstring
+    call once the bytes show only integers that fit an int64; None for text
+    that _split_elements must read.  Point lines are not checked: they only
+    matter in a 1D mesh, which is known once every block is read."""
+    plain = _plain_lines(raw, _INT_BYTES)
+    if plain is None:
+        return None
+    b, starts = plain
     gap = b <= 32
     start = np.empty_like(gap)
     start[0], start[1:] = True, gap[:-1] > gap[1:]
-    starts = start.nonzero()[0]
+    token_starts = start.nonzero()[0]
     ends = (gap[1:] > gap[:-1]).nonzero()[0] + 1
     minus = (b == 45).nonzero()[0]
     # A '-' follows a gap (the last byte, for the first) and precedes a digit.
-    if ((ends - starts > _INT_CHARS).any() or (b[minus - 1] > 32).any()
+    if ((ends - token_starts > _INT_CHARS).any() or (b[minus - 1] > 32).any()
             or (b[minus + 1] < 48).any()):
         return None
     # Every token is a plain integer now, so fromstring cannot stop early.
     fields = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if len(fields) != len(starts):
+    if len(fields) != len(token_starts):
         return None
-    return fields, np.add.reduceat(start, _line_starts(b), dtype=np.int64)
+    return _element_arrays(fields, np.add.reduceat(start, starts, dtype=np.int64))
 
 
-def _parse_elements(block: list[str], n: int) -> tuple[np.ndarray, ...]:
-    """Type, first tag (0 if none) and node count of each of n lines of an
-    $Elements block, plus all their node tags end to end.
-
-    One fromstring call parses the lines, once their bytes show only
-    integers that fit an int64; other text, and any bad line, go to
-    _split_elements.  Point lines are not checked: they only matter in a 1D
-    mesh, which is known once every block is read.
-    """
-    raw = _plain_bytes(block, n, _INT_BYTES)
-    parsed = None if raw is None else _int_fields(raw)
-    arrays = None if parsed is None else _element_arrays(*parsed)
-    return _split_elements(block, n) if arrays is None else arrays
+# Bytes of a block parsed in one step; bounds the reader's transient memory.
+_CHUNK_BYTES = 1 << 16
 
 
-_BLOCKS = {"Nodes": _parse_nodes, "Elements": _parse_elements}
-# Lines of a block parsed in one step; bounds the reader's transient memory.
-_SLICE_LINES = 512
-
-
-def read_gmsh(stream: IO[str]) -> RawMesh:
+def read_gmsh(stream: IO) -> RawMesh:
     """Parse an MSH 2.2 ASCII stream into a RawMesh.
 
     The mesh dimension is the highest element dimension present; elements of
@@ -332,22 +317,25 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
     their first tag as marker.  Point elements (type 15) are therefore the
     boundary facets of a 1D mesh; in 2D and 3D they are skipped, as is
     anything else of lower dimension.  A file of points alone has no cells.
+    Bytes read from the stream are ASCII text with universal newlines.
     """
-    # Stripped non-blank lines, read from the stream as they are needed.
-    lines = filter(None, map(str.strip, stream))
+    buf = stream.read()
+    if isinstance(buf, bytes) and b"\r" in buf:  # universal newlines
+        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    text = (_Text(buf, "ascii") if isinstance(buf, bytes)
+            else _Text(buf.encode("utf-8", "surrogatepass"), "utf-8"))
     blocks: dict[str, list] = {"Nodes": [], "Elements": []}
     saw_format = False
-    for line in lines:
+    while (line := text.line()) is not None:
         if not line.startswith("$"):
             raise GmshParseError(f"expected a section header, got '{line}'")
         section = line[1:]
 
         if section == "MeshFormat":
-            parts = _line(lines, line).split()
-            if len(parts) != 3:
+            version, *parts = text.line(line).split()
+            if len(parts) != 2:
                 raise GmshParseError("malformed $MeshFormat line")
-            version = parts[0]
-            file_type, data_size = _ints(parts[1:], "$MeshFormat line")
+            file_type, data_size = _ints(parts, "$MeshFormat line")
             if version != "2.2":
                 raise GmshParseError(
                     f"unsupported MSH version {version}; only 2.2 ASCII is handled")
@@ -355,33 +343,45 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
                 raise GmshParseError("binary MSH files are not supported")
             if data_size != 8:
                 raise GmshParseError(f"unsupported data size {data_size}")
-            if _line(lines, line) != "$EndMeshFormat":
+            if text.line(line) != "$EndMeshFormat":
                 raise GmshParseError("missing $EndMeshFormat")
             saw_format = True
 
-        elif section in _BLOCKS:
-            n = _count(_line(lines, line), line)
-            # Slice by slice, so that only one slice's strings are held at
-            # once; a block of 0 lines is one empty slice.
-            for k in range(0, max(n, 1), _SLICE_LINES):
-                m = min(_SLICE_LINES, n - k)
-                blocks[section].append(_BLOCKS[section](list(islice(lines, m)), m))
-            if _line(lines, line) != f"$End{section}":
+        elif section in blocks:
+            n = _ints([text.line(line)], f"{line} count")[0]
+            if n < 0:
+                raise GmshParseError(f"negative {line} count {n}")
+            parse, split = ((_parse_nodes, _split_nodes) if section == "Nodes"
+                            else (_parse_elements, _split_elements))
+            if not n:
+                blocks[section].append(split([]))
+            # One chunk at a time; one numpy refuses is split line by line.
+            while n:
+                raw = text.lines(n, line)
+                arrays = parse(raw)
+                if arrays is None:
+                    arrays = split([s for s in map(str.strip, raw.decode(
+                        text.encoding, "surrogatepass").split("\n")) if s])
+                blocks[section].append(arrays)
+                n -= len(arrays[0])
+            if text.line(line) != f"$End{section}":
                 raise GmshParseError(f"missing $End{section}")
 
-        # Unknown section ($PhysicalNames, ...): skip to its terminator.
-        elif f"$End{section}" not in lines:
-            raise GmshParseError(f"missing $End{section}")
+        else:  # unknown section ($PhysicalNames, ...): skip to its terminator
+            while (skipped := text.line()) != f"$End{section}":
+                if skipped is None:
+                    raise GmshParseError(f"missing $End{section}")
 
+    del buf, text  # parsed: freed before the arrays are joined
     if not saw_format:
         raise GmshParseError("missing $MeshFormat section")
     if not blocks["Nodes"]:
         raise GmshParseError("missing $Nodes section")
-    elements = [np.concatenate(col) for col in zip(*blocks["Elements"])]
+    elements = [np.concatenate(col) for col in zip(*blocks.pop("Elements"))]
     if not elements or (elements[0] == _GMSH_POINT).all():
         raise GmshParseError("no cells of maximal dimension")
     etype, first, nnodes, refs = elements
-    tags, xyz = (np.concatenate(col) for col in zip(*blocks["Nodes"]))
+    tags, xyz = (np.concatenate(col) for col in zip(*blocks.pop("Nodes")))
 
     # Tags that fill the range lo..hi once each (no tags: the empty range)
     # index a map of len(tags) entries; others are searched.
@@ -433,7 +433,7 @@ def read_gmsh(stream: IO[str]) -> RawMesh:
 
 
 def read_gmsh_file(path) -> RawMesh:
-    with open(path, "r", encoding="ascii") as fh:
+    with open(path, "rb") as fh:
         try:
             return read_gmsh(fh)
         except UnicodeDecodeError as exc:
@@ -524,9 +524,8 @@ def write_gmsh_file(mesh: RawMesh, path) -> None:
 def raw_to_bundle(mesh: RawMesh) -> MeshBundle:
     """Interpolate a RawMesh and attach coordinates, region and boundary labels.
 
-    Boundary facets are matched to plex points by vertex set, numbered as
-    interpolation numbers its entities; a facet absent from the interpolated
-    mesh means the input is non-conforming.
+    Boundary facets are matched to plex points by vertex set; a facet absent
+    from the interpolated mesh means the input is non-conforming.
     """
     plex = build_from_cells(mesh.cells, mesh.num_vertices, mesh.dim)
     sec = section_from_depth_dofs(plex, [mesh.dim] + [0] * mesh.dim)
@@ -534,17 +533,18 @@ def raw_to_bundle(mesh: RawMesh) -> MeshBundle:
 
     region = Label.from_arrays("region", np.arange(mesh.num_cells), mesh.cell_region_ids)
 
-    # Vertex v is point num_cells + v in a built plex, so closure vertex
-    # numbers are input vertex ids.  Candidates are distinct, so candidate k
-    # is numbered k, and an input facet numbered higher is not in the mesh.
+    # Vertex v is point num_cells + v in a built plex, so closure vertex numbers
+    # are input vertex ids.  Each facet's key is searched among the candidates'.
     candidates = plex.height_stratum(1)
-    found = _first_encounter_ids(np.concatenate(
-        [plex.vertex_closures(candidates), mesh.boundary_facets]))[0][len(candidates):]
-    missing = found >= len(candidates)
+    own, wanted = np.split(_lex_key(_sorted_rows(np.concatenate(
+        [plex.vertex_closures(candidates), mesh.boundary_facets]))), [len(candidates)])
+    order = own.argsort()
+    at = order[np.searchsorted(own, wanted, sorter=order).clip(max=len(own) - 1)]
+    missing = own[at] != wanted
     if missing.any():
         key = tuple(sorted(mesh.boundary_facets[np.argmax(missing)].tolist()))
         raise ValueError(f"boundary facet {key} not found in the interpolated mesh")
-    boundary = Label.from_arrays("boundary", candidates[found], mesh.boundary_markers)
+    boundary = Label.from_arrays("boundary", candidates[at], mesh.boundary_markers)
 
     return MeshBundle(plex, coords, {"region": region, "boundary": boundary})
 

@@ -513,7 +513,7 @@ class Label:
     @classmethod
     def from_arrays(cls, name: str, points, values) -> "Label":
         """Label marking points[i] with values[i]."""
-        points = _whole_numbers(f"label '{name}': points", points)
+        points = _indices(f"label '{name}': points", points)
         values = _whole_numbers(f"label '{name}': values", values)
         if points.size != values.size:
             raise ValueError(f"label '{name}': {points.size} points but {values.size} values")
@@ -571,9 +571,10 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int
         raise ValueError(f"degenerate cell {i} {tuple(cells[i].tolist())}: "
                          "repeated vertex id")
     key = _lex_key(ordered)
-    order = key.argsort(kind="stable")
-    same = (key[order[1:]] == key[order[:-1]]).nonzero()[0]
-    if same.size:
+    ascending = np.sort(key)
+    if (ascending[1:] == ascending[:-1]).any():  # only then the stable order naming a pair
+        order = key.argsort(kind="stable")
+        same = (key[order[1:]] == key[order[:-1]]).nonzero()[0]
         i, j = order[[same[0], same[0] + 1]].tolist()  # stable: i < j
         raise ValueError(f"duplicate cell {j} {tuple(cells[j].tolist())}: "
                          f"same vertices as cell {i}")

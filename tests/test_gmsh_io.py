@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import re
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -125,15 +126,50 @@ class TestRead:
         with pytest.raises(pm.GmshParseError, match="4.1"):
             pm.read_gmsh_file(path)
 
-    @pytest.mark.parametrize("where", ["comment", "node"])
+    @pytest.mark.parametrize("where", ["comment", "node", "element"])
     def test_non_ascii_byte_is_a_parse_error(self, tmp_path, where):
         path = tmp_path / "accent.msh"
-        text = (MINIMAL_TET + "$Comments\nmaill\u00e9\n$EndComments\n"
-                if where == "comment" else MINIMAL_TET.replace("2 1 0 0", "2 1\u00e9 0 0"))
+        text = {"comment": MINIMAL_TET + "$Comments\nmaill\u00e9\n$EndComments\n",
+                "node": MINIMAL_TET.replace("2 1 0 0", "2 1\u00e9 0 0"),
+                "element": MINIMAL_TET.replace("1 2 3 4\n", "1 2 3 4 \u00e9\n")}[where]
         path.write_bytes(text.encode("utf-8"))
         with pytest.raises(pm.GmshParseError, match="non-ASCII byte 0xc3") as info:
             pm.read_gmsh_file(path)
         assert info.value.__cause__ is None and info.value.__suppress_context__
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_file_newlines_read_as_newlines(self, tmp_path, newline):
+        # Files are read with universal newlines; triangle_grid(40, 40)'s
+        # blocks span more than one parse step.
+        text = pm.write_gmsh(pm.triangle_grid(40, 40))
+        path = tmp_path / "newlines.msh"
+        path.write_bytes(text.replace("\n", newline).encode("ascii"))
+        assert pm.read_gmsh_file(path) == parse(text)
+
+    def test_crlf_stream(self):
+        # A stream's lines are split at LF only; the CR goes with the strip.
+        text = pm.write_gmsh(pm.triangle_grid(40, 40))
+        assert parse(text.replace("\n", "\r\n")) == parse(text)
+
+    def test_read_memory_is_bounded(self, tmp_path):
+        # The file's bytes are held whole but parsed a chunk at a time, so
+        # the traced peak stays below six times the file (1.39 MB here);
+        # one parse per whole block peaks above twelve.
+        path = tmp_path / "grid.msh"
+        pm.write_gmsh_file(pm.triangle_grid(120, 120), path)
+        tracemalloc.start()
+        try:
+            pm.read_gmsh_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * path.stat().st_size
+
+    def test_last_line_without_newline(self):
+        assert parse(MINIMAL_TET.rstrip("\n")) == parse(MINIMAL_TET)
+        with pytest.raises(pm.GmshParseError,
+                           match=r"unexpected end of file while reading \$Elements"):
+            parse(MINIMAL_TET.replace("\n$EndElements\n", ""))
 
     def test_binary_rejected(self):
         with pytest.raises(pm.GmshParseError, match="binary"):
@@ -245,7 +281,8 @@ def swapped(block: str, line: str) -> tuple[list[str], list[str]]:
 
 
 def check_block_parsers(block: str, nodes: list[str], elements: list[str]) -> None:
-    """numpy's parse of the swapped block gives what the per-line split gives.
+    """numpy's parse of the swapped block, or the per-line split that reads
+    what it refuses, gives what the per-line split gives.
 
     loadtxt only ever sees plain integer tags, which every numpy version
     reads alike (older ones read a float tag as an int with a warning).
@@ -257,10 +294,12 @@ def check_block_parsers(block: str, nodes: list[str], elements: list[str]) -> No
                    "Elements": (gmsh_io._parse_elements, gmsh_io._split_elements)}[block]
     loadtxt, seen = np.loadtxt, []
     with mock.patch.object(np, "loadtxt", lambda rows, **kw: seen.extend(rows) or loadtxt(rows, **kw)):
-        got = outcome(fast, lines, len(lines))
+        raw = "".join(line + "\n" for line in lines).encode()
+        # The reader hands no chunk of an empty block to numpy.
+        got = outcome(lambda: (fast(raw) if raw else None) or split(lines))
     tags = [row.split()[0] for row in seen]
     assert all(len(t) <= 18 and re.fullmatch(r"-?[0-9]+", t) for t in tags), tags
-    assert_same_arrays(got, outcome(split, lines, len(lines)))
+    assert_same_arrays(got, outcome(split, lines))
 
 
 class TestFastParse:
@@ -377,18 +416,24 @@ class TestFastParse:
         ("Elements", "1051 2 2 ", "1051 2 2 1.5 ", "non-integer field in element line '1051 2 2 1.5 "),
     ], ids=["tag-plus", "tag-vt", "type-plus", "field-vt", "tag-1051.0", "field-1.5"])
     def test_fallback_in_a_later_slice(self, block, old, new, want):
-        # triangle_grid(32, 32) has 1089 node and 2176 element lines; line
-        # 1051 of either block is in its third slice.
+        # Chunks of at most 999 bytes: line 1051 of either block of
+        # triangle_grid(32, 32) is in a later chunk, which alone takes the
+        # per-line path.
         lines = pm.write_gmsh(pm.triangle_grid(32, 32)).split("\n")
         at = lines.index(f"${block}") + 2 + 1050
         assert lines[at].startswith(old)
         lines[at] = new + lines[at][len(old):]
         text = "\n".join(lines)
         split = f"_split_{block.lower()}"
-        with mock.patch.object(gmsh_io, split, wraps=getattr(gmsh_io, split)) as fallback:
+        with mock.patch.object(gmsh_io, split, wraps=getattr(gmsh_io, split)) as fallback, \
+                mock.patch.object(gmsh_io, "_CHUNK_BYTES", 999):
             got = outcome(pm.read_gmsh, io.StringIO(text))
         assert got == outcome(oracle.read_gmsh, io.StringIO(text))
-        assert fallback.call_count == 1 and fallback.call_args.args[0][1050 - 1024] == lines[at]
+        assert fallback.call_count == 1
+        chunk = fallback.call_args.args[0]
+        first = at - chunk.index(lines[at])
+        assert chunk == lines[first:first + len(chunk)] and first > at - 1050
+        assert len("\n".join(chunk)) < 999
         if want is None:
             assert isinstance(got, pm.RawMesh)
         else:
@@ -562,8 +607,10 @@ class TestRawToBundle:
 
     @pytest.mark.parametrize("point", [40, -1])
     def test_label_point_outside_the_chart_rejected(self, point):
+        # Built directly, in (point, value) order: from_arrays refuses -1 itself.
         bundle = pm.raw_to_bundle(pm.triangle_grid(2, 1))  # 19 points
-        label = pm.Label.from_arrays("region", [0, point], [1, 9])
+        points, values = zip(*sorted([(0, 1), (point, 9)]))
+        label = pm.Label("region", np.array(points), np.array(values))
         with pytest.raises(ValueError,
                            match=f"label 'region' marks point {point}, outside the chart"):
             pm.MeshBundle(bundle.plex, bundle.coordinates, {"region": label})
@@ -600,6 +647,15 @@ class TestRawToBundle:
         with pytest.raises(ValueError, match="not found"):
             pm.raw_to_bundle(two)
         assert pm.raw_to_bundle(bad)  # sanity: a real facet is accepted
+
+    def test_missing_facet_past_every_facet_rejected(self):
+        # (2, 3), the diagonal of two triangles on the edge (0, 1), sorts
+        # after every edge of the mesh; the first missing facet is named.
+        mesh = pm.RawMesh(dim=2, vertices=[[0, 0], [1, 1], [1, 0], [0, 1]],
+                          cells=[[0, 1, 2], [0, 1, 3]], cell_region_ids=[0, 0],
+                          boundary_facets=[[0, 2], [3, 2], [1, 3]], boundary_markers=[1, 2, 3])
+        with pytest.raises(ValueError, match=re.escape("boundary facet (2, 3) not found")):
+            pm.raw_to_bundle(mesh)
 
     def test_vertex_id_out_of_range(self):
         mesh = parse(MINIMAL_TET)

@@ -346,6 +346,11 @@ class TestLabel:
         with pytest.raises(ValueError, match=message):
             Label.from_arrays("x", points, values)
 
+    def test_negative_point_rejected(self):
+        # Accepted, -1 would become the last point's image under permuted.
+        with pytest.raises(ValueError, match=r"label 'x': points: -1 not in \[0, inf\)"):
+            Label.from_arrays("x", [-1], [5])
+
     def test_unsigned_above_int64_rejected(self):
         # A cast would store the point -2**63.
         with pytest.raises(ValueError,
