@@ -317,13 +317,14 @@ def read_gmsh(stream: IO) -> RawMesh:
     their first tag as marker.  Point elements (type 15) are therefore the
     boundary facets of a 1D mesh; in 2D and 3D they are skipped, as is
     anything else of lower dimension.  A file of points alone has no cells.
-    Bytes read from the stream are ASCII text with universal newlines.
+    Bytes read from the stream are ASCII text with universal newlines; text
+    ends lines at LF, with CRLF read as LF and a lone CR as a field separator.
     """
     buf = stream.read()
     if isinstance(buf, bytes) and b"\r" in buf:  # universal newlines
         buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     text = (_Text(buf, "ascii") if isinstance(buf, bytes)
-            else _Text(buf.encode("utf-8", "surrogatepass"), "utf-8"))
+            else _Text(buf.replace("\r\n", "\n").encode("utf-8", "surrogatepass"), "utf-8"))
     blocks: dict[str, list] = {"Nodes": [], "Elements": []}
     saw_format = False
     while (line := text.line()) is not None:
@@ -536,8 +537,8 @@ def raw_to_bundle(mesh: RawMesh) -> MeshBundle:
     # Vertex v is point num_cells + v in a built plex, so closure vertex numbers
     # are input vertex ids.  Each facet's key is searched among the candidates'.
     candidates = plex.height_stratum(1)
-    own, wanted = np.split(_lex_key(_sorted_rows(np.concatenate(
-        [plex.vertex_closures(candidates), mesh.boundary_facets]))), [len(candidates)])
+    rows = [plex.vertex_closures(candidates), _sorted_rows(mesh.boundary_facets)]
+    own, wanted = np.split(_lex_key(np.concatenate(rows)), [len(candidates)])
     order = own.argsort()
     at = order[np.searchsorted(own, wanted, sorter=order).clip(max=len(own) - 1)]
     missing = own[at] != wanted
@@ -583,6 +584,6 @@ def bundle_to_raw(bundle: MeshBundle) -> RawMesh:
         vertices=coords,
         cells=cells,
         cell_region_ids=regions,
-        boundary_facets=_sorted_rows(plex.vertex_closures(boundary.points[by_value])),
+        boundary_facets=plex.vertex_closures(boundary.points[by_value]),
         boundary_markers=boundary.values[by_value],
     )

@@ -50,9 +50,7 @@ class PartitionStats:
 
 
 def build_dual_graph(plex: Plex) -> DualGraph:
-    """Connect cells through shared height-1 points; requires an interpolated plex."""
-    if not plex.is_interpolated:
-        raise ValueError("dual graph needs an interpolated plex")
+    """Connect cells through shared height-1 points."""
     return DualGraph(plex.num_cells, *plex._cell_graph)
 
 

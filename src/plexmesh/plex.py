@@ -1,12 +1,13 @@
-"""Layered-DAG representation of unstructured mesh topology.
+"""Layered-DAG representation of interpolated simplicial mesh topology.
 
 A mesh is encoded as a directed acyclic graph over abstract "points": one
 point per topological entity (cell, facet, edge, vertex), all pooled into a
 single contiguous numbering called the chart.  Each point covers the points
 one level down its boundary (its *cone*); the transpose relation is the
 *support*.  Strata (entities of equal dimension) are the sets of points of
-equal depth/height, so all traversal code is dimension independent; depths
-are simplex guesses checked against the DAG, or relaxed over it, up to dim.
+equal depth/height, so all traversal code is dimension independent.  Every
+plex is interpolated and simplicial: a point's depth is its cone size - 1,
+each cone arc drops one depth, and only points at depth dim lack a support.
 
 Both relations are stored in CSR form (an offset array and a target array),
 and every bulk query works on whole arrays of points at once.
@@ -162,18 +163,20 @@ def _adjacency(n: int, offsets: np.ndarray, targets: np.ndarray
 
 
 class Plex:
-    """Immutable layered DAG over mesh points.
-
-    Construction takes simplex depths (cone size - 1) that check out as
-    graded, else relaxes longest paths, and mirrors heights from graded
-    depths.  As in DMPlex, depth is at most dim: cyclic cover relations and
-    DAGs deeper than dim are rejected.  The support, the per-depth vertex
-    tables and the two mesh graphs are built on first use (racing threads
-    build the same arrays); all queries are read-only, so instances are safe
-    for concurrent use.
+    """Immutable interpolated simplicial DAG over mesh points.
 
     Built from CSR cones, ``Plex(dim, offsets, targets)``: the cone of point
-    p is ``targets[offsets[p]:offsets[p + 1]]``.
+    p is ``targets[offsets[p]:offsets[p + 1]]``.  A point's depth is its
+    cone size - 1 (0 for an empty cone) and its height is dim - depth.  The
+    constructor refuses, with a ValueError naming the first bad point, a
+    depth past dim (a quadrilateral in 2D), a cone arc that does not drop
+    exactly one depth (a cycle, a cell covering vertices directly) and a
+    point below depth dim without a support (a non-interpolated or
+    dangling entity).  Depth is then the longest path down and height the
+    longest path up, so closures and stars meet each point on one BFS
+    level.  The support, the vertex tables and the two mesh graphs are
+    built on first use (racing threads build the same arrays); all queries
+    are read-only, so instances are safe for concurrent use.
     """
 
     def __init__(self, dim: int, offsets, targets):
@@ -191,27 +194,26 @@ class Plex:
         self._cone_offsets = offsets
         self._cone_targets = targets
 
-        # Graded: every cone arc drops exactly one depth, so closures meet a
-        # point on one BFS level only.  The simplex guess, cone size - 1, is
-        # exact when graded (each cone path from p has length guess[p]) and
-        # proves the DAG acyclic; other DAGs and guesses past dim are relaxed.
-        sources = _row_ids(offsets)
-
-        def graded(d):
-            return bool((d[targets] == d[sources] - 1).all())
-
-        depths = np.maximum(offsets[1:] - offsets[:-1] - 1, 0)
-        top = depths.max(initial=0)
-        self._graded = top <= dim and graded(depths)
-        if not self._graded:
-            depths = self._longest_paths(sources, targets)
-            top, self._graded = depths.max(initial=0), graded(depths)
+        sizes = offsets[1:] - offsets[:-1]
+        depths = np.maximum(sizes - 1, 0)
+        if depths.max(initial=0) > dim:
+            p = int((depths > dim).argmax())
+            raise ValueError(f"point {p} has {sizes[p]} cone points: depth {depths[p]} "
+                             f"is past dimension {dim}")
+        drop = depths.repeat(sizes) - depths[targets]
+        if (drop != 1).any():
+            k = int((drop != 1).argmax())
+            p = int(np.searchsorted(offsets, k, side="right")) - 1
+            q = int(targets[k])
+            raise ValueError(f"point {p} at depth {depths[p]} covers point {q} at depth "
+                             f"{depths[q]}: a cone arc must drop one depth")
+        dangling = (depths < dim) & (np.bincount(targets, minlength=self.chart_size) == 0)
+        if dangling.any():
+            p = int(dangling.argmax())
+            raise ValueError(f"point {p} at depth {depths[p]} has no support: only "
+                             f"points at depth {dim} may have none")
         self.depths = depths
-        # Graded with every support-free point on top, each support path
-        # climbs one depth a step to the top: heights mirror depths.
-        has_support = np.bincount(targets, minlength=self.chart_size) > 0
-        self.heights = (top - depths if self._graded and has_support[depths < top].all()
-                        else self._longest_paths(targets, sources))
+        self.heights = dim - depths
 
     # -- construction helpers -------------------------------------------------
 
@@ -228,57 +230,54 @@ class Plex:
 
     # The mesh graphs, built on first use like the support: items (vertices,
     # cells) joined by a depth-1 (height-1) point, as CSR over item numbers,
-    # a prefix count over the items' mask, columns ascending, no self-loops.
-
-    def _joined(self, items: np.ndarray, relation, through: np.ndarray):
-        offsets, targets = _csr_rows(*relation, through)
-        return _adjacency(int(np.count_nonzero(items)), offsets, (items.cumsum() - 1)[targets])
+    # columns ascending, no self-loops.
 
     @cached_property
     def _vertex_graph(self) -> tuple[np.ndarray, np.ndarray]:
-        # Both orders of every edge row, where the edges have a vertex table.
-        edges = self._vertex_table(1)
-        if edges is None:
-            return self._joined(self.depths == 0, (self._cone_offsets, self._cone_targets),
-                                self.depth_stratum(1))
+        # Both orders of every edge row.
+        edges = self._vertex_tables[1]
         return _pairs_to_csr(self.num_vertices, edges.ravel(), edges[:, ::-1].ravel())
 
-    _cell_graph = cached_property(lambda self: self._joined(
-        self.heights == 0, self._support, self.height_stratum(1)))
+    @cached_property
+    def _cell_graph(self) -> tuple[np.ndarray, np.ndarray]:
+        # Cells sharing a facet's support row, as cell numbers.
+        offsets, targets = _csr_rows(*self._support, self.height_stratum(1))
+        return _adjacency(self.num_cells, offsets, ((self.heights == 0).cumsum() - 1)[targets])
 
-    def _vertex_table(self, d: int) -> np.ndarray | None:
-        """The depth-d stratum's vertex sets, ascending, as a (size, d + 1)
-        table built depth by depth on first use; None where there is none.
+    @cached_property
+    def _vertex_tables(self) -> tuple[np.ndarray, ...]:
+        """Each depth's vertex sets, ascending, as (size, d + 1) tables for
+        d = 0..dim, built depth by depth on first use.
 
         Depth 0 is the vertex-number column.  A depth-d row is the union of
-        its d + 1 cone points' rows, kept on a graded plex where they hold
-        each of d + 1 vertices d times, as a simplex's facets do: it is then
-        the closure's vertex set.  The cache is a tuple replaced whole.
+        its d + 1 cone points' rows, which must hold each of d + 1 vertices
+        d times, as a simplex's facets do: it is then the closure's vertex
+        set.  The first point whose rows do not is a ValueError, so no
+        query answers from a plex whose cones do not close.
         """
-        tables = (vars(self).get("_vertex_tables")
-                  or (np.arange(self.num_vertices, dtype=np.int64)[:, None],))
-        while len(tables) <= d and tables[-1] is not None:
-            tables += (self._union_rows(len(tables), tables[-1]),)
-        self._vertex_tables = tables
-        return tables[d] if d < len(tables) else None
+        tables = (np.arange(self.num_vertices, dtype=np.int64)[:, None],)
+        for d in range(1, self.dim + 1):
+            tables += (self._union_rows(d, tables[-1]),)
+        return tables
 
-    def _union_rows(self, d: int, below: np.ndarray) -> np.ndarray | None:
+    def _union_rows(self, d: int, below: np.ndarray) -> np.ndarray:
         stratum = self.depth_stratum(d)
-        starts = self._cone_offsets[stratum]
-        if not self._graded or (self._cone_offsets[stratum + 1] - starts != d + 1).any():
-            return None
         below_row = (self.depths == d - 1).cumsum() - 1
-        cones = below_row[self._cone_targets[starts[:, None] + np.arange(d + 1)]]
+        cones = below_row[self._cone_targets[self._cone_offsets[stratum][:, None]
+                                             + np.arange(d + 1)]]
         rows = _sorted_rows(below[cones].reshape(-1, (d + 1) * d)).reshape(-1, d + 1, d)
-        if (rows[..., 1:] != rows[..., :1]).any() or (rows[:, 1:, 0] <= rows[:, :-1, 0]).any():
-            return None
+        bad = ((rows[..., 1:] != rows[..., :1]).any(axis=(1, 2))
+               | (rows[:, 1:, 0] <= rows[:, :-1, 0]).any(axis=1))
+        if bad.any():
+            raise ValueError(f"point {stratum[bad.argmax()]}: the vertex sets of its cone "
+                             "do not form a simplex")
         return rows[..., 0].copy()
 
     def _permuted(self, perm) -> "Plex":
-        """This plex renumbered by perm without __init__: it carries strata,
-        grading and, once built, the vertex graph, relabelled."""
+        """This plex renumbered by perm without __init__: it carries strata
+        and, once built, the vertex graph, relabelled."""
         new = object.__new__(Plex)
-        new.dim, new.chart_size, new._graded = self.dim, self.chart_size, self._graded
+        new.dim, new.chart_size = self.dim, self.chart_size
         offsets, targets = _csr_rows(self._cone_offsets, self._cone_targets, perm.inverse)
         new._cone_offsets, new._cone_targets = offsets, perm.forward[targets]
         new.depths, new.heights = self.depths[perm.inverse], self.heights[perm.inverse]
@@ -294,40 +293,31 @@ class Plex:
         renumbered 0, 1, ...: each run ascends and is the closure of some cells.
         cones is the runs' cones as one CSR in this plex's numbers.
 
-        Each run's cones are localised by one scatter.  Graded with heights
-        top - depths, as every built mesh is, runs keep this plex's strata
-        and grading without __init__ (a run holds a cell, so its top), and
-        each depth's vertex table rows, gathered once for all runs, mapped
-        through the ascending run-vertex numbering so they stay sorted.
+        The closure of cells is itself interpolated and simplicial, so each
+        run keeps this plex's depths and heights without __init__.  Its
+        cones are localised by one scatter, and each depth's vertex table
+        rows, gathered once for all runs, are mapped through the ascending
+        run-vertex numbering, so they stay sorted.
         """
         offsets, targets = cones
-        local_of = np.empty(self.chart_size, dtype=np.int64)
-        runs = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            # Every cone point of a run point lies in the run, so local_of
-            # never serves an entry left by an earlier run.
-            local_of[points[lo:hi]] = np.arange(hi - lo)
-            cone_points = targets[offsets[lo]:offsets[hi]]
-            runs.append((offsets[lo:hi + 1] - offsets[lo], local_of[cone_points]))
-        top = self.depths.max(initial=0)
-        if not (self._graded and (self.heights == top - self.depths).all()):
-            return [Plex(self.dim, *run) for run in runs]
-
-        self._vertex_table(int(top))
-        tables = [t for t in self._vertex_tables[:top + 1] if t is not None]
+        tables = self._vertex_tables
         depths, heights = self.depths[points], self.heights[points]
         # Per depth, the runs' table rows (depth 0: vertex numbers) and where
         # each run's rows start.
         rows = [t[((self.depths == d).cumsum() - 1)[points[depths == d]]]
                 for d, t in enumerate(tables)]
         starts = [_offsets(depths == d)[bounds].tolist() for d in range(len(tables))]
+        local_of = np.empty(self.chart_size, dtype=np.int64)
         vertex_of = np.empty(self.num_vertices, dtype=np.int64)
         plexes = []
-        for r, ((run_offsets, run_targets), lo, hi) in enumerate(
-                zip(runs, bounds[:-1], bounds[1:])):
+        for r, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            # Every cone point of a run point lies in the run, so local_of
+            # never serves an entry left by an earlier run.
+            local_of[points[lo:hi]] = np.arange(hi - lo)
             new = object.__new__(Plex)
-            new.dim, new.chart_size, new._graded = self.dim, hi - lo, True
-            new._cone_offsets, new._cone_targets = run_offsets, run_targets
+            new.dim, new.chart_size = self.dim, hi - lo
+            new._cone_offsets = offsets[lo:hi + 1] - offsets[lo]
+            new._cone_targets = local_of[targets[offsets[lo]:offsets[hi]]]
             new.depths, new.heights = depths[lo:hi], heights[lo:hi]
             vertices = rows[0][starts[0][r]:starts[0][r + 1], 0]
             vertex_of[vertices] = np.arange(vertices.size)
@@ -335,24 +325,6 @@ class Plex:
                 vertex_of[t[s[r]:s[r + 1]]] for t, s in zip(rows[1:], starts[1:])))
             plexes.append(new)
         return plexes
-
-    def _longest_paths(self, tails, heads) -> np.ndarray:
-        """Longest path length from each point along the arcs tails -> heads.
-
-        After k relaxation rounds from zero every point holds min(longest
-        path, k): the rounds end when one changes nothing, and a cycle or a
-        path longer than dim passes dim by round dim + 1.
-        """
-        level = np.zeros(self.chart_size, dtype=np.int64)
-        while True:
-            new = np.zeros_like(level)
-            np.maximum.at(new, tails, level[heads] + 1)
-            if new.max(initial=0) > self.dim:
-                raise ValueError("cover relation contains a cycle or a path longer "
-                                 f"than dimension {self.dim}")
-            if (new == level).all():
-                return level
-            level = new
 
     # -- incidence queries -----------------------------------------------------
 
@@ -398,34 +370,26 @@ class Plex:
     def vertex_closures(self, points) -> np.ndarray:
         """The vertices in each point's closure, as a (len(points), k) table.
 
-        Vertex numbers count depth-0 points in ascending point order; rows
-        ascend on a graded plex, in closure order on others.  Points of one
-        depth index its vertex table when it has one.  Points whose closures
-        hold differing numbers of vertices raise ValueError.
+        Vertex numbers count depth-0 points in ascending point order, and
+        rows ascend: they index the points' depth's vertex table.  Points
+        whose closures hold differing numbers of vertices raise ValueError;
+        no points give a (0, 0) table.
         """
         pts = self._points(points)
+        if not pts.size:
+            return np.empty((0, 0), dtype=np.int64)
         depths = self.depths[pts]
-        if pts.size and (depths == depths[0]).all():
-            table = self._vertex_table(int(depths[0]))
-            if table is not None:
-                return table[((self.depths == depths[0]).cumsum() - 1)[pts]]
-        offsets, targets = self.closures(pts)
-        is_vertex = self.depths[targets] == 0
-        bounds = _offsets(is_vertex)[offsets]
-        sizes = bounds[1:] - bounds[:-1]
-        if (sizes[1:] != sizes[:-1]).any():
+        if (depths != depths[0]).any():
             raise ValueError("points with differing vertex counts")
-        vertices = ((self.depths == 0).cumsum() - 1)[targets[is_vertex]]
-        return vertices.reshape(sizes.size, sizes.max(initial=0))
+        return self._vertex_tables[depths[0]][((self.depths == depths[0]).cumsum() - 1)[pts]]
 
     def _traverse(self, points, step_off, step_tgt) -> tuple[np.ndarray, np.ndarray]:
         """Level-synchronous BFS from every point at once over a CSR relation.
 
         Each level's (row, point) pairs are sorted and de-duplicated as one
         key array, so levels are row-sorted and one stable sort by row lists
-        every row's levels in order, each ascending.  Unless graded, a point
-        met again on a later level is dropped after the walk (stably sorted,
-        the first of equal keys is the earliest); depth <= dim bounds the
+        every row's levels in order, each ascending.  Every arc moves one
+        depth, so no point is met on two levels, and depth <= dim bounds the
         walk to dim + 1 levels.
         """
         n = self.chart_size
@@ -442,12 +406,6 @@ class Plex:
             levels.append((rows, pts))
 
         rows, pts = (np.concatenate(a) for a in zip(*levels))
-        if not self._graded:
-            keys = rows * n + pts
-            order = _stable_order(keys, m * n)  # rows < m, points < n
-            first = np.ones(keys.size, dtype=bool)
-            first[order[1:]] = keys[order[1:]] != keys[order[:-1]]
-            rows, pts = rows[first], pts[first]
         return (_offsets(np.bincount(rows, minlength=m)),
                 pts[_stable_order(rows, m)])
 
@@ -474,11 +432,6 @@ class Plex:
     @property
     def num_vertices(self) -> int:
         return int(np.count_nonzero(self.depths == 0))
-
-    @property
-    def is_interpolated(self) -> bool:
-        """True when the DAG is strictly graded and cells sit at depth dim."""
-        return self._graded and bool((self.depths[self.heights == 0] == self.dim).all())
 
     def cones(self) -> list[tuple[int, ...]]:
         """All cones as tuples, indexed by point."""

@@ -62,18 +62,13 @@ class CsrPattern:
 def p1_pattern(bundle: MeshBundle) -> CsrPattern:
     """Vertex-vertex coupling: (i, j) stored when i and j share a cell closure.
 
-    On a simplicial plex two vertices share a cell exactly when an edge joins
-    them, so the pattern is the plex's vertex graph plus the diagonal.
+    A plex is simplicial, so two vertices share a cell exactly when an edge
+    joins them, and the pattern is the plex's vertex graph plus the diagonal;
+    a cone that does not close refuses the vertex tables the graph is read from.
     Row/column indices count vertices in ascending vertex-point order, which
     keeps the pattern well defined on permuted bundles too.
     """
-    plex = bundle.plex
-    if not plex.is_interpolated:
-        raise ValueError("pattern construction needs an interpolated plex")
-    sizes, upper = plex._cone_offsets[1:] - plex._cone_offsets[:-1], plex.depths > 0
-    if (sizes[upper] != plex.depths[upper] + 1).any():
-        raise ValueError("pattern construction needs a simplicial plex")
-    return CsrPattern._of_graph(*plex._vertex_graph)
+    return CsrPattern._of_graph(*bundle.plex._vertex_graph)
 
 
 def _row_reach(pattern: CsrPattern) -> np.ndarray:

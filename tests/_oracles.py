@@ -7,7 +7,8 @@ labels), of the line-at-a-time MSH 2.2 reader and writer and of the
 loop-built mesh generators, kept verbatim (bar being free functions over the
 public API, and the lines that build types whose representation changed
 since) as test oracles: every array kernel must give exactly their results.
-Boundary-facet matching has a dict-based brute force written for the tests.
+Boundary-facet matching, the Plex construction contract and the vertex
+tables' simplex check have brute forces written for the tests.
 Row grouping and the duplicate-cell check keep their multi-key np.lexsort
 versions: the one-key sorts must give exactly their results.  Coordinate
 bisection keeps its one-call-per-sub-domain recursion, close_partition its
@@ -74,6 +75,41 @@ def longest_paths(plex: Plex, out_off, out_tgt) -> np.ndarray:
         if np.array_equal(dist, prev):
             return dist
     raise ValueError("cover relation contains a cycle")
+
+
+def plex_refusal(dim: int, cones) -> str | None:
+    """The ValueError Plex(dim, ...) raises on per-point cones, checked a
+    point at a time: a depth past dim, then a cone arc that does not drop
+    one depth, then a point below depth dim without a support; None if none."""
+    depth = [max(len(c) - 1, 0) for c in cones]
+    for p, c in enumerate(cones):
+        if depth[p] > dim:
+            return f"point {p} has {len(c)} cone points: depth {depth[p]} is past dimension {dim}"
+    for p, c in enumerate(cones):
+        for q in c:
+            if depth[q] != depth[p] - 1:
+                return (f"point {p} at depth {depth[p]} covers point {q} at depth {depth[q]}: "
+                        "a cone arc must drop one depth")
+    covered = {q for c in cones for q in c}
+    for p in range(len(cones)):
+        if depth[p] < dim and p not in covered:
+            return (f"point {p} at depth {depth[p]} has no support: only points at depth "
+                    f"{dim} may have none")
+    return None
+
+
+def simplex_refusal(plex: Plex) -> str | None:
+    """The ValueError building plex's vertex tables raises: the first point,
+    depth by depth, whose cone's closure vertex sets are not the facets of
+    one simplex; None if none."""
+    for d in range(1, plex.dim + 1):
+        for p in plex.depth_stratum(d).tolist():
+            faces = [frozenset(int(v) for v in closure(plex, q) if plex.depths[v] == 0)
+                     for q in plex.cone(p)]
+            verts = frozenset().union(*faces)
+            if len(verts) != d + 1 or set(faces) != {verts - {v} for v in verts}:
+                return f"point {p}: the vertex sets of its cone do not form a simplex"
+    return None
 
 
 def relabeled(label: Label, point_map: dict[int, int]) -> Label:
@@ -312,8 +348,6 @@ def rcm_ordering(plex: Plex) -> Permutation:
 
 def p1_pattern(bundle: MeshBundle) -> CsrPattern:
     plex = bundle.plex
-    if not plex.is_interpolated:
-        raise ValueError("pattern construction needs an interpolated plex")
     verts = plex.depth_stratum(0)
     vrank = {int(p): i for i, p in enumerate(verts)}
     rows: list[set[int]] = [set() for _ in verts]
@@ -352,8 +386,6 @@ class ListDualGraph:
 
 
 def build_dual_graph(plex: Plex) -> ListDualGraph:
-    if not plex.is_interpolated:
-        raise ValueError("dual graph needs an interpolated plex")
     cells = plex.height_stratum(0)
     crank = {int(p): i for i, p in enumerate(cells)}
     adj: list[set[int]] = [set() for _ in cells]

@@ -24,6 +24,15 @@ def test_numpy_floor_matches_pyproject():
     assert pins == floors
 
 
+def test_python_floor_matches_pyproject():
+    floors = re.findall(r'^requires-python = ">=([0-9.]+)"$', (ROOT / "pyproject.toml").read_text(),
+                        re.MULTILINE)
+    # Numbered versions only: "3.x" is the newest release, never the oldest.
+    pythons = re.findall(r'^\s*(?:- )?python: "([0-9.]+)"$', WORKFLOW, re.MULTILINE)
+    assert len(floors) == 1 and pythons
+    assert min(pythons, key=lambda v: tuple(map(int, v.split(".")))) == floors[0]
+
+
 def test_pip_install_names_the_test_extras():
     extras = re.findall(r'^test = \[(.*)\]$', (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     installs = re.findall(r'pip install "\$\{\{ matrix\.numpy \}\}" (.*)$', WORKFLOW, re.MULTILINE)

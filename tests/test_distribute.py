@@ -146,7 +146,7 @@ class TestMigrate:
         locals_, _, _ = migrate(bundle, pmap, 3)
         for lm in locals_:
             lp = lm.bundle.plex
-            assert lp.is_interpolated
+            assert lp == pm.Plex(lp.dim, lp._cone_offsets, lp._cone_targets)
             # grouping preserved: cells first, then vertices, then edges
             cells = lp.height_stratum(0)
             verts = lp.depth_stratum(0)

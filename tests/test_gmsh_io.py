@@ -147,9 +147,16 @@ class TestRead:
         assert pm.read_gmsh_file(path) == parse(text)
 
     def test_crlf_stream(self):
-        # A stream's lines are split at LF only; the CR goes with the strip.
+        # A text stream's CRLF is read as LF before parsing, so its blocks
+        # take the numpy path as LF text does; a lone CR stays a field
+        # separator (the tag-cr refusal case).
         text = pm.write_gmsh(pm.triangle_grid(40, 40))
-        assert parse(text.replace("\n", "\r\n")) == parse(text)
+        refuse = mock.Mock(side_effect=AssertionError("line path taken"))
+        with mock.patch.object(gmsh_io, "_split_nodes", refuse), \
+                mock.patch.object(gmsh_io, "_split_elements", refuse):
+            got = parse(text.replace("\n", "\r\n"))
+        assert not refuse.called
+        assert got == parse(text)
 
     def test_read_memory_is_bounded(self, tmp_path):
         # The file's bytes are held whole but parsed a chunk at a time, so

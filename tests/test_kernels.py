@@ -22,7 +22,6 @@ import sys
 import textwrap
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -73,19 +72,15 @@ def assert_traversals_match(plex: pm.Plex, points) -> None:
 
 
 def assert_strata_match(plex: pm.Plex) -> None:
-    """Strata, grading and support of plex equal the oracles'."""
+    """Strata and support of plex equal the oracles'."""
     offsets, targets = plex._cone_offsets, plex._cone_targets
     sources = np.repeat(np.arange(plex.chart_size), np.diff(offsets))
     order = np.lexsort((sources, targets))
     sup_offsets = np.searchsorted(targets[order], np.arange(plex.chart_size + 1))
     depths = oracle.longest_paths(plex, offsets, targets)
     heights = oracle.longest_paths(plex, sup_offsets, sources[order])
-    graded = bool(np.all(depths[targets] == depths[sources] - 1))
-    interpolated = graded and bool(np.all(depths[heights == 0] == plex.dim))
     assert plex.depths.tolist() == depths.tolist()
     assert plex.heights.tolist() == heights.tolist()
-    assert plex._graded == graded
-    assert plex.is_interpolated == interpolated
     assert plex._support_offsets.tolist() == sup_offsets.tolist()
     assert plex._support_targets.tolist() == sources[order].tolist()
     # Depth and height are at most dim, so the strata 0..dim cover the chart.
@@ -99,7 +94,6 @@ def assert_strata_match(plex: pm.Plex) -> None:
 def test_build_from_cells_matches_oracle(raw):
     plex = pm.build_from_cells(raw.cells, raw.num_vertices, raw.dim)
     assert plex == oracle.build_from_cells(raw.cells, raw.num_vertices, raw.dim)
-    assert plex.is_interpolated
     assert_strata_match(plex)
 
 
@@ -222,82 +216,56 @@ def test_closures_and_stars_match_oracle(raw, seed):
     assert_traversals_match(plex, np.arange(plex.chart_size))
 
 
-def plex_if_shallow(dim: int, cones) -> pm.Plex | None:
-    """plex_from_cones(dim, cones) if the oracle finds no path longer than
-    dim; otherwise None, once Plex is seen to reject the cones."""
-    offsets = np.cumsum([0] + [len(c) for c in cones])
-    targets = np.array([q for c in cones for q in c], dtype=np.int64)
-    depths = oracle.longest_paths(SimpleNamespace(chart_size=len(cones)), offsets, targets)
-    if depths.max(initial=0) > dim:
-        with pytest.raises(ValueError, match=f"path longer than dimension {dim}"):
-            plex_from_cones(dim, cones)
-        return None
-    return plex_from_cones(dim, cones)
+def assert_refused(dim: int, cones) -> None:
+    """Plex refuses the cones with the oracle's message naming the first bad point."""
+    want = oracle.plex_refusal(dim, cones)
+    assert want is not None
+    with pytest.raises(ValueError) as err:
+        plex_from_cones(dim, cones)
+    assert str(err.value) == want
 
 
-# Not graded: cells reach vertices both directly and through edges, so a
-# vertex is met on two BFS levels.  Point 0 is at depth 3.
+ARC = "a cone arc must drop one depth"
+# Not graded: cells reach vertices both directly and through edges.
 SKIPPING = [(2, 5, 6), (5, 3), (4, 5), (), (), (3, 4), (4, 7), ()]
 
-HAND_BUILT = [
-    (2, [(2, 3, 4), (3, 5, 4), (), (), (), ()]),   # cells covering vertices directly
-    (2, SKIPPING),                                 # deeper than dim: rejected
-    (3, [(1, 4), (2, 3), (3, 4), (4,), ()]),       # a chain of depth 4: rejected
-    # not graded: cell 0 covers vertex 4 directly, so 4 sits at height 1
-    (2, [(1, 4), (2, 3), (), (), ()]),
-    # graded, but with support-free points at two depths: edge 7 hangs off
-    # vertex 3 of triangle 0, so heights cannot mirror depths
-    (2, [(4, 5, 6), (), (), (), (1, 2), (2, 3), (1, 3), (3, 8), ()]),
-    # graded, but not simplicial: a quadrilateral covers four edges
-    (2, [(5, 6, 7, 8), (), (), (), (), (1, 2), (2, 3), (3, 4), (4, 1)]),
-    (3, SKIPPING),
-    # graded, so the simplex guess checks out, but an interpolated
-    # tetrahedron is deeper than dim 2: rejected
-    (2, [(5, 6, 7, 8), (), (), (), (), (9, 10, 11), (12, 13, 10), (14, 13, 11),
-         (12, 14, 9), (2, 3), (1, 3), (1, 2), (3, 4), (1, 4), (2, 4)]),
-]
+HAND_BUILT = {
+    # A non-interpolated mesh: cells cover vertices directly.
+    "cells-on-vertices": (2, [(2, 3, 4), (3, 5, 4), (), (), (), ()],
+                          f"point 0 at depth 2 covers point 2 at depth 0: {ARC}"),
+    "skipping-2d": (2, SKIPPING, f"point 1 at depth 1 covers point 5 at depth 1: {ARC}"),
+    "skipping-3d": (3, SKIPPING, f"point 1 at depth 1 covers point 5 at depth 1: {ARC}"),
+    "chain": (3, [(1, 4), (2, 3), (3, 4), (4,), ()],
+              f"point 0 at depth 1 covers point 1 at depth 1: {ARC}"),
+    # Cell 0 covers vertex 4 directly and through cell 1.
+    "vertex-at-two-heights": (2, [(1, 4), (2, 3), (), (), ()],
+                              f"point 0 at depth 1 covers point 1 at depth 1: {ARC}"),
+    # Cell 6 covers vertex 2 beside edges (0, 1) and (0, 2).
+    "vertex-beside-edges": (2, [()] * 3 + [(0, 1), (0, 2), (1, 2), (3, 4, 2)],
+                            f"point 6 at depth 2 covers point 2 at depth 0: {ARC}"),
+    # Graded, but edge 7 hangs off vertex 3 of triangle 0.
+    "dangling-edge": (2, [(4, 5, 6), (), (), (), (1, 2), (2, 3), (1, 3), (3, 8), ()],
+                      "point 7 at depth 1 has no support: only points at depth 2 may have none"),
+    # Graded, but a lone triangle is not interpolated up to dim 3.
+    "triangle-in-3d": (3, [(4, 5, 6), (), (), (), (1, 2), (2, 3), (1, 3)],
+                       "point 0 at depth 2 has no support: only points at depth 3 may have none"),
+    "unused-vertex": (1, [(1, 2), (), (), ()],
+                      "point 3 at depth 0 has no support: only points at depth 1 may have none"),
+    # Graded, but a quadrilateral covers four edges.
+    "quadrilateral": (2, [(5, 6, 7, 8), (), (), (), (), (1, 2), (2, 3), (3, 4), (4, 1)],
+                      "point 0 has 4 cone points: depth 3 is past dimension 2"),
+    # An interpolated tetrahedron is deeper than dim 2.
+    "tetrahedron-in-2d": (2, [(5, 6, 7, 8), (), (), (), (), (9, 10, 11), (12, 13, 10),
+                              (14, 13, 11), (12, 14, 9), (2, 3), (1, 3), (1, 2), (3, 4),
+                              (1, 4), (2, 4)],
+                          "point 0 has 4 cone points: depth 3 is past dimension 2"),
+}
 
 
-@pytest.mark.parametrize("dim,cones", HAND_BUILT)
-def test_traversals_on_hand_built_dags(dim, cones):
-    plex = plex_if_shallow(dim, cones)
-    if plex is None:
-        return
-    assert_strata_match(plex)
-    points = np.arange(plex.chart_size)
-    assert_traversals_match(plex, np.concatenate([points, points[::-1]]))
-    rebuilt = pm.Plex(dim, plex._cone_offsets, plex._cone_targets)
-    assert rebuilt == plex and rebuilt.cones() == [tuple(c) for c in cones]
-
-
-@PROPERTY
-@given(seed=seeds)
-def test_traversals_on_random_non_graded_dags(seed):
-    # A layered DAG on levels 0..dim with a skip arc is non-graded and no
-    # deeper than dim: accepted, and every traversal matches the oracles.
-    rng = np.random.default_rng(seed)
-    dim = int(rng.integers(2, 4))
-    plex = plex_from_cones(dim, layered_dag(int(rng.integers(2**32)), dim))
-    assert not plex._graded
-    assert_strata_match(plex)
-    assert_traversals_match(plex, rng.integers(0, plex.chart_size, 2 * plex.chart_size))
-    # Cones draw from higher-numbered points, so the DAG is acyclic and its
-    # arcs may skip depths; 0 -> 1 -> 2 plus 0 -> 2 makes one skip certain.
-    n = int(rng.integers(10, 61))
-    sizes = [int(rng.integers(0, min(4, n - p - 1) + 1)) for p in range(n)]
-    cones = [sorted(rng.choice(np.arange(p + 1, n), k, replace=False).tolist())
-             for p, k in enumerate(sizes)]
-    cones[0] = sorted({1, 2, *cones[0]})
-    cones[1] = sorted({2, *cones[1]})
-    # Accepted exactly when no path is longer than dim: at these sizes
-    # almost never, which the layered DAG above makes up for.
-    plex = plex_if_shallow(int(rng.integers(1, 4)), cones)
-    if plex is None:
-        return
-    assert not plex._graded
-    assert_strata_match(plex)
-    # Any order, repeats included.
-    assert_traversals_match(plex, rng.integers(0, n, 2 * n))
+@pytest.mark.parametrize("dim,cones,message", HAND_BUILT.values(), ids=HAND_BUILT.keys())
+def test_hand_built_dags_refused_at_the_first_bad_point(dim, cones, message):
+    assert oracle.plex_refusal(dim, cones) == message
+    assert_refused(dim, cones)
 
 
 def layered_dag(seed: int, top: int = 3) -> list[list[int]]:
@@ -324,16 +292,21 @@ def layered_dag(seed: int, top: int = 3) -> list[list[int]]:
 
 @PROPERTY
 @given(seed=seeds)
-def test_traversals_on_random_layered_dags(seed):
-    # Depth at most 3 with skip arcs: accepted at dim 3, and every closure and
-    # star of the chain's ends meets a point on two levels.
-    cones = layered_dag(seed)
-    plex = plex_from_cones(3, cones)
-    assert not plex._graded
-    assert_strata_match(plex)
-    points = np.arange(plex.chart_size)
+def test_random_dags_refused_at_the_first_bad_point(seed):
+    # Both DAGs have a skip arc, so neither is graded: a layered DAG on
+    # levels 0..2 or 0..3, and one whose cones draw from higher-numbered
+    # points, with 0 -> 1 -> 2 plus 0 -> 2.
     rng = np.random.default_rng(seed)
-    assert_traversals_match(plex, np.concatenate([points, rng.permutation(points)]))
+    n = int(rng.integers(10, 61))
+    sizes = [int(rng.integers(0, min(4, n - p - 1) + 1)) for p in range(n)]
+    cones = [sorted(rng.choice(np.arange(p + 1, n), k, replace=False).tolist())
+             for p, k in enumerate(sizes)]
+    cones[0] = sorted({1, 2, *cones[0]})
+    cones[1] = sorted({2, *cones[1]})
+    layered = layered_dag(int(rng.integers(2**32)), int(rng.integers(2, 4)))
+    for dim in (1, 2, 3):
+        assert_refused(dim, cones)
+        assert_refused(dim, layered)
 
 
 def test_closures_of_nothing():
@@ -348,21 +321,20 @@ def test_closures_of_nothing():
 @given(raw=meshes, seed=seeds)
 def test_simplex_depths_are_verified(raw, seed):
     plex = scrambled(pm.raw_to_bundle(raw), seed).plex
-    # A simplicial mesh keeps its guessed depths, cone size - 1, and mirrors
-    # its heights: nothing is relaxed, and the support is not built.
+    # A simplicial mesh has depths cone size - 1 and heights dim - depth,
+    # checked without building the support.
     assert "_support" not in vars(plex)
     assert_strata_match(plex)
-    # A cell one face short or covering an extra vertex is guessed wrong,
-    # and its strata must be relaxed to the oracle's, still without the
-    # support.
+    # A cell one face short or covering an extra vertex, or any point one
+    # cone point short, is refused, naming the first bad point.
     rng = np.random.default_rng(seed)
     cones = plex.cones()
     cell = int(rng.choice(plex.height_stratum(0)))
     vertex = int(rng.choice(np.setdiff1d(plex.depth_stratum(0), cones[cell])))
-    for cone in (cones[cell][1:], cones[cell] + (vertex,)):
-        relaxed = plex_from_cones(plex.dim, cones[:cell] + [cone] + cones[cell + 1:])
-        assert "_support" not in vars(relaxed)
-        assert_strata_match(relaxed)
+    point = int(rng.choice((plex.depths > 0).nonzero()[0]))
+    for p, cone in ((cell, cones[cell][1:]), (cell, cones[cell] + (vertex,)),
+                    (point, cones[point][1:])):
+        assert_refused(plex.dim, cones[:p] + [cone] + cones[p + 1:])
 
 
 def test_support_built_on_first_use():
@@ -417,7 +389,7 @@ def test_reorder_pipeline_derives_each_vertex_graph_once(corpus, monkeypatch):
     assert "_vertex_graph" in vars(plex)
     assert pm.p1_pattern(reordered).nnz == before.nnz
     assert [id(p) for p in derived] == [id(bundle.plex)] and not calls
-    assert_same_arrays(plex._vertex_graph, joined_vertex_graph(plex))
+    assert_same_arrays(plex._vertex_graph, edge_vertex_graph(plex))
 
 
 def test_distribute_pipeline_constructs_only_the_global_plex(corpus, monkeypatch):
@@ -451,43 +423,55 @@ def test_partition_overlap_reuses_the_cell_graph(corpus, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("name", ["grid4", "grid32", "cube"])
-def test_pipeline_never_peels(corpus, name, monkeypatch):
-    # Every plex the pipeline builds, gather_to_root's included, is
-    # simplicial, so its guessed depths check out.
-    def relax(*_):
-        raise AssertionError("strata relaxed")
-
-    monkeypatch.setattr(pm.Plex, "_longest_paths", relax)
-    bundle = pm.raw_to_bundle(corpus[name])
-    graph = pm.build_dual_graph(bundle.plex)
-    centroids = pm.cell_centroids(bundle)
-    for nparts in (1, 4):
-        for method in ("greedy-bfs", "coordinate-bisection"):
-            pmap = pm.partition_cells(graph, nparts, method, coords=centroids)
-            locals_, sf, _ = pm.migrate(bundle, pmap, nparts)
-            assert pm.gather_to_root(locals_, sf) == bundle
-            for lm in locals_:
-                plex = lm.bundle.plex
-                reordered = pm.apply_permutation(lm.bundle, pm.rcm_ordering(plex))
-                assert pm.p1_pattern(reordered).nnz > 0
-
-
 def assert_same_arrays(got, want) -> None:
     for a, b in zip(got, want, strict=True):
         assert (a.dtype, a.shape, a.tolist()) == (b.dtype, b.shape, b.tolist())
 
 
-def bfs_vertex_closures(plex: pm.Plex, points) -> np.ndarray:
-    """vertex_closures through the closure BFS alone, without vertex tables."""
-    with mock.patch.object(pm.Plex, "_vertex_table", return_value=None):
-        return plex.vertex_closures(points)
+def closure_vertex_rows(plex: pm.Plex, points) -> np.ndarray:
+    """vertex_closures of points of one depth, from each point's oracle closure."""
+    vertex_number = (plex.depths == 0).cumsum() - 1
+    rows = [[int(vertex_number[q]) for q in oracle.closure(plex, p) if plex.depths[q] == 0]
+            for p in points]
+    return np.array(rows, dtype=np.int64).reshape(len(rows), len(rows[0]) if rows else 0)
 
 
-def joined_vertex_graph(plex: pm.Plex):
-    """The vertex graph by the generic build, vertices joined through depth 1."""
-    return plex._joined(plex.depths == 0, (plex._cone_offsets, plex._cone_targets),
-                        plex.depth_stratum(1))
+def edge_vertex_graph(plex: pm.Plex):
+    """The vertex graph by the generic build: vertices sharing an edge's cone."""
+    offsets, targets = pm.plex._csr_rows(plex._cone_offsets, plex._cone_targets,
+                                         plex.depth_stratum(1))
+    return pm.plex._adjacency(plex.num_vertices, offsets,
+                              ((plex.depths == 0).cumsum() - 1)[targets])
+
+
+def assert_constructed_alike(plex: pm.Plex) -> None:
+    """plex equals the plex the constructor makes from its cones, with the
+    same strata and vertex tables."""
+    want = pm.Plex(plex.dim, plex._cone_offsets, plex._cone_targets)
+    assert plex == want
+    assert_same_arrays([plex.depths, plex.heights], [want.depths, want.heights])
+    assert_same_arrays(plex._vertex_tables, want._vertex_tables)
+
+
+def test_pipeline_plexes_pass_the_constructor(corpus):
+    # Every plex the pipeline makes without __init__ (migrate's rank plexes,
+    # cut by Plex._cut, and apply_permutation's, by Plex._permuted) and
+    # gather_to_root's is one the constructor accepts.
+    for name, raw in corpus.items():
+        bundle = pm.raw_to_bundle(raw)
+        graph = pm.build_dual_graph(bundle.plex)
+        centroids = pm.cell_centroids(bundle)
+        for nparts in range(1, min(8, raw.num_cells) + 1):
+            for method in ("greedy-bfs", "coordinate-bisection"):
+                pmap = pm.partition_cells(graph, nparts, method, coords=centroids)
+                locals_, sf, _ = pm.migrate(bundle, pmap, nparts)
+                gathered = pm.gather_to_root(locals_, sf)
+                assert gathered == bundle
+                assert_constructed_alike(gathered.plex)
+                for lm in locals_:
+                    assert_constructed_alike(lm.bundle.plex)
+                    perm = pm.rcm_ordering(lm.bundle.plex)
+                    assert_constructed_alike(pm.apply_permutation(lm.bundle, perm).plex)
 
 
 def rebuilt(plex: pm.Plex, perm: pm.Permutation) -> pm.Plex:
@@ -499,29 +483,24 @@ def rebuilt(plex: pm.Plex, perm: pm.Permutation) -> pm.Plex:
 
 
 def assert_derived_relations_match(plex: pm.Plex, seed: int) -> None:
-    """Every stratum's vertex table rows equal the BFS rows, the vertex
-    graph the generic build, and _permuted a rebuilt plex, under a random
-    and the RCM permutation, with the graph carried once built."""
+    """Every stratum's vertex table rows equal the oracle closures' vertex
+    rows, the vertex graph the generic build, and _permuted a rebuilt plex,
+    under a random and the RCM permutation, with the graph carried once built."""
     rng = np.random.default_rng(seed)
     for d in range(plex.dim + 1):
         stratum = plex.depth_stratum(d)
         for points in (stratum, rng.permutation(stratum)[:rng.integers(stratum.size + 1)]):
-            try:
-                want = bfs_vertex_closures(plex, points)
-            except ValueError:
-                with pytest.raises(ValueError, match="differing vertex counts"):
-                    plex.vertex_closures(points)
-            else:
-                assert_same_arrays([plex.vertex_closures(points)], [want])
+            assert_same_arrays([plex.vertex_closures(points)],
+                               [closure_vertex_rows(plex, points)])
     assert "_vertex_graph" not in vars(plex._permuted(pm.Permutation.identity(plex.chart_size)))
-    assert_same_arrays(plex._vertex_graph, joined_vertex_graph(plex))
+    assert_same_arrays(plex._vertex_graph, edge_vertex_graph(plex))
     for perm in (pm.Permutation(rng.permutation(plex.chart_size)), pm.rcm_ordering(plex)):
         got, want = plex._permuted(perm), rebuilt(plex, perm)
         # The stored fields of a constructed plex, and the carried graph.
         assert vars(got).keys() == vars(want).keys() | {"_vertex_graph"}
-        assert got == want and got._graded == want._graded
+        assert got == want
         assert_same_arrays([got.depths, got.heights], [want.depths, want.heights])
-        assert_same_arrays(got._vertex_graph, joined_vertex_graph(want))
+        assert_same_arrays(got._vertex_graph, edge_vertex_graph(want))
 
 
 @PROPERTY
@@ -529,14 +508,7 @@ def assert_derived_relations_match(plex: pm.Plex, seed: int) -> None:
 def test_derived_relations_match_oracles(raw, seed):
     built = pm.raw_to_bundle(raw)
     for bundle in (built, scrambled(built, seed)):
-        assert all(bundle.plex._vertex_table(d) is not None for d in range(raw.dim + 1))
         assert_derived_relations_match(bundle.plex, seed)
-        # A cell one face short has its depth relaxed and no cell table.
-        cones = bundle.plex.cones()
-        cell = int(bundle.plex.height_stratum(0)[0])
-        short = plex_from_cones(raw.dim, cones[:cell] + [cones[cell][1:]] + cones[cell + 1:])
-        assert short._vertex_table(raw.dim) is None
-        assert_derived_relations_match(short, seed)
 
 
 @PROPERTY
@@ -547,82 +519,94 @@ def test_built_vertex_tables_match_the_unions(raw):
     plex = pm.build_from_cells(raw.cells, raw.num_vertices, raw.dim)
     assert len(vars(plex)["_vertex_tables"]) == raw.dim + 1
     fresh = pm.Plex(raw.dim, plex._cone_offsets, plex._cone_targets)
-    assert_same_arrays([plex._vertex_table(d) for d in range(raw.dim + 1)],
-                       [fresh._vertex_table(d) for d in range(raw.dim + 1)])
-
-
-def one_face_short(bundle: pm.MeshBundle) -> pm.MeshBundle:
-    """The bundle with a boundary facet dropped from its cell's cone: the
-    facet is left with no support, so its height is not top - depth."""
-    plex = bundle.plex
-    facet = next(int(f) for f in plex.height_stratum(1) if plex.support(f).size == 1)
-    cones = plex.cones()
-    cell = int(plex.support(facet)[0])
-    cones[cell] = tuple(q for q in cones[cell] if q != facet)
-    return pm.MeshBundle(plex_from_cones(plex.dim, cones), bundle.coordinates, bundle.labels)
+    assert "_vertex_tables" not in vars(fresh)
+    assert_same_arrays(plex._vertex_tables, fresh._vertex_tables)
 
 
 @PROPERTY
 @given(raw=meshes, seed=seeds, nparts=st.integers(1, 8))
 def test_derived_relations_match_oracles_on_rank_meshes(raw, seed, nparts):
-    # Rank plexes cut from a graded global plex equal the ones the
-    # constructor builds from their cones, vertex tables included; others
-    # go through the constructor and hold no table until one is asked for.
+    # Rank plexes cut from the global plex equal the ones the constructor
+    # builds from their cones, vertex tables included.
     built = pm.raw_to_bundle(raw)
     nparts = min(nparts, raw.num_cells)
     built_map = pm.partition_cells(pm.build_dual_graph(built.plex), nparts)
     shuffled = scrambled(built, seed)
-    for bundle, pmap, cut in (
-            (built, built_map, True),
-            (shuffled, pm.partition_cells(pm.build_dual_graph(shuffled.plex), nparts), True),
-            # The dropped facet is a cell of its own, the last, sent to rank 0.
-            (one_face_short(built), pm.PartitionMap(np.append(built_map.ranks, 0), nparts),
-             False)):
+    for bundle, pmap in (
+            (built, built_map),
+            (shuffled, pm.partition_cells(pm.build_dual_graph(shuffled.plex), nparts))):
         plex = bundle.plex
         for lm in pm.migrate(bundle, pmap, nparts)[0]:
             got, want = lm.bundle.plex, oracle.rank_plex(plex, lm.local_to_global)
             assert vars(got).keys() - {"_vertex_tables"} == vars(want).keys()
-            assert ("_vertex_tables" in vars(got)) == cut
-            assert got == want and got._graded == want._graded
+            assert "_vertex_tables" in vars(got)
+            assert got == want
             assert_same_arrays([got.depths, got.heights], [want.depths, want.heights])
-            for d in range(raw.dim + 1):
-                tables = [got._vertex_table(d), want._vertex_table(d)]
-                assert (tables[0] is None) == (tables[1] is None)
-                if tables[0] is not None:
-                    assert_same_arrays(*tables)
-            assert not cut or got._vertex_table(raw.dim) is not None
+            assert_same_arrays(got._vertex_tables, want._vertex_tables)
             assert_derived_relations_match(got, seed)
 
 
-@pytest.mark.parametrize("cones", [
-    # Triangle 11's edges share no vertex; triangle 12 closes.
-    [()] * 6 + [(0, 1), (2, 3), (4, 5), (1, 2), (0, 2), (6, 7, 8), (6, 9, 10)],
-    # Triangle 7 covers edge (1, 2) twice, so vertex 1 three times.
-    [()] * 3 + [(0, 1), (1, 2), (1, 2), (0, 2), (3, 4, 5), (3, 4, 6)],
-], ids=["open", "repeated-edge"])
-def test_vertex_tables_refuse_triangles_that_do_not_close(cones):
-    plex = plex_from_cones(2, cones)
-    assert plex._graded and plex._vertex_table(1) is not None
-    assert plex._vertex_table(2) is None
-    cells = plex.depth_stratum(2)
-    rows = [[int(v) for v in oracle.closure(plex, c) if plex.depths[v] == 0] for c in cells]
-    for c, row in zip(cells, rows):
-        assert plex.vertex_closures([c]).tolist() == [row]
-    if len({len(row) for row in rows}) > 1:
-        with pytest.raises(ValueError, match="differing vertex counts"):
-            plex.vertex_closures(cells)
+@PROPERTY
+@given(raw=meshes, seed=seeds)
+def test_swapped_cone_point_refused_as_the_oracles_refuse(raw, seed):
+    # A point's cone point swapped for another one depth down: the
+    # constructor refuses what the contract oracle refuses; otherwise the
+    # cell vertex rows come out of the vertex tables exactly when the
+    # simplex oracle finds every cone closing, else its message.
+    plex = scrambled(pm.raw_to_bundle(raw), seed).plex
+    rng = np.random.default_rng(seed)
+    cones = plex.cones()
+    p = int(rng.choice((plex.depths > 0).nonzero()[0]))
+    others = np.setdiff1d(plex.depth_stratum(plex.depths[p] - 1), cones[p])
+    if not others.size:
+        return
+    cone = list(cones[p])
+    cone[rng.integers(len(cone))] = int(rng.choice(others))
+    cones[p] = tuple(cone)
+    if oracle.plex_refusal(plex.dim, cones) is not None:
+        assert_refused(plex.dim, cones)
+        return
+    swapped = plex_from_cones(plex.dim, cones)
+    cells = swapped.height_stratum(0)
+    want = oracle.simplex_refusal(swapped)
+    if want is None:
+        assert_same_arrays([swapped.vertex_closures(cells)], [closure_vertex_rows(swapped, cells)])
     else:
-        assert plex.vertex_closures(cells).tolist() == rows
-    assert_derived_relations_match(plex, 0)
+        with pytest.raises(ValueError) as err:
+            swapped.vertex_closures(cells)
+        assert str(err.value) == want
 
 
-def test_vertex_tables_need_a_graded_plex():
-    # Cell 6 covers vertex 2 beside edges (0, 1) and (0, 2), so its closure
-    # meets vertex 2 a level before the others: the row does not ascend.
-    plex = plex_from_cones(2, [()] * 3 + [(0, 1), (0, 2), (1, 2), (3, 4, 2)])
-    assert not plex._graded and plex._vertex_table(1) is None
-    assert plex.vertex_closures([6]).tolist() == [[2, 0, 1]]
-    assert_derived_relations_match(plex, 0)
+OPEN_CONES = {
+    # Triangle 11's edges share no vertex; triangle 12 closes.
+    "open": (2, [()] * 6 + [(0, 1), (2, 3), (4, 5), (1, 2), (0, 2), (6, 7, 8), (6, 9, 10)], 11),
+    # Triangle 7 covers edge (1, 2) twice, so vertex 1 three times.
+    "repeated-edge": (2, [()] * 3 + [(0, 1), (1, 2), (1, 2), (0, 2), (3, 4, 5), (3, 4, 6)], 7),
+    # Segment 1 covers vertex 0 twice.
+    "repeated-vertex": (1, [(), (0, 0)], 1),
+}
+
+
+@pytest.mark.parametrize("dim,cones,point", OPEN_CONES.values(), ids=OPEN_CONES.keys())
+def test_cones_that_do_not_close_are_refused(dim, cones, point):
+    # Graded and accepted by the constructor, but a cone's vertex sets are
+    # not a simplex's facets: every query reading the vertex tables or the
+    # vertex graph refuses, naming the point, whichever depth it asks for.
+    plex = plex_from_cones(dim, cones)
+    message = f"point {point}: the vertex sets of its cone do not form a simplex"
+    assert oracle.simplex_refusal(plex) == message
+    coords = pm.Field("coordinates", pm.section_from_depth_dofs(plex, [dim] + [0] * dim),
+                      np.zeros(dim * plex.num_vertices))
+    bundle = pm.MeshBundle(plex, coords)
+    pmap = pm.PartitionMap(np.zeros(plex.num_cells, dtype=np.int64), 1)
+    for query in (lambda: plex.vertex_closures([point]),
+                  lambda: plex.vertex_closures(plex.depth_stratum(0)),
+                  lambda: pm.p1_pattern(bundle), lambda: pm.rcm_ordering(plex),
+                  lambda: pm.migrate(bundle, pmap, 1)):
+        with pytest.raises(ValueError) as err:
+            query()
+        assert str(err.value) == message
+    assert "_vertex_tables" not in vars(plex) and "_vertex_graph" not in vars(plex)
 
 
 @PROPERTY
@@ -895,21 +879,6 @@ def test_partition_and_distribution_match_the_oracles_on_the_benchmark_meshes(ra
     assert pmaps[2].ranks.tolist() == oracle.bisect(pm.cell_centroids(bundle), nparts).tolist()
     for pmap in pmaps:
         assert_distribution_matches_oracles(bundle, pmap)
-
-
-@PROPERTY
-@given(seed=seeds, nparts=st.integers(1, 8))
-def test_close_partition_matches_the_closures_on_non_graded_dags(seed, nparts):
-    # Skip arcs: a point's closures meet it on two levels, and the longest
-    # paths set how many support and cone rounds reach it.
-    plex = plex_from_cones(3, layered_dag(seed))
-    assert not plex._graded
-    ranks = np.random.default_rng(seed).integers(0, nparts, plex.num_cells)
-    pmap = pm.PartitionMap(ranks, nparts)
-    msf, owner = pm.close_partition(plex, pmap)
-    want_msf, want_owner = oracle.close_partition_by_closures(plex, pmap)
-    assert_same_forest(msf, want_msf)
-    assert owner.tolist() == want_owner.tolist()
 
 
 def sets_of(labels: dict) -> dict:

@@ -63,10 +63,11 @@ class TestDualGraph:
                 assert c in neighbors_of(graph, n)
 
     def test_non_interpolated_rejected(self):
-        # cells covering vertices directly in 2D is not interpolated
-        plex = plex_from_cones(2, [(2, 3, 4), (3, 5, 4), (), (), (), ()])
-        with pytest.raises(ValueError, match="interpolated"):
-            build_dual_graph(plex)
+        # Cells covering vertices directly in 2D are not interpolated: no
+        # plex, so no dual graph, is made of them.
+        with pytest.raises(ValueError, match=r"^point 0 at depth 2 covers point 2 at depth 0: "
+                                             "a cone arc must drop one depth$"):
+            plex_from_cones(2, [(2, 3, 4), (3, 5, 4), (), (), (), ()])
 
 
 class TestPartitionCells:

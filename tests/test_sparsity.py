@@ -79,13 +79,11 @@ class TestP1Pattern:
 
     def test_quadrilateral_rejected(self):
         # Interpolated but not simplicial: the diagonal vertices of a
-        # quadrilateral share its closure but no edge.
-        plex = plex_from_cones(2, [(5, 6, 7, 8), (), (), (), (), (1, 2), (2, 3), (3, 4),
-                                   (4, 1)])
-        coords = pm.Field("coordinates", pm.section_from_depth_dofs(plex, [2, 0, 0]),
-                          np.array([0, 0, 1, 0, 1, 1, 0, 1], dtype=np.float64))
-        with pytest.raises(ValueError, match="needs a simplicial plex"):
-            p1_pattern(pm.MeshBundle(plex, coords))
+        # quadrilateral share its closure but no edge, so no plex, and no
+        # pattern, is made of it.
+        with pytest.raises(ValueError, match=r"^point 0 has 4 cone points: depth 3 is past "
+                                             "dimension 2$"):
+            plex_from_cones(2, [(5, 6, 7, 8), (), (), (), (), (1, 2), (2, 3), (3, 4), (4, 1)])
 
     def test_columns_strictly_increasing(self, bundles):
         pat = p1_pattern(bundles["grid4"])
