@@ -6,14 +6,16 @@ file and 0-based everywhere else.
 
 The reader takes the whole text as bytes and parses each $Nodes and
 $Elements block from them in chunks of whole lines, 64 KiB at most, with
-one numpy call each (loadtxt for nodes, fromstring for elements) once the
-bytes show numbers both read exactly as int() and float() do.  A chunk of
-other text (a blank or indented line, a '+', a 19-digit tag, a control or
-non-ASCII byte), or one that fails a check, is read again line by line,
-naming the first bad line.  Node tags that fill one range index a map;
-others are searched.  The writer's text is byte-identical to formatting
-each line on its own: node lines fill one %-template repeated per row, and
-integer tables (element blocks, and the spy and partition CSVs elsewhere)
+one numpy call each (loadtxt for nodes, fromstring for elements).  One
+grammar holds for every block line: printable ASCII fields between
+separators (space, tab, VT, FF), any indentation, trailing space or blank
+lines, and integer fields (node tags, every element field) of an optional
+'-' and 1 to 18 digits.  Any other line is refused, and the error names the
+first bad line in file order, found by running the same parse on halves of
+the chunk.  Node tags that fill one range index a map; others are
+searched.  The writer's text is byte-identical to formatting each line on
+its own: node lines fill one %-template repeated per row, and integer
+tables (element blocks, and the spy and partition CSVs elsewhere)
 are written by _int_rows, one digit pass per byte column."""
 
 from __future__ import annotations
@@ -66,6 +68,8 @@ class RawMesh:
     boundary_markers: np.ndarray  # (nb,) int64
 
     def __post_init__(self):
+        if self.dim not in (1, 2, 3):
+            raise ValueError(f"unsupported mesh dimension {self.dim}")
         self.vertices = _shaped(self.vertices, self.dim, "vertices")
         nv = len(self.vertices)
         self.cells = _shaped(self.cells, self.dim + 1, "cells", nv)
@@ -106,6 +110,9 @@ class MeshBundle:
 
     def __post_init__(self):
         sec = self.coordinates.section
+        if sec.num_points != self.plex.chart_size:
+            raise ValueError(f"coordinate section covers {sec.num_points} points, "
+                             f"the plex chart {self.plex.chart_size}")
         dim = self.plex.dim
         on_vertex = sec.dofs[self.plex.depth_stratum(0)]
         if not (np.all(on_vertex == dim) and sec.total_size == on_vertex.size * dim):
@@ -171,138 +178,111 @@ def _ints(fields: list[str], context: str) -> list[int]:
             f"non-integer field in {context} '{' '.join(fields)}'") from None
 
 
-def _split_nodes(block: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Tags and (n, 3) coordinates of the lines of a $Nodes block, one line
-    at a time: the path for text that _parse_nodes refuses, which names the
-    first bad line."""
-    tags, xyz = np.empty(len(block), dtype=np.int64), np.empty((len(block), 3))
-    for k, line in enumerate(block):
-        r = line.split()
-        try:
-            if len(r) != 4:
-                raise ValueError
-            tags[k:k + 1] = np.array(r[:1], dtype=np.int64)
-            xyz[k] = np.array(r[1:], dtype=np.float64)
-        except (ValueError, OverflowError):
-            raise GmshParseError(f"malformed node line '{line}'") from None
-    return tags, xyz
-
-
-def _element_arrays(fields: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, ...] | None:
-    """_parse_elements' arrays from the integers of its lines end to end and
-    the number on each line, or None if some line is bad."""
-    if not (sizes >= 3).all():
-        return None
-    start = _offsets(sizes)[:-1]
-    etype, ntags = fields[start + 1], fields[start + 2]
-    in_table = (etype >= 0) & (etype < len(_TYPE_NODES))
-    want = np.where(in_table, _TYPE_NODES[np.where(in_table, etype, 0)], -1)
-    nnodes = np.maximum(sizes - 3 - ntags, 0)
-    if not ((ntags >= 0) & ((etype == _GMSH_POINT) | (nnodes == want))).all():
-        return None
-    tagged = (ntags > 0) & (sizes > 3)
-    first = np.where(tagged, fields[np.where(tagged, start + 3, 0)], 0)
-    node_off = _offsets(nnodes)
-    at = (np.arange(node_off[-1], dtype=np.int64)
-          + np.repeat(start + 3 + ntags - node_off[:-1], nnodes))
-    return etype, first, nnodes, fields[at]
-
-
-def _split_elements(block: list[str]) -> tuple[np.ndarray, ...]:
-    """_parse_elements' arrays for the lines of an $Elements block, one line
-    at a time: the path for text that _parse_elements refuses, which names
-    the first bad line."""
-    fields, sizes = [], []
-    for line in block:
-        parts = _ints(line.split(), "element line")
-        if len(parts) < 3 or parts[2] < 0:
-            raise GmshParseError("malformed element line")
-        etype, ntags = parts[1], parts[2]
-        if etype != _GMSH_POINT:
-            if etype not in _ELEMENT_TYPES:
-                raise GmshParseError(f"unsupported element type {etype}")
-            nnodes = _ELEMENT_TYPES[etype][1]
-            if len(parts[3 + ntags:]) != nnodes:
-                raise GmshParseError(
-                    f"type-{etype} element needs {nnodes} nodes, got {len(parts[3 + ntags:])}")
-        fields += parts
-        sizes.append(len(parts))
-    return _element_arrays(np.array(fields, dtype=np.int64), np.array(sizes, dtype=np.int64))
-
-
-# The bytes a block's text may hold for numpy to parse it: integers, or
-# any printable ASCII.  The only separators are space, tab and (between
-# lines) newline, so numpy and str.split find the same tokens.
-_INT_BYTES = b"0123456789- \t\n"
-_TEXT_BYTES = bytes(range(32, 127)) + b"\t\n"
-# Longest integer token parsed in numpy: 18 digits never overflow an int64.
-_INT_CHARS = 18
+# The bytes a block line may hold: printable ASCII fields between
+# separators (space, tab, VT, FF; a text stream's lone CR is a space by
+# then), ended by a newline.  Both numpy parsers split fields at each of these.
+_TEXT_BYTES = bytes(range(32, 127)) + b"\t\n\v\f"
+# Longest integer field: 18 digits never overflow an int64.
+_INT_DIGITS = 18
 _NODE_ROW = np.dtype([("tag", np.int64), ("xyz", np.float64, 3)])
 
 
-def _plain_lines(raw: bytes, allowed: bytes) -> tuple[np.ndarray, np.ndarray] | None:
-    """Newline-ended lines as uint8 bytes and the offset of each line; None
-    if a byte is not in `allowed` or a line is blank or indented."""
-    if raw.translate(None, allowed):
+def _fields(raw: bytes) -> tuple[np.ndarray, ...] | None:
+    """Newline-ended lines as uint8 bytes, the start and end of each field
+    and the number of fields on each line; None if a byte is not in _TEXT_BYTES."""
+    if raw.translate(None, _TEXT_BYTES):
         return None
     b = np.frombuffer(raw, dtype=np.uint8)
-    starts = np.concatenate(([0], np.flatnonzero(b[:-1] == 10) + 1))
-    return None if (b[starts] <= 32).any() else (b, starts)
+    edges = np.flatnonzero(np.diff(b <= 32, prepend=True))  # the last byte is a gap
+    starts, ends = edges[0::2], edges[1::2]
+    return b, starts, ends, np.diff(np.searchsorted(starts, np.flatnonzero(b == 10)), prepend=0)
 
 
-def _parse_nodes(raw: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+def _plain_ints(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether each field b[start:end] is an optional '-' and 1 to
+    _INT_DIGITS digits: text that int() and numpy read alike, in an int64
+    (older numpy reads a float as an int with only a warning)."""
+    sign = b[starts] == 45
+    digits = ends - starts - sign
+    odd = np.flatnonzero((b - 48 > 9) & (b > 32))  # neither a digit nor a gap
+    at = np.searchsorted(starts, odd, "right") - 1  # the last field starting at or before it
+    inside = (at >= 0) & (odd < ends[at])
+    return bool(((digits >= 1) & (digits <= _INT_DIGITS)).all()
+                and (sign[at] & (odd == starts[at]))[inside].all())
+
+
+def _parse_nodes(raw: bytes) -> tuple[np.ndarray, np.ndarray] | str:
     """Tags and (n, 3) coordinates of newline-ended $Nodes lines, by one
-    loadtxt call, which reads them as float() and int() do once every tag
-    is checked to be an optional '-' and digits, at most _INT_CHARS bytes in
-    all (older numpy reads a float as an int with only a warning); None for
-    text that _split_nodes must read."""
-    plain = _plain_lines(raw, _TEXT_BYTES)
-    if plain is None:
-        return None
-    b, starts = plain
-    # The first _INT_CHARS + 1 bytes of each line (a tag starts each one and
-    # a newline ends it): digits, then a gap.
-    head = b[np.minimum(starts[:, None] + np.arange(_INT_CHARS + 1), len(b) - 1)]
-    sign = head[:, 0] == 45
-    other = (head < 48) | (head > 57)
-    other[:, 0] &= ~sign
-    # The first non-digit past a leading '-': a gap, after at least one digit.
-    stop = other.argmax(axis=1)
-    if not ((head[np.arange(len(starts)), stop] <= 32).all() and (stop > sign).all()):
-        return None
+    loadtxt call once every tag is a plain integer; for a refused line, the
+    message naming it."""
+    fields = _fields(raw)
+    if fields is None:
+        return "malformed node line '{line}'"
+    b, starts, ends, sizes = fields
+    tag = (np.cumsum(sizes) - sizes)[sizes > 0]
+    if not len(tag):
+        return np.empty(0, dtype=np.int64), np.empty((0, 3))
+    if not _plain_ints(b, starts[tag], ends[tag]):
+        return "malformed node line '{line}'"
     try:
         rows = np.loadtxt(raw.decode("ascii").split("\n")[:-1], dtype=_NODE_ROW,
                           comments=None, ndmin=1)
     except ValueError:
-        return None
+        return "malformed node line '{line}'"
     return rows["tag"], rows["xyz"]
 
 
-def _parse_elements(raw: bytes) -> tuple[np.ndarray, ...] | None:
+def _parse_elements(raw: bytes) -> tuple[np.ndarray, ...] | str:
     """Type, first tag (0 if none) and node count of each newline-ended
     $Elements line, plus all their node tags end to end, by one fromstring
-    call once the bytes show only integers that fit an int64; None for text
-    that _split_elements must read.  Point lines are not checked: they only
+    call once every field is a plain integer; for a refused line, the
+    message naming it.  Point lines' node counts are not checked: they only
     matter in a 1D mesh, which is known once every block is read."""
-    plain = _plain_lines(raw, _INT_BYTES)
-    if plain is None:
-        return None
-    b, starts = plain
-    gap = b <= 32
-    start = np.empty_like(gap)
-    start[0], start[1:] = True, gap[:-1] > gap[1:]
-    token_starts = start.nonzero()[0]
-    ends = (gap[1:] > gap[:-1]).nonzero()[0] + 1
-    minus = (b == 45).nonzero()[0]
-    # A '-' follows a gap (the last byte, for the first) and precedes a digit.
-    if ((ends - token_starts > _INT_CHARS).any() or (b[minus - 1] > 32).any()
-            or (b[minus + 1] < 48).any()):
-        return None
-    # Every token is a plain integer now, so fromstring cannot stop early.
-    fields = np.fromstring(raw, dtype=np.int64, sep=" ")
-    if len(fields) != len(token_starts):
-        return None
-    return _element_arrays(fields, np.add.reduceat(start, starts, dtype=np.int64))
+    fields = _fields(raw)
+    if fields is None or not _plain_ints(*fields[:3]):
+        return "non-integer field in element line '{fields}'"
+    _, starts, _, sizes = fields
+    # Every field is a plain integer now, so fromstring reads each of them
+    # (blank text alone it would read as [0]).
+    ints = (np.fromstring(raw, dtype=np.int64, sep=" ") if len(starts)
+            else np.empty(0, dtype=np.int64))
+    sizes = sizes[sizes > 0]
+    start = _offsets(sizes)[:-1]
+    if (sizes < 3).any() or (ints[start + 2] < 0).any():
+        return "malformed element line"
+    etype, ntags = ints[start + 1], ints[start + 2]
+    in_table = (etype >= 0) & (etype < len(_TYPE_NODES))
+    want = np.where(in_table, _TYPE_NODES[np.where(in_table, etype, 0)], -1)
+    if (want < 0).any():
+        return f"unsupported element type {etype[want < 0][0]}"
+    nnodes = np.maximum(sizes - 3 - ntags, 0)
+    wrong = (nnodes != want) & (etype != _GMSH_POINT)
+    if wrong.any():
+        k = wrong.argmax()
+        return f"type-{etype[k]} element needs {want[k]} nodes, got {nnodes[k]}"
+    tagged = (ntags > 0) & (sizes > 3)
+    first = np.where(tagged, ints[np.where(tagged, start + 3, 0)], 0)
+    node_off = _offsets(nnodes)
+    at = (np.arange(node_off[-1], dtype=np.int64)
+          + np.repeat(start + 3 + ntags - node_off[:-1], nnodes))
+    return etype, first, nnodes, ints[at]
+
+
+def _refusal(raw: bytes, parse, encoding: str) -> GmshParseError:
+    """The error for the first of raw's lines that parse refuses alone,
+    found by halving: parse takes any run of lines and refuses a run iff
+    it refuses one of its lines.  Only that line is decoded."""
+    lines = raw.splitlines(keepends=True)  # raw holds no CR
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if isinstance(parse(b"".join(lines[lo:mid])), str):
+            hi = mid
+        else:
+            lo = mid
+    line, fields = (text.decode(encoding, "surrogatepass")
+                    for text in (lines[lo].strip(), b" ".join(lines[lo].split())))
+    return GmshParseError(parse(lines[lo]).format(line=line, fields=fields))
 
 
 # Bytes of a block parsed in one step; bounds the reader's transient memory.
@@ -319,12 +299,16 @@ def read_gmsh(stream: IO) -> RawMesh:
     anything else of lower dimension.  A file of points alone has no cells.
     Bytes read from the stream are ASCII text with universal newlines; text
     ends lines at LF, with CRLF read as LF and a lone CR as a field separator.
+    Block lines follow the module's one grammar, so a '+' or '_' in an
+    integer, a 19-digit integer (zero-padded too), a non-ASCII digit or a
+    byte 0x1c-0x1f is refused with its line named, though int() and
+    str.split would read it.
     """
     buf = stream.read()
     if isinstance(buf, bytes) and b"\r" in buf:  # universal newlines
         buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    text = (_Text(buf, "ascii") if isinstance(buf, bytes)
-            else _Text(buf.replace("\r\n", "\n").encode("utf-8", "surrogatepass"), "utf-8"))
+    text = (_Text(buf, "ascii") if isinstance(buf, bytes) else _Text(
+        buf.replace("\r\n", "\n").replace("\r", " ").encode("utf-8", "surrogatepass"), "utf-8"))
     blocks: dict[str, list] = {"Nodes": [], "Elements": []}
     saw_format = False
     while (line := text.line()) is not None:
@@ -352,17 +336,14 @@ def read_gmsh(stream: IO) -> RawMesh:
             n = _ints([text.line(line)], f"{line} count")[0]
             if n < 0:
                 raise GmshParseError(f"negative {line} count {n}")
-            parse, split = ((_parse_nodes, _split_nodes) if section == "Nodes"
-                            else (_parse_elements, _split_elements))
+            parse = _parse_nodes if section == "Nodes" else _parse_elements
             if not n:
-                blocks[section].append(split([]))
-            # One chunk at a time; one numpy refuses is split line by line.
-            while n:
+                blocks[section].append(parse(b""))
+            while n:  # one chunk at a time
                 raw = text.lines(n, line)
                 arrays = parse(raw)
-                if arrays is None:
-                    arrays = split([s for s in map(str.strip, raw.decode(
-                        text.encoding, "surrogatepass").split("\n")) if s])
+                if isinstance(arrays, str):
+                    raise _refusal(raw, parse, text.encoding)
                 blocks[section].append(arrays)
                 n -= len(arrays[0])
             if text.line(line) != f"$End{section}":

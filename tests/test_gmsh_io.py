@@ -10,6 +10,8 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _oracles as oracle
 import plexmesh as pm
@@ -147,16 +149,18 @@ class TestRead:
         assert pm.read_gmsh_file(path) == parse(text)
 
     def test_crlf_stream(self):
-        # A text stream's CRLF is read as LF before parsing, so its blocks
-        # take the numpy path as LF text does; a lone CR stays a field
-        # separator (the tag-cr refusal case).
+        # A text stream's CRLF is read as LF before parsing, so each of its
+        # chunks is parsed once, as LF text is; a lone CR is a field
+        # separator (the tag-cr case).
         text = pm.write_gmsh(pm.triangle_grid(40, 40))
-        refuse = mock.Mock(side_effect=AssertionError("line path taken"))
-        with mock.patch.object(gmsh_io, "_split_nodes", refuse), \
-                mock.patch.object(gmsh_io, "_split_elements", refuse):
-            got = parse(text.replace("\n", "\r\n"))
-        assert not refuse.called
-        assert got == parse(text)
+        calls = {}
+        for lines in (text, text.replace("\n", "\r\n")):
+            loadtxt, fromstring = mock.Mock(wraps=np.loadtxt), mock.Mock(wraps=np.fromstring)
+            with mock.patch.object(np, "loadtxt", loadtxt), \
+                    mock.patch.object(np, "fromstring", fromstring):
+                calls[lines] = parse(lines), loadtxt.call_count, fromstring.call_count
+        assert calls[text][1:] == (1, 2)  # one chunk of nodes, two of elements
+        assert calls[text.replace("\n", "\r\n")] == calls[text]
 
     def test_read_memory_is_bounded(self, tmp_path):
         # The file's bytes are held whole but parsed a chunk at a time, so
@@ -261,17 +265,6 @@ def outcome(read, *args):
         return f"GmshParseError: {exc}"
 
 
-def assert_same_arrays(got, want):
-    """Equal messages, or tuples of arrays equal in dtype, shape and bytes."""
-    if isinstance(want, str) or isinstance(got, str):
-        assert got == want
-        return
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert (a.dtype, a.shape) == (b.dtype, b.shape)
-        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
-
-
 # Three nodes and one triangle; each case below swaps one line for another.
 NODE_LINES = ["1 0 0 0", "2 1 0 0", "3 0 1 0"]
 ELEMENT_LINES = ["1 2 2 7 7 1 2 3"]
@@ -287,31 +280,52 @@ def swapped(block: str, line: str) -> tuple[list[str], list[str]]:
     return nodes, elements
 
 
-def check_block_parsers(block: str, nodes: list[str], elements: list[str]) -> None:
-    """numpy's parse of the swapped block, or the per-line split that reads
-    what it refuses, gives what the per-line split gives.
-
-    loadtxt only ever sees plain integer tags, which every numpy version
-    reads alike (older ones read a float tag as an int with a warning).
-    fromstring needs no such check here: it is called outside any handler,
-    so a ValueError (or, with warnings as errors, an older numpy's warning)
-    from it fails the test."""
-    lines = nodes if block == "Nodes" else elements
-    fast, split = {"Nodes": (gmsh_io._parse_nodes, gmsh_io._split_nodes),
-                   "Elements": (gmsh_io._parse_elements, gmsh_io._split_elements)}[block]
+def read_plain_tags(text: str):
+    """read_gmsh's outcome for text, checking that loadtxt only ever sees
+    plain integer tags, which every numpy version reads alike (older ones
+    read a float tag as an int with a warning).  fromstring needs no such
+    check here: a ValueError (or, with warnings as errors, an older numpy's
+    warning) from it fails the test."""
     loadtxt, seen = np.loadtxt, []
     with mock.patch.object(np, "loadtxt", lambda rows, **kw: seen.extend(rows) or loadtxt(rows, **kw)):
-        raw = "".join(line + "\n" for line in lines).encode()
-        # The reader hands no chunk of an empty block to numpy.
-        got = outcome(lambda: (fast(raw) if raw else None) or split(lines))
-    tags = [row.split()[0] for row in seen]
-    assert all(len(t) <= 18 and re.fullmatch(r"-?[0-9]+", t) for t in tags), tags
-    assert_same_arrays(got, outcome(split, lines))
+        got = outcome(pm.read_gmsh, io.StringIO(text))
+    tags = [row.split()[0] for row in seen if row.strip()]
+    assert all(re.fullmatch(r"-?[0-9]{1,18}", t) for t in tags), tags
+    return got
+
+
+# Lines int() and str.split read but the one block grammar refuses, each
+# named in full; the oracle reads every one of them.
+CUT = [
+    ("Elements", "1 2 2 9223372036854775807 7 1 2 3"),
+    ("Elements", "1 2 2 -9223372036854775808 7 1 2 3"),
+    ("Nodes", "0000000000000000002 1 0 0"),
+    ("Elements", "1 2 2 7 7 1 0000000000000000002 3"),
+    ("Nodes", "+2 1 0 0"),
+    ("Elements", "1 2 2 +5 7 1 2 3"),
+    ("Nodes", "2 1_0 0 0"),
+    ("Elements", "1 2 2 1_0 7 1 2 3"),
+    ("Nodes", "2 \u0663 0 0"),
+    ("Elements", "1 2 2 \u0663 7 1 2 3"),
+    ("Nodes", "2\x1c1 0 0"),
+    ("Elements", "1 2 2 7\x1f7 1 2 3"),
+    ("Nodes", "2\u00a01 0 0"),
+]
+CUT_IDS = ["field-int64-max", "field-int64-min", "tag-zero-padded-19",
+           "field-zero-padded-19", "tag-plus", "field-plus", "coordinate-underscore",
+           "field-underscore", "arabic-indic-coordinate", "arabic-indic-field", "tag-x1c",
+           "field-x1f", "no-break-space"]
+
+
+def refusal(block: str, line: str) -> str:
+    """The message naming a refused line of a block."""
+    what = "malformed node line" if block == "Nodes" else "non-integer field in element line"
+    return f"GmshParseError: {what} '{line}'"
 
 
 class TestFastParse:
-    """Text the numpy parse refuses goes to the per-line split, which reads
-    it (or names its bad line) as before."""
+    """numpy alone parses block lines: what it reads, or the first line it
+    refuses, is what the oracle gives, but for the cut list."""
 
     @pytest.mark.parametrize("block,line,want", [
         ("Nodes", "2.0 1 0 0", "malformed node line '2.0 1 0 0'"),
@@ -323,54 +337,73 @@ class TestFastParse:
         ("Elements", "1 2 2 - 7 1 2 3", "non-integer field in element line '1 2 2 - 7 1 2 3'"),
         ("Elements", "1 2 2 7 7 1 2 -", "non-integer field in element line '1 2 2 7 7 1 2 -'"),
         ("Elements", "1 2 2 7-7 1 2 3", "non-integer field in element line '1 2 2 7-7 1 2 3'"),
+        ("Elements", "1 2 2 --7 7 1 2 3", "non-integer field in element line '1 2 2 --7 7 1 2 3'"),
         ("Nodes", "- 1 0 0", "malformed node line '- 1 0 0'"),
         ("Nodes", "2 1\u00e9 0 0", "malformed node line '2 1\u00e9 0 0'"),
         ("Elements", "1 2 2 7 7 1 2 3\u00e9",
          "non-integer field in element line '1 2 2 7 7 1 2 3\u00e9'"),
+        ("Elements", "1\t2  2 7 x 1 2 3 ", "non-integer field in element line '1 2 2 7 x 1 2 3'"),
+        ("Nodes", "2  1 0 zero\t", "malformed node line '2  1 0 zero'"),
+        ("Nodes", "2 1 0", "malformed node line '2 1 0'"),
+        ("Elements", "1 2", "malformed element line"),
+        ("Elements", "1 2 -1 7 1 2 3", "malformed element line"),
+        ("Elements", "1 5 2 7 7 1 2 3", "unsupported element type 5"),
+        ("Elements", "1 2 2 7 7 1 2", "type-2 element needs 3 nodes, got 2"),
+        ("Elements", "1 2 9 7 7 1 2 3", "type-2 element needs 3 nodes, got 0"),
         ("Nodes", "2 nan 0 0", "node 2 has a non-finite coordinate"),
         ("Nodes", "2 1 inf 0", "node 2 has a non-finite coordinate"),
         ("Nodes", "2 1 0 1e400", "node 2 has a non-finite coordinate"),
-        ("Elements", "1 2 2 9223372036854775807 7 1 2 3", None),
-        ("Elements", "1 2 2 -9223372036854775808 7 1 2 3", None),
         ("Elements", "1 2 2 -123456789012345678 7 1 2 3", None),
-        ("Nodes", "0000000000000000002 1 0 0", None),
-        ("Elements", "1 2 2 7 7 1 0000000000000000002 3", None),
-        ("Nodes", "+2 1 0 0", None),
-        ("Elements", "1 2 2 +5 7 1 2 3", None),
-        ("Nodes", "2 1_0 0 0", None),
-        ("Elements", "1 2 2 1_0 7 1 2 3", None),
-        ("Nodes", "2 \u0663 0 0", None),
-        ("Elements", "1 2 2 \u0663 7 1 2 3", None),
+        ("Nodes", "000000000000000002 1 0 0", None),
+        ("Elements", "1 2 2 7 7 1 000000000000000002 3", None),
+        ("Nodes", "2 +1.5 -0 0", None),
         ("Nodes", "2\x0b1\x0c0 0", None),
         ("Elements", "1\x0b2\x0c2 7 7 1 2 3", None),
         ("Nodes", "2\r1 0 0", None),
+        ("Nodes", " \t2 1 0 0 \t", None),
+        ("Elements", "\x0c1 2 2 7 7 1 2 3\x0b", None),
+        ("Nodes", "\n \x0b\n2 1 0 0", None),
+        ("Elements", "\n\t\n1 2 2 7 7 1 2 3", None),
     ], ids=["tag-2.0", "tag-1e3", "tag-1.5", "field-2.0", "field-1e3", "field-1.5",
-            "field-minus", "last-field-minus", "inner-minus", "tag-minus", "non-ascii-coordinate", "non-ascii-field", "nan",
-            "inf", "1e400", "int64-max", "int64-min", "18-chars", "tag-zero-padded-19",
-            "field-zero-padded-19", "tag-plus", "field-plus", "coordinate-underscore",
-            "field-underscore", "arabic-indic-coordinate", "arabic-indic-field",
-            "tag-vt-ff", "field-vt-ff", "tag-cr"])
-    def test_refusals_read_as_before(self, block, line, want):
-        nodes, elements = swapped(block, line)
-        check_block_parsers(block, nodes, elements)
-        text = msh(nodes, elements)
-        got = outcome(pm.read_gmsh, io.StringIO(text))
+            "field-minus", "last-field-minus", "inner-minus", "double-minus", "tag-minus",
+            "non-ascii-coordinate", "non-ascii-field", "spaced-element-field",
+            "spaced-node-field", "node-short", "element-short", "negative-ntags",
+            "unsupported-type", "few-nodes", "ntags-past-the-end", "nan", "inf", "1e400",
+            "18-digits", "tag-zero-padded-18", "field-zero-padded-18", "coordinate-signs",
+            "tag-vt-ff", "field-vt-ff", "tag-cr", "node-indented", "element-indented",
+            "node-blank-lines", "element-blank-lines"])
+    def test_lines_read_as_the_oracle_reads(self, block, line, want):
+        text = msh(*swapped(block, line))
+        got = read_plain_tags(text)
         assert got == outcome(oracle.read_gmsh, io.StringIO(text))
         if want is None:
             assert isinstance(got, pm.RawMesh)
         else:
             assert got == f"GmshParseError: {want}"
 
-    @pytest.mark.parametrize("tag", ["9223372036854775807", "-9223372036854775808",
-                                     "123456789012345678", "-12345678901234567"])
-    def test_long_tags(self, tag):
+    @pytest.mark.parametrize("block,line", CUT, ids=CUT_IDS)
+    def test_cut_lines_refused(self, block, line):
+        text = msh(*swapped(block, line))
+        assert isinstance(oracle.read_gmsh(io.StringIO(text)), pm.RawMesh)
+        assert read_plain_tags(text) == refusal(block, line)
+
+    @pytest.mark.parametrize("tag,want", [
+        ("123456789012345678", None),
+        ("-12345678901234567", None),
+        ("-123456789012345678", None),
+        ("9223372036854775807", "malformed node line '9223372036854775807 1 0 0'"),
+        ("-9223372036854775808", "malformed node line '-9223372036854775808 1 0 0'"),
+    ])
+    def test_long_tags(self, tag, want):
+        # A tag of 19 digits is cut, as a node tag (named first) and as a field.
         nodes = ["1 0 0 0", f"{tag} 1 0 0", "3 0 1 0"]
         elements = [f"1 2 2 7 7 1 {tag} 3"]
-        check_block_parsers("Nodes", nodes, elements)
-        check_block_parsers("Elements", nodes, elements)
-        got = parse(msh(nodes, elements))
-        assert got == oracle.read_gmsh(io.StringIO(msh(nodes, elements)))
-        assert got.cells.tolist() == [[0, 1, 2]]
+        got = read_plain_tags(msh(nodes, elements))
+        if want is None:
+            assert got == oracle.read_gmsh(io.StringIO(msh(nodes, elements)))
+            assert got.cells.tolist() == [[0, 1, 2]]
+        else:
+            assert got == f"GmshParseError: {want}"
 
     # The oracle reads Python ints, which never overflow.
     @pytest.mark.parametrize("block,line,want", [
@@ -386,65 +419,120 @@ class TestFastParse:
          "non-integer field in element line '1 2 2 -99999999999999999999 7 1 2 3'"),
     ], ids=["tag", "negative-tag", "tag-int64-max-plus-1", "field", "negative-field"])
     def test_int64_overflow_rejected(self, block, line, want):
-        nodes, elements = swapped(block, line)
-        check_block_parsers(block, nodes, elements)
-        assert outcome(pm.read_gmsh, io.StringIO(msh(nodes, elements))) == f"GmshParseError: {want}"
+        assert read_plain_tags(msh(*swapped(block, line))) == f"GmshParseError: {want}"
 
     @pytest.mark.parametrize("block", ["Nodes", "Elements"])
     def test_empty_block(self, block):
         nodes, elements = (([], ELEMENT_LINES) if block == "Nodes" else (NODE_LINES, []))
-        check_block_parsers(block, nodes, elements)
         text = msh(nodes, elements)
-        got = outcome(pm.read_gmsh, io.StringIO(text))
+        got = read_plain_tags(text)
         assert got == outcome(oracle.read_gmsh, io.StringIO(text))
         assert got == ("GmshParseError: element references unknown node 1" if block == "Nodes"
                        else "GmshParseError: no cells of maximal dimension")
 
-    @pytest.mark.parametrize("mesh", [pm.triangle_grid(8, 8), pm.tet_box(3, 3, 3)],
+    @pytest.mark.parametrize("mesh", [pm.triangle_grid(32, 32), pm.tet_box(3, 3, 3)],
                              ids=["triangle_grid", "tet_box"])
     def test_written_meshes_take_the_numpy_path(self, mesh):
-        # A mesh write_gmsh wrote is parsed by numpy alone and looked up by
-        # index, so neither split nor search may run.
-        refuse = mock.Mock(side_effect=AssertionError("slow path taken"))
+        # A mesh write_gmsh wrote is parsed by one numpy call per chunk and
+        # looked up by index, so no tag is sorted for a search.
         text = pm.write_gmsh(mesh)
-        with mock.patch.object(gmsh_io, "_split_nodes", refuse), \
-                mock.patch.object(gmsh_io, "_split_elements", refuse), \
-                mock.patch.object(np, "searchsorted", refuse):
+        chunks = mock.Mock(wraps=gmsh_io._Text.lines)
+        loadtxt, fromstring = mock.Mock(wraps=np.loadtxt), mock.Mock(wraps=np.fromstring)
+        refuse = mock.Mock(side_effect=AssertionError("tags sorted for a search"))
+        with mock.patch.object(gmsh_io._Text, "lines", lambda self, *a: chunks(self, *a)), \
+                mock.patch.object(np, "loadtxt", loadtxt), \
+                mock.patch.object(np, "fromstring", fromstring), \
+                mock.patch.object(np, "argsort", refuse), \
+                mock.patch.object(gmsh_io, "_CHUNK_BYTES", 999):
             got = parse(text)
         assert got == oracle.read_gmsh(io.StringIO(text))
+        blocks = [call.args[2] for call in chunks.call_args_list]
+        assert loadtxt.call_count == blocks.count("$Nodes") > 1
+        assert fromstring.call_count == blocks.count("$Elements") > 1
         assert not refuse.called
 
-    @pytest.mark.parametrize("block,old,new,want", [
-        ("Nodes", "1051 ", "+1051 ", None),
-        ("Nodes", "1051 ", "1051\x0b", None),
-        ("Elements", "1051 2 ", "1051 +2 ", None),
-        ("Elements", "1051 2 ", "1051\x0b2 ", None),
-        ("Nodes", "1051 ", "1051.0 ", "malformed node line '1051.0 "),
-        ("Elements", "1051 2 2 ", "1051 2 2 1.5 ", "non-integer field in element line '1051 2 2 1.5 "),
-    ], ids=["tag-plus", "tag-vt", "type-plus", "field-vt", "tag-1051.0", "field-1.5"])
-    def test_fallback_in_a_later_slice(self, block, old, new, want):
+    @pytest.mark.parametrize("block,edits,want,source", [
+        ("Nodes", [(0, "1051 ", "+1051 ")], "malformed node line '+1051 ", "text"),
+        ("Nodes", [(0, "1051 ", "1051\x0b")], None, "text"),
+        ("Nodes", [(0, "1051 ", "1051\x1c")], "malformed node line '1051\x1c", "text"),
+        ("Elements", [(0, "1051 2 ", "1051 +2 ")],
+         "non-integer field in element line '1051 +2 ", "text"),
+        ("Elements", [(0, "1051 2 ", "1051\x0b2 ")], None, "text"),
+        ("Nodes", [(0, "1051 ", "1051.0 ")], "malformed node line '1051.0 ", "text"),
+        ("Elements", [(0, "1051 2 2 ", "1051 2 2 1.5 ")],
+         "non-integer field in element line '1051 2 2 1.5 ", "text"),
+        ("Elements", [(0, "1051 2 ", "1051 5 "), (2, "1053 2 2 ", "1053 2 2 1.5 ")],
+         "unsupported element type 5", "text"),
+        ("Nodes", [(0, "1051 ", "+1051 "), (2, "1053 ", "1053 \u00e9")],
+         "malformed node line '+1051 ", "file"),
+        ("Elements", [(0, "1051 2 2 ", "1051 2 2 1.5 "), (100, "1151 2 ", "1151 5 ")],
+         "non-integer field in element line '1051 2 2 1.5 ", "text"),
+    ], ids=["tag-plus", "tag-vt", "tag-x1c", "type-plus", "field-vt", "tag-1051.0", "field-1.5",
+            "type-before-field", "tag-before-non-ascii", "before-a-later-chunk"])
+    def test_fallback_in_a_later_slice(self, tmp_path, block, edits, want, source):
         # Chunks of at most 999 bytes: line 1051 of either block of
-        # triangle_grid(32, 32) is in a later chunk, which alone takes the
-        # per-line path.
+        # triangle_grid(32, 32) is in a later chunk.  A chunk the parse
+        # refuses is parsed again in halves, and only it: the first bad line
+        # in file order is named, whatever other lines follow it.
         lines = pm.write_gmsh(pm.triangle_grid(32, 32)).split("\n")
         at = lines.index(f"${block}") + 2 + 1050
-        assert lines[at].startswith(old)
-        lines[at] = new + lines[at][len(old):]
+        for offset, old, new in edits:
+            assert lines[at + offset].startswith(old)
+            lines[at + offset] = new + lines[at + offset][len(old):]
         text = "\n".join(lines)
-        split = f"_split_{block.lower()}"
-        with mock.patch.object(gmsh_io, split, wraps=getattr(gmsh_io, split)) as fallback, \
+        path = tmp_path / "edited.msh"
+        path.write_bytes(text.encode("utf-8"))
+        read = {"text": lambda: outcome(pm.read_gmsh, io.StringIO(text)),
+                "file": lambda: outcome(pm.read_gmsh_file, path)}[source]
+        parse_block, calls = getattr(gmsh_io, f"_parse_{block.lower()}"), []
+        with mock.patch.object(gmsh_io, f"_parse_{block.lower()}",
+                               lambda raw: calls.append((raw, parse_block(raw))) or calls[-1][1]), \
                 mock.patch.object(gmsh_io, "_CHUNK_BYTES", 999):
-            got = outcome(pm.read_gmsh, io.StringIO(text))
-        assert got == outcome(oracle.read_gmsh, io.StringIO(text))
-        assert fallback.call_count == 1
-        chunk = fallback.call_args.args[0]
+            got = read()
+        if want is None:
+            assert got == outcome(oracle.read_gmsh, io.StringIO(text))
+            assert isinstance(got, pm.RawMesh)
+            assert not any(isinstance(result, str) for _, result in calls)
+            return
+        assert got.startswith(f"GmshParseError: {want}")
+        # The first chunk refused is whole lines of a later chunk, holding
+        # the bad line; every run parsed after it is lines of that chunk.
+        refused = next(k for k, (_, result) in enumerate(calls) if isinstance(result, str))
+        chunk = calls[refused][0].decode("utf-8").split("\n")[:-1]
         first = at - chunk.index(lines[at])
         assert chunk == lines[first:first + len(chunk)] and first > at - 1050
         assert len("\n".join(chunk)) < 999
-        if want is None:
-            assert isinstance(got, pm.RawMesh)
-        else:
-            assert got.startswith(f"GmshParseError: {want}")
+        for raw, _ in calls[refused + 1:]:
+            run = raw.decode("utf-8").split("\n")[:-1]
+            assert any(chunk[k:k + len(run)] == run for k in range(len(chunk)))
+
+
+SPACED_MESHES = [pm.interval_mesh(9), pm.triangle_grid(6, 5), pm.tet_box(2, 2, 1)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=25)
+@given(mesh=st.sampled_from(range(len(SPACED_MESHES))), seed=st.integers(0, 2**32 - 1),
+       chunk=st.sampled_from([1, 61, 999, 1 << 16]))
+def test_spacing_reads_as_the_plain_text(mesh, seed, chunk):
+    # Extra spaces, tabs, VT and FF between, before and after fields, and
+    # blank lines between lines, land anywhere across chunk boundaries.
+    text = pm.write_gmsh(SPACED_MESHES[mesh])
+    rng = np.random.default_rng(seed)
+    gaps = [" ", "\t", "\v", "\f"]
+
+    def gap(least: int) -> str:
+        return "".join(rng.choice(gaps, int(rng.integers(least, 4))))
+
+    lines = []
+    for line in text.splitlines():
+        while rng.random() < 0.2:
+            lines.append(gap(0))
+        first, *rest = line.split(" ")
+        lines.append(gap(0) + first + "".join(gap(1) + field for field in rest) + gap(0))
+    spaced = "\n".join(lines) + "\n"
+    with mock.patch.object(gmsh_io, "_CHUNK_BYTES", chunk):
+        got = read_plain_tags(spaced)
+    assert got == parse(text)
 
 
 class TestNodeLookup:
@@ -455,7 +543,8 @@ class TestNodeLookup:
     def read_with_tags(tags: list[int], first_block: int | None = None):
         """triangle_grid(2, 2) written with node tags `tags`, read by the
         reader and the oracle; the nodes come in two blocks when
-        `first_block` is given.  Also says whether the reader searched."""
+        `first_block` is given.  Also says whether the reader sorted the
+        tags to search them."""
         mesh = pm.triangle_grid(2, 2)
         nodes = [f"{t} {x:.16g} {y:.16g} 0" for t, (x, y) in zip(tags, mesh.vertices.tolist())]
         tag_of = np.array(tags)
@@ -466,8 +555,8 @@ class TestNodeLookup:
             cut = text.index(nodes[first_block])
             text = (text[:cut].replace(f"$Nodes\n{len(nodes)}\n", f"$Nodes\n{first_block}\n")
                     + f"$EndNodes\n$Nodes\n{len(nodes) - first_block}\n" + text[cut:])
-        search = mock.Mock(wraps=np.searchsorted)
-        with mock.patch.object(np, "searchsorted", search):
+        search = mock.Mock(wraps=np.argsort)
+        with mock.patch.object(np, "argsort", search):
             got = outcome(pm.read_gmsh, io.StringIO(text))
         return got, outcome(oracle.read_gmsh, io.StringIO(text)), search.called
 
@@ -663,6 +752,24 @@ class TestRawToBundle:
                           boundary_facets=[[0, 2], [3, 2], [1, 3]], boundary_markers=[1, 2, 3])
         with pytest.raises(ValueError, match=re.escape("boundary facet (2, 3) not found")):
             pm.raw_to_bundle(mesh)
+
+    @pytest.mark.parametrize("points", [10, 21])
+    def test_coordinates_must_cover_the_chart(self, points):
+        # Both sections carry two dofs on each vertex (points 4-9) alone.
+        bundle = pm.raw_to_bundle(pm.triangle_grid(2, 1))  # 19 points
+        dofs = np.zeros(points, dtype=np.int64)
+        dofs[bundle.plex.depth_stratum(0)] = 2
+        coords = pm.Field("coordinates", pm.Section(dofs), bundle.coordinates.values)
+        with pytest.raises(ValueError, match=f"coordinate section covers {points} points, "
+                                             "the plex chart 19"):
+            pm.MeshBundle(bundle.plex, coords, bundle.labels)
+
+    @pytest.mark.parametrize("dim", [0, 4])
+    def test_unsupported_dimension_rejected(self, dim):
+        with pytest.raises(ValueError, match=f"unsupported mesh dimension {dim}"):
+            pm.RawMesh(dim=dim, vertices=np.zeros((dim + 1, dim)), cells=[range(dim + 1)],
+                       cell_region_ids=[0], boundary_facets=np.empty((0, dim)),
+                       boundary_markers=[])
 
     def test_vertex_id_out_of_range(self):
         mesh = parse(MINIMAL_TET)

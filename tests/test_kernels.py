@@ -1368,12 +1368,12 @@ def msh_sections(text: str) -> list[list[str]]:
 
 
 def int_spellings(rng):
-    """A function that spells a non-negative integer token, in a form int()
-    reads as the same number: plain ASCII digits, or also padded to 19 digits,
-    or also with a '+' or underscores."""
+    """A function that spells a non-negative integer token, in a form the
+    reader's integer grammar reads as the same number: plain ASCII digits,
+    or also with a leading zero, or also zero-padded to 18 digits, the most
+    an integer field may have."""
     forms = [lambda t: t, lambda t: "0" + t]
-    forms += [[], [lambda t: t.zfill(19)],
-              [lambda t: "+" + t, lambda t: "_".join(t)]][rng.integers(3)]
+    forms += [[], [lambda t: t.zfill(18)]][rng.integers(2)]
     return lambda token: forms[rng.integers(len(forms))](token)
 
 
