@@ -11,8 +11,8 @@ grammar holds for every block line: printable ASCII fields between
 separators (space, tab, VT, FF), any indentation, trailing space or blank
 lines, and integer fields (node tags, every element field) of an optional
 '-' and 1 to 18 digits.  Any other line is refused, and the error names the
-first bad line in file order, found by running the same parse on halves of
-the chunk.  Node tags that fill one range index a map; others are
+first bad line in file order, found by running the same parse on each line
+of the refused chunk.  Node tags that fill one range index a map; others are
 searched.  The writer's text is byte-identical to formatting each line on
 its own: node lines fill one %-template repeated per row, and integer
 tables (element blocks, and the spy and partition CSVs elsewhere)
@@ -269,20 +269,13 @@ def _parse_elements(raw: bytes) -> tuple[np.ndarray, ...] | str:
 
 
 def _refusal(raw: bytes, parse, encoding: str) -> GmshParseError:
-    """The error for the first of raw's lines that parse refuses alone,
-    found by halving: parse takes any run of lines and refuses a run iff
-    it refuses one of its lines.  Only that line is decoded."""
-    lines = raw.splitlines(keepends=True)  # raw holds no CR
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if isinstance(parse(b"".join(lines[lo:mid])), str):
-            hi = mid
-        else:
-            lo = mid
-    line, fields = (text.decode(encoding, "surrogatepass")
-                    for text in (lines[lo].strip(), b" ".join(lines[lo].split())))
-    return GmshParseError(parse(lines[lo]).format(line=line, fields=fields))
+    """The error for the first of raw's lines that parse refuses alone.
+    Only that line is decoded."""
+    line = next(line for line in raw.splitlines(keepends=True)  # raw holds no CR
+                if isinstance(parse(line), str))
+    text, fields = (part.decode(encoding, "surrogatepass")
+                    for part in (line.strip(), b" ".join(line.split())))
+    return GmshParseError(parse(line).format(line=text, fields=fields))
 
 
 # Bytes of a block parsed in one step; bounds the reader's transient memory.
