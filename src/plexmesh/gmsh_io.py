@@ -30,14 +30,13 @@ from .plex import (Label, Plex, _indices, _lex_key, _offsets, _sorted_rows, _who
                    build_from_cells)
 from .section import Field, section_from_depth_dofs
 
-# Gmsh element type -> (topological dimension, node count)
+# Gmsh element type -> topological dimension d; a d-simplex has d + 1 nodes.
 _GMSH_POINT = 15
-_ELEMENT_TYPES = {1: (1, 2), 2: (2, 3), 4: (3, 4), _GMSH_POINT: (0, 1)}
-_TYPE_FOR_DIM = {d: t for t, (d, _) in _ELEMENT_TYPES.items()}
+_ELEMENT_TYPES = {1: 1, 2: 2, 4: 3, _GMSH_POINT: 0}
+_TYPE_FOR_DIM = {d: t for t, d in _ELEMENT_TYPES.items()}
 # The same table indexed by type number, -1 for unsupported types.
-_TYPE_DIM, _TYPE_NODES = np.full((2, _GMSH_POINT + 1), -1, dtype=np.int64)
-_TYPE_DIM[list(_ELEMENT_TYPES)], _TYPE_NODES[list(_ELEMENT_TYPES)] = zip(
-    *_ELEMENT_TYPES.values())
+_TYPE_DIM = np.full(_GMSH_POINT + 1, -1, dtype=np.int64)
+_TYPE_DIM[list(_ELEMENT_TYPES)] = list(_ELEMENT_TYPES.values())
 
 
 class GmshParseError(ValueError):
@@ -74,7 +73,7 @@ class RawMesh:
         nv = len(self.vertices)
         self.cells = _shaped(self.cells, self.dim + 1, "cells", nv)
         self.cell_region_ids = _whole_numbers("cell_region_ids", self.cell_region_ids)
-        self.boundary_facets = _shaped(self.boundary_facets, max(self.dim, 1), "boundary_facets", nv)
+        self.boundary_facets = _shaped(self.boundary_facets, self.dim, "boundary_facets", nv)
         self.boundary_markers = _whole_numbers("boundary_markers", self.boundary_markers)
         if len(self.cell_region_ids) != len(self.cells):
             raise ValueError("one region id per cell required")
@@ -117,8 +116,14 @@ class MeshBundle:
         on_vertex = sec.dofs[self.plex.depth_stratum(0)]
         if not (np.all(on_vertex == dim) and sec.total_size == on_vertex.size * dim):
             raise ValueError("coordinates must carry dim dofs per vertex only")
-        for name, label in self.labels.items():  # points ascend: the ends bound them
-            for p in label.points[:1].tolist() + label.points[-1:].tolist():
+        for name, label in self.labels.items():
+            points = np.asarray(label.points)
+            if points.ndim != 1 or points.dtype.kind not in "iu":
+                raise ValueError(f"label '{name}': points of shape {points.shape} and dtype "
+                                 f"{points.dtype}, not a 1-D integer array")
+            if (points[1:] < points[:-1]).any():
+                raise ValueError(f"label '{name}': points do not ascend")
+            for p in points[:1].tolist() + points[-1:].tolist():  # ascending: the ends bound them
                 if not 0 <= p < self.plex.chart_size:
                     raise ValueError(f"label '{name}' marks point {p}, outside the chart")
 
@@ -170,14 +175,6 @@ class _Text:
         return self.buf[start:self.pos]
 
 
-def _ints(fields: list[str], context: str) -> list[int]:
-    try:
-        return np.array(fields, dtype=np.int64).tolist()
-    except (ValueError, OverflowError):
-        raise GmshParseError(
-            f"non-integer field in {context} '{' '.join(fields)}'") from None
-
-
 # The bytes a block line may hold: printable ASCII fields between
 # separators (space, tab, VT, FF; a text stream's lone CR is a space by
 # then), ended by a newline.  Both numpy parsers split fields at each of these.
@@ -209,6 +206,16 @@ def _plain_ints(b: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> bool:
     inside = (at >= 0) & (odd < ends[at])
     return bool(((digits >= 1) & (digits <= _INT_DIGITS)).all()
                 and (sign[at] & (odd == starts[at]))[inside].all())
+
+
+def _ints(fields: list[str], context: str) -> list[int]:
+    """Header fields (counts, format numbers) as ints, each one field of the
+    block integer grammar; a GmshParseError naming context otherwise."""
+    text = " ".join(fields)
+    parsed = _fields(text.encode("utf-8", "surrogatepass") + b"\n")
+    if parsed is None or len(parsed[1]) != len(fields) or not _plain_ints(*parsed[:3]):
+        raise GmshParseError(f"non-integer field in {context} '{text}'")
+    return [int(f) for f in fields]
 
 
 def _parse_nodes(raw: bytes) -> tuple[np.ndarray, np.ndarray] | str:
@@ -251,10 +258,11 @@ def _parse_elements(raw: bytes) -> tuple[np.ndarray, ...] | str:
     if (sizes < 3).any() or (ints[start + 2] < 0).any():
         return "malformed element line"
     etype, ntags = ints[start + 1], ints[start + 2]
-    in_table = (etype >= 0) & (etype < len(_TYPE_NODES))
-    want = np.where(in_table, _TYPE_NODES[np.where(in_table, etype, 0)], -1)
-    if (want < 0).any():
-        return f"unsupported element type {etype[want < 0][0]}"
+    in_table = (etype >= 0) & (etype < len(_TYPE_DIM))
+    edim = np.where(in_table, _TYPE_DIM[np.where(in_table, etype, 0)], -1)
+    if (edim < 0).any():
+        return f"unsupported element type {etype[edim < 0][0]}"
+    want = edim + 1
     nnodes = np.maximum(sizes - 3 - ntags, 0)
     wrong = (nnodes != want) & (etype != _GMSH_POINT)
     if wrong.any():

@@ -13,7 +13,7 @@ Both relations are stored in CSR form (an offset array and a target array),
 and every bulk query works on whole arrays of points at once.
 
 Point numbering for built meshes: cells occupy [0, ncells), then vertices,
-then facets (3D only), then edges.
+then each depth from dim - 1 down to 1 (facets, then edges, in 3D).
 """
 
 from __future__ import annotations
@@ -26,12 +26,10 @@ import numpy as np
 
 PointId = int
 
-# Local facets of a tetrahedron (a,b,c,d) and local edges of a triangle
-# (x,y,z), in the creation order the interpolated numbering is defined by.
-_TET_FACETS = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
-_TRI_EDGES = ((1, 2), (0, 2), (0, 1))
-
-_CELL_ARITY = {1: 2, 2: 3, 3: 4}
+# The local faces of a d-simplex, a row of d + 1 vertex ids, for d = 3
+# (a tetrahedron's facets) and d = 2 (a triangle's edges), in the creation
+# order the interpolated numbering is defined by.
+_FACES = {3: ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3)), 2: ((1, 2), (0, 2), (0, 1))}
 
 # Compare-exchange networks that sort rows of 1 to 4 columns.
 _NETWORKS = {1: (), 2: ((0, 1),), 3: ((0, 1), (1, 2), (0, 1)),
@@ -501,9 +499,9 @@ def _cell_array(cell_vertex_lists, num_vertices: int, dim: int
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Validated (ncells, dim + 1) vertex-id array of a simplex cell list,
     and the same with each row sorted."""
-    if dim not in _CELL_ARITY:
+    if dim not in (1, 2, 3):
         raise ValueError(f"unsupported mesh dimension {dim}")
-    arity = _CELL_ARITY[dim]
+    arity = dim + 1
     cells = cell_vertex_lists
     if isinstance(cells, np.ndarray) and cells.ndim != 2:
         raise ValueError(f"cell vertex ids of shape {cells.shape}, not 2-D")
@@ -574,47 +572,28 @@ def build_from_cells(cell_vertex_lists: Sequence[Sequence[int]],
         dim: topological dimension, 1, 2 or 3.
 
     Returns:
-        An interpolated Plex numbered cells, vertices, facets, edges.
+        An interpolated Plex numbered cells, vertices, then depth dim - 1
+        down to 1.
     """
     cells, ordered = _cell_array(cell_vertex_lists, num_vertices, dim)
-    ncells = len(cells)
-    verts_first = ncells  # vertex v is point ncells + v
     # The vertex tables as interpolation finds them: depth 0 the vertex
     # column, row k of depth d the sorted vertex ids of depth-d entity k.
-    column = np.arange(num_vertices, dtype=np.int64)[:, None]
+    tables = {0: np.arange(num_vertices, dtype=np.int64)[:, None], dim: ordered}
+    # One pass per depth d: the faces of the depth-d rows, numbered in
+    # first-encounter order, are the depth-(d - 1) points, and their first
+    # rows, in their vertex order, are the next pass's rows.
+    rows, cones = cells, []
+    for d in range(dim, 1, -1):
+        faces = rows[:, _FACES[d]].reshape(-1, d)
+        ids, first, tables[d - 1] = _first_encounter_ids(faces)
+        rows = faces[first]
+        cones.append(ids)
+    cones.append(rows.reshape(-1))  # a depth-1 row's cone is its two vertices
 
-    if dim == 1:
-        sizes = np.repeat([2, 0], [ncells, num_vertices])
-        plex = Plex(dim, _offsets(sizes), verts_first + cells.reshape(-1))
-        plex._vertex_tables = (column, ordered)
-        return plex
-
-    # Facet pass (3D): deduplicate triangles shared between cells, keeping
-    # the vertex tuple in first-encounter order for the edge pass below.
-    facet_rows = ()
-    if dim == 3:
-        tris = cells[:, _TET_FACETS].reshape(-1, 3)
-        cell_facets, first, *facet_rows = _first_encounter_ids(tris)
-        triangles = tris[first]
-    else:
-        triangles = cells
-
-    # Edge pass: every triangle (a cell in 2D, a facet in 3D) contributes its
-    # three edges, deduplicated by sorted vertex pair.
-    pairs = triangles[:, _TRI_EDGES].reshape(-1, 2)
-    tri_edges, first, edge_rows = _first_encounter_ids(pairs)
-    edge_verts = pairs[first]
-
-    edge_pt0 = ncells + num_vertices + (len(triangles) if dim == 3 else 0)
-    if dim == 3:
-        facet_pt0 = ncells + num_vertices
-        sizes = np.repeat([4, 0, 3, 2], [ncells, num_vertices, len(triangles),
-                                         len(edge_verts)])
-        targets = [facet_pt0 + cell_facets, edge_pt0 + tri_edges]
-    else:
-        sizes = np.repeat([3, 0, 2], [ncells, num_vertices, len(edge_verts)])
-        targets = [edge_pt0 + tri_edges]
-    targets.append(verts_first + edge_verts.reshape(-1))
-    plex = Plex(dim, _offsets(sizes), np.concatenate(targets))
-    plex._vertex_tables = (column, edge_rows, *facet_rows, ordered)
+    order = [dim, 0, *range(dim - 1, 0, -1)]  # depths in point order
+    sizes = [len(tables[d]) for d in order]
+    start = dict(zip(order, _offsets(sizes)))
+    plex = Plex(dim, _offsets(np.repeat([d + 1 if d else 0 for d in order], sizes)),
+                np.concatenate([start[d - 1] + ids for d, ids in zip(range(dim, 0, -1), cones)]))
+    plex._vertex_tables = tuple(tables[d] for d in range(dim + 1))
     return plex

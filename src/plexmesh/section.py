@@ -100,6 +100,7 @@ def permute_section(section: Section, perm: Permutation) -> Section:
 
 def permute_field(fld: Field, perm: Permutation) -> Field:
     """Move per-point value blocks to their permuted positions."""
+    section = permute_section(fld.section, perm)  # checks the size first
     # New point n takes the block of old point perm.inverse[n].
     _, values = _csr_rows(fld.section.offsets, fld.values, perm.inverse)
-    return Field(fld.name, permute_section(fld.section, perm), values)
+    return Field(fld.name, section, values)

@@ -29,10 +29,16 @@ from plexmesh import (CsrPattern, Field, GmshParseError, Halo, Label,
                       MeshBundle, MigrationReport, PartitionMap, Permutation,
                       Plex, RankLocalMesh, RawMesh, Section, StarForest,
                       permute_section, section_from_depth_dofs)
-from plexmesh.plex import (_CELL_ARITY, _TET_FACETS, _TRI_EDGES, _csr_rows, _offsets,
-                           _row_ids, _unique_sorted)
+from plexmesh.plex import _csr_rows, _offsets, _row_ids, _unique_sorted
 
 from _helpers import plex_from_cones
+
+# Local facets of a tetrahedron (a,b,c,d) and local edges of a triangle
+# (x,y,z), in the creation order the interpolated numbering is defined by.
+_TET_FACETS = ((0, 1, 2), (0, 2, 3), (0, 1, 3), (1, 2, 3))
+_TRI_EDGES = ((1, 2), (0, 2), (0, 1))
+
+_CELL_ARITY = {1: 2, 2: 3, 3: 4}
 
 
 def traverse(plex: Plex, p, step) -> np.ndarray:

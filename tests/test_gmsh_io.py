@@ -316,6 +316,19 @@ CUT_IDS = ["field-int64-max", "field-int64-min", "tag-zero-padded-19",
            "field-underscore", "arabic-indic-coordinate", "arabic-indic-field", "tag-x1c",
            "field-x1f", "no-break-space"]
 
+# Header integers follow the same grammar: spellings int() reads, each
+# edited into write_gmsh(triangle_grid(1, 1)) and named with its context.
+HEADER_CUT = [
+    ("$Nodes\n4\n", "$Nodes\n+4\n", "$Nodes count '+4'"),
+    ("$Nodes\n4\n", "$Nodes\n0_4\n", "$Nodes count '0_4'"),
+    ("$Nodes\n4\n", "$Nodes\n\u0664\n", "$Nodes count '\u0664'"),
+    ("$Elements\n6\n", "$Elements\n0000000000000000006\n",
+     "$Elements count '0000000000000000006'"),
+    ("2.2 0 8\n", "2.2 +0 0_8\n", "$MeshFormat line '+0 0_8'"),
+]
+HEADER_CUT_IDS = ["nodes-count-plus", "nodes-count-underscore", "nodes-count-arabic-indic",
+                  "elements-count-zero-padded-19", "format-plus-underscore"]
+
 
 def refusal(block: str, line: str) -> str:
     """The message naming a refused line of a block."""
@@ -386,6 +399,15 @@ class TestFastParse:
         text = msh(*swapped(block, line))
         assert isinstance(oracle.read_gmsh(io.StringIO(text)), pm.RawMesh)
         assert read_plain_tags(text) == refusal(block, line)
+
+    @pytest.mark.parametrize("old,new,want", HEADER_CUT, ids=HEADER_CUT_IDS)
+    def test_cut_header_refused(self, old, new, want):
+        text = pm.write_gmsh(pm.triangle_grid(1, 1))
+        assert text.count(old) == 1
+        edited = text.replace(old, new)
+        assert oracle.read_gmsh(io.StringIO(edited)) == oracle.read_gmsh(io.StringIO(text))
+        assert outcome(pm.read_gmsh, io.StringIO(edited)) == \
+            f"GmshParseError: non-integer field in {want}"
 
     @pytest.mark.parametrize("tag,want", [
         ("123456789012345678", None),
@@ -714,6 +736,18 @@ class TestRawToBundle:
         with pytest.raises(ValueError,
                            match=f"label 'region' marks point {point}, outside the chart"):
             pm.MeshBundle(bundle.plex, bundle.coordinates, {"region": label})
+
+    @pytest.mark.parametrize("points,message", [
+        ([0, 100, 1], "label 'x': points do not ascend"),
+        ([0.0, 1.0, 2.0],
+         "label 'x': points of shape (3,) and dtype float64, not a 1-D integer array"),
+    ], ids=["unsorted", "float"])
+    def test_label_points_must_ascend_as_integers(self, points, message):
+        # Both pass the ends check; migrate would drop or misplace their values.
+        bundle = pm.raw_to_bundle(pm.triangle_grid(2, 1))  # 19 points
+        label = pm.Label("x", np.array(points), np.array([1, 2, 3]))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            pm.MeshBundle(bundle.plex, bundle.coordinates, {**bundle.labels, "x": label})
 
     def test_boundary_on_a_cell_rejected(self):
         bundle = pm.raw_to_bundle(pm.triangle_grid(2, 1))

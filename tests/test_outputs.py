@@ -7,9 +7,10 @@ meshes, shuffled and not, at a few part counts: `info`, `partition --csv`,
 keep outputs passes unchanged; a change that alters outputs on purpose
 re-records the file with
 
-    PYTHONPATH=src:tests python tests/test_outputs.py
+    PYTHONPATH=src:tests:. python tests/test_outputs.py
 
-and the diff shows which outputs moved.
+and the diff shows which outputs moved.  Each benchmark workload's seed-1
+outputs are checked against perfbench/digests.json as well.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ from pathlib import Path
 import pytest
 
 import plexmesh as pm
+from perfbench.worker import recorded_digest
+from perfbench.workloads import WORKLOADS, shuffle_mesh
 from plexmesh import cli, gmsh_io
 
 from _helpers import relabel
@@ -108,6 +111,17 @@ def test_every_output_matches_its_recorded_digest(found):
     recorded = json.loads(DIGESTS.read_text())
     assert sorted(found) == sorted(recorded)
     assert [key for key in sorted(found) if found[key] != recorded[key]] == []
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_outputs_match_their_seed_1_digests(name, tmp_path):
+    # The benchmark's seed-1 run, once, against perfbench/digests.json.
+    wl = WORKLOADS[name]
+    src = tmp_path / "input.msh"
+    pm.write_gmsh_file(shuffle_mesh(wl.make_mesh(), 1), src)
+    out = wl.pipeline(wl, src, tmp_path)
+    assert wl.check(out, pm.gather_to_root) == []
+    assert wl.digest(out) == recorded_digest(name, 1)
 
 
 # Every writer of the CLI's outputs, one space appended to what it writes,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from plexmesh import (Permutation, Section, build_from_cells, permute_field,
-                      permute_section, section_from_depth_dofs, Field)
+                      permute_section, raw_to_bundle, section_from_depth_dofs, triangle_grid,
+                      Field)
 
 TET = build_from_cells([(0, 1, 2, 3)], 4, 3)
 TWO_TRI = build_from_cells([(0, 1, 2), (1, 3, 2)], 4, 2)
@@ -118,6 +119,14 @@ class TestPermute:
         out = permute_field(fld, perm)
         assert out.at(2).tolist() == [10.0, 11.0]
         assert out.at(0).tolist() == [20.0]
+
+    @pytest.mark.parametrize("size", [18, 20])
+    def test_permute_field_size_mismatch(self, size):
+        # The 19-point triangle_grid(2, 1) coordinates: a longer permutation
+        # is named as a size mismatch too, not an IndexError of the gather.
+        bundle = raw_to_bundle(triangle_grid(2, 1))
+        with pytest.raises(ValueError, match="permutation size does not match section"):
+            permute_field(bundle.coordinates, Permutation(np.arange(size)))
 
 
 class TestField:
